@@ -13,7 +13,8 @@
 //!   (`crates/bench/tests/golden/snapshot_v1.ises`) and its expected
 //!   end-of-run registry render. Run this (and commit the result) only
 //!   when the format version is intentionally bumped.
-//! * `--replay-golden` — restores the checked-in golden snapshot, runs
+//! * `--replay-golden` — restores the checked-in golden snapshot,
+//!   asserts that re-saving it reproduces the image byte for byte, runs
 //!   it to completion, and asserts the registry render matches the
 //!   checked-in expectation: yesterday's images must stay readable.
 //! * `--corrupt-golden` — flips one header byte and one body byte of the
@@ -141,6 +142,10 @@ fn replay_golden() {
     let mut sys = build();
     sys.restore_from(&snap)
         .expect("the checked-in golden image must stay restorable");
+    assert!(
+        sys.snapshot() == snap,
+        "re-saving the restored golden image changed its bytes"
+    );
     sys.run_clocked(MAX_CYCLES, true);
     let registry = sys.telemetry().registry.to_json().render();
     assert_eq!(

@@ -123,3 +123,17 @@ fn checked_in_litmus_corpus_matches_snapshots() {
         check_golden(&name.replace(".litmus", ".txt"), &report);
     }
 }
+
+#[test]
+fn golden_snapshot_restores_resaves_byte_for_byte_and_replays() {
+    // `snapshot_smoke --replay-golden` restores `snapshot_v1.ises`,
+    // asserts that saving the restored system reproduces the file
+    // exactly (every component's encoding is unchanged), then checks
+    // the end-of-run registry against `snapshot_v1_registry.json`.
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_snapshot_smoke"))
+        .arg("--replay-golden")
+        .current_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
+        .status()
+        .expect("run snapshot_smoke");
+    assert!(status.success(), "snapshot_smoke --replay-golden failed");
+}

@@ -1,16 +1,82 @@
 //! Set-associative cache tag arrays with LRU replacement.
 //!
-//! Tag state is struct-of-arrays: one flat dense array per field
-//! (`tags` / `lru` / packed valid+dirty flags), indexed by
-//! `set * ways + way`. A probe walks `ways` adjacent elements of one
-//! array instead of chasing a per-set `Vec` allocation, and the array
-//! never reallocates after construction.
+//! Tag state is struct-of-arrays, allocated on first touch. The sets are
+//! grouped into chunks of [`CHUNK_SETS`]; one allocation per chunk holds
+//! its tags, LRU stamps and packed valid+dirty flags, indexed by
+//! `(set % CHUNK_SETS) * ways + way`. The first `insert` into a chunk's
+//! sets creates it. Probing a chunk that does not exist reports a miss
+//! and allocates nothing, so building an array costs one pointer per
+//! chunk instead of zero-filling every slot (an `l2_isca23` tile has
+//! 16 384 lines; a short run touches a few hundred). A chunk, once
+//! created, never reallocates.
+//!
+//! A missing chunk behaves exactly like a zero-filled one, so the
+//! persisted `CACH` section keeps the dense encoding of a flat array:
+//! missing chunks are written as zeros, and restore creates only the
+//! chunks that hold a nonzero byte.
 
 use ise_types::addr::{Addr, LINE_SIZE};
 use ise_types::config::CacheConfig;
+use ise_types::persist::{Persist, PersistError, Reader, Writer};
 
 const FLAG_VALID: u8 = 1 << 0;
 const FLAG_DIRTY: u8 = 1 << 1;
+
+/// Sets per lazily allocated chunk. Smaller chunks zero-fill less per
+/// touched set; eight keeps a chunk of an `l2_isca23` tile near 2 KiB
+/// and its chunk table at 128 entries (DESIGN.md §15 on why not 16).
+const CHUNK_SETS: usize = 8;
+
+/// The slots of up to `CHUNK_SETS` consecutive sets in one allocation:
+/// the `slots` tags, then the `slots` LRU stamps, then the `slots` flag
+/// bytes packed eight to a word in little-endian byte order.
+#[derive(Debug, Clone)]
+struct Chunk {
+    words: Box<[u64]>,
+    slots: usize,
+}
+
+impl Chunk {
+    fn zeroed(slots: usize) -> Self {
+        Chunk {
+            words: vec![0; 2 * slots + slots.div_ceil(8)].into_boxed_slice(),
+            slots,
+        }
+    }
+
+    fn tag(&self, i: usize) -> u64 {
+        self.words[i]
+    }
+
+    fn lru(&self, i: usize) -> u64 {
+        self.words[self.slots + i]
+    }
+
+    fn flags(&self, i: usize) -> u8 {
+        (self.words[2 * self.slots + i / 8] >> (i % 8 * 8)) as u8
+    }
+
+    fn set_lru(&mut self, i: usize, stamp: u64) {
+        self.words[self.slots + i] = stamp;
+    }
+
+    fn set_flags(&mut self, i: usize, flags: u8) {
+        let shift = i % 8 * 8;
+        let word = &mut self.words[2 * self.slots + i / 8];
+        *word = *word & !(0xff << shift) | u64::from(flags) << shift;
+    }
+
+    fn fill(&mut self, i: usize, tag: u64, stamp: u64, flags: u8) {
+        self.words[i] = tag;
+        self.set_lru(i, stamp);
+        self.set_flags(i, flags);
+    }
+
+    /// Slot of the way holding `tag` in the `ways` slots from `base`.
+    fn find(&self, base: usize, ways: usize, tag: u64) -> Option<usize> {
+        (base..base + ways).find(|&i| self.tag(i) == tag && self.flags(i) & FLAG_VALID != 0)
+    }
+}
 
 /// A set-associative tag array (no data — the hierarchy is
 /// timing-directed; see the crate docs).
@@ -18,9 +84,9 @@ const FLAG_DIRTY: u8 = 1 << 1;
 /// Lines are identified by their line-aligned address.
 #[derive(Debug, Clone)]
 pub struct CacheArray {
-    tags: Box<[u64]>,
-    lru: Box<[u64]>,
-    flags: Box<[u8]>,
+    /// One entry per `CHUNK_SETS` sets, `None` until a line is inserted
+    /// into one of them.
+    chunks: Box<[Option<Chunk>]>,
     ways: usize,
     set_count: usize,
     tick: u64,
@@ -47,38 +113,52 @@ impl CacheArray {
     pub fn new(cfg: &CacheConfig) -> Self {
         let set_count = cfg.sets(LINE_SIZE as usize);
         assert!(set_count > 0 && cfg.ways > 0, "degenerate cache geometry");
-        let slots = set_count * cfg.ways;
+        Self::empty(cfg.ways, set_count, 0)
+    }
+
+    fn empty(ways: usize, set_count: usize, tick: u64) -> Self {
         CacheArray {
-            tags: vec![0; slots].into_boxed_slice(),
-            lru: vec![0; slots].into_boxed_slice(),
-            flags: vec![0; slots].into_boxed_slice(),
-            ways: cfg.ways,
+            chunks: vec![None; set_count.div_ceil(CHUNK_SETS)].into_boxed_slice(),
+            ways,
             set_count,
-            tick: 0,
+            tick,
         }
     }
 
-    fn index_tag(&self, line: Addr) -> (usize, u64) {
+    /// Slots of chunk `c` (the last chunk holds fewer sets when
+    /// `CHUNK_SETS` does not divide the set count).
+    fn chunk_len(&self, c: usize) -> usize {
+        (self.set_count - c * CHUNK_SETS).min(CHUNK_SETS) * self.ways
+    }
+
+    /// The set of `line`, its chunk, the set's first slot in that chunk,
+    /// and the line's tag.
+    fn locate(&self, line: Addr) -> (usize, usize, usize, u64) {
         let block = line.raw() / LINE_SIZE;
+        let set = (block % self.set_count as u64) as usize;
         (
-            (block % self.set_count as u64) as usize,
+            set,
+            set / CHUNK_SETS,
+            set % CHUNK_SETS * self.ways,
             block / self.set_count as u64,
         )
     }
 
-    /// Index of the way holding `tag` in `set`, if resident.
-    fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        let base = set * self.ways;
-        (base..base + self.ways).find(|&i| self.flags[i] & FLAG_VALID != 0 && self.tags[i] == tag)
+    /// The chunk and slot holding `line`, if resident.
+    fn find_mut(&mut self, line: Addr) -> Option<(&mut Chunk, usize)> {
+        let (_, c, base, tag) = self.locate(line);
+        let chunk = self.chunks[c].as_mut()?;
+        let i = chunk.find(base, self.ways, tag)?;
+        Some((chunk, i))
     }
 
     /// Probes for `line` (line-aligned address), refreshing LRU on hit.
     pub fn lookup(&mut self, line: Addr) -> bool {
         debug_assert_eq!(line, line.line(), "lookup requires a line-aligned address");
-        let (set, tag) = self.index_tag(line);
         self.tick += 1;
-        if let Some(i) = self.find(set, tag) {
-            self.lru[i] = self.tick;
+        let tick = self.tick;
+        if let Some((chunk, i)) = self.find_mut(line) {
+            chunk.set_lru(i, tick);
             true
         } else {
             false
@@ -87,15 +167,16 @@ impl CacheArray {
 
     /// Probes without touching LRU state (used by coherence forwards).
     pub fn contains(&self, line: Addr) -> bool {
-        let (set, tag) = self.index_tag(line);
-        self.find(set, tag).is_some()
+        let (_, c, base, tag) = self.locate(line);
+        self.chunks[c]
+            .as_ref()
+            .is_some_and(|chunk| chunk.find(base, self.ways, tag).is_some())
     }
 
     /// Marks a resident line dirty (stores). No-op if absent.
     pub fn mark_dirty(&mut self, line: Addr) {
-        let (set, tag) = self.index_tag(line);
-        if let Some(i) = self.find(set, tag) {
-            self.flags[i] |= FLAG_DIRTY;
+        if let Some((chunk, i)) = self.find_mut(line) {
+            chunk.set_flags(i, chunk.flags(i) | FLAG_DIRTY);
         }
     }
 
@@ -103,38 +184,37 @@ impl CacheArray {
     /// Installing an already-resident line just refreshes it.
     pub fn insert(&mut self, line: Addr, dirty: bool) -> Eviction {
         debug_assert_eq!(line, line.line(), "insert requires a line-aligned address");
-        let (set, tag) = self.index_tag(line);
+        let (set, c, base, tag) = self.locate(line);
         self.tick += 1;
         let tick = self.tick;
-        let base = set * self.ways;
+        let (ways, set_count) = (self.ways, self.set_count);
+        let slots = self.chunk_len(c);
+        let chunk = self.chunks[c].get_or_insert_with(|| Chunk::zeroed(slots));
+        let flags = FLAG_VALID | if dirty { FLAG_DIRTY } else { 0 };
         // Already present: refresh.
-        if let Some(i) = self.find(set, tag) {
-            self.lru[i] = tick;
+        if let Some(i) = chunk.find(base, ways, tag) {
+            chunk.set_lru(i, tick);
             if dirty {
-                self.flags[i] |= FLAG_DIRTY;
+                chunk.set_flags(i, chunk.flags(i) | FLAG_DIRTY);
             }
             return Eviction::None;
         }
         // Free way.
-        if let Some(i) = (base..base + self.ways).find(|&i| self.flags[i] & FLAG_VALID == 0) {
-            self.tags[i] = tag;
-            self.lru[i] = tick;
-            self.flags[i] = FLAG_VALID | if dirty { FLAG_DIRTY } else { 0 };
+        if let Some(i) = (base..base + ways).find(|&i| chunk.flags(i) & FLAG_VALID == 0) {
+            chunk.fill(i, tag, tick, flags);
             return Eviction::None;
         }
         // LRU victim: first way with the minimal stamp, in way order.
         let mut victim = base;
-        for i in base + 1..base + self.ways {
-            if self.lru[i] < self.lru[victim] {
+        for i in base + 1..base + ways {
+            if chunk.lru(i) < chunk.lru(victim) {
                 victim = i;
             }
         }
-        let victim_block = self.tags[victim] * self.set_count as u64 + set as u64;
+        let victim_block = chunk.tag(victim) * set_count as u64 + set as u64;
         let evicted = Addr::new(victim_block * LINE_SIZE);
-        let was_dirty = self.flags[victim] & FLAG_DIRTY != 0;
-        self.tags[victim] = tag;
-        self.lru[victim] = tick;
-        self.flags[victim] = FLAG_VALID | if dirty { FLAG_DIRTY } else { 0 };
+        let was_dirty = chunk.flags(victim) & FLAG_DIRTY != 0;
+        chunk.fill(victim, tag, tick, flags);
         if was_dirty {
             Eviction::Dirty(evicted)
         } else {
@@ -144,45 +224,69 @@ impl CacheArray {
 
     /// Invalidates `line` if present; returns whether it was dirty.
     pub fn invalidate(&mut self, line: Addr) -> Option<bool> {
-        let (set, tag) = self.index_tag(line);
-        if let Some(i) = self.find(set, tag) {
-            let dirty = self.flags[i] & FLAG_DIRTY != 0;
-            self.flags[i] &= !FLAG_VALID;
-            Some(dirty)
-        } else {
-            None
-        }
+        let (chunk, i) = self.find_mut(line)?;
+        let flags = chunk.flags(i);
+        chunk.set_flags(i, flags & !FLAG_VALID);
+        Some(flags & FLAG_DIRTY != 0)
     }
 
     /// Number of resident lines (for tests and occupancy stats).
     pub fn occupancy(&self) -> usize {
-        self.flags.iter().filter(|&&f| f & FLAG_VALID != 0).count()
+        self.chunks
+            .iter()
+            .flatten()
+            .map(|chunk| {
+                (0..chunk.slots)
+                    .filter(|&i| chunk.flags(i) & FLAG_VALID != 0)
+                    .count()
+            })
+            .sum()
     }
 
     /// Total capacity in lines.
     pub fn capacity_lines(&self) -> usize {
         self.set_count * self.ways
     }
+
+    /// Writes one dense per-slot array, length-prefixed, in slot order:
+    /// `width` bytes per slot, a missing chunk as one run of zeros.
+    fn save_dense(&self, w: &mut Writer, width: usize, slot: impl Fn(&Chunk, usize, &mut Writer)) {
+        w.usize(self.capacity_lines());
+        for (c, chunk) in self.chunks.iter().enumerate() {
+            match chunk {
+                Some(chunk) => (0..chunk.slots).for_each(|i| slot(chunk, i, w)),
+                None => w.zeros(self.chunk_len(c) * width),
+            }
+        }
+    }
 }
 
-impl ise_types::persist::Persist for CacheArray {
+/// Reads a length-prefixed dense `u64` array as its raw bytes (the same
+/// reads, and so the same errors, as restoring a `Box<[u64]>`).
+fn dense_words<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], PersistError> {
+    let n = r.usize()?;
+    r.raw(n.checked_mul(8).ok_or(PersistError::Truncated)?)
+}
+
+fn le_word(bytes: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8-byte word"))
+}
+
+impl Persist for CacheArray {
     /// The LRU `tick` counter and per-way stamps are saved verbatim:
     /// victim selection compares raw stamps, so replacement decisions
     /// after a restore are identical to the uninterrupted run.
-    fn save(&self, w: &mut ise_types::persist::Writer) {
+    fn save(&self, w: &mut Writer) {
         w.section(*b"CACH", |w| {
             w.usize(self.ways);
             w.usize(self.set_count);
             w.u64(self.tick);
-            self.tags.save(w);
-            self.lru.save(w);
-            self.flags.save(w);
+            self.save_dense(w, 8, |chunk, i, w| w.u64(chunk.tag(i)));
+            self.save_dense(w, 8, |chunk, i, w| w.u64(chunk.lru(i)));
+            self.save_dense(w, 1, |chunk, i, w| w.u8(chunk.flags(i)));
         });
     }
-    fn restore(
-        r: &mut ise_types::persist::Reader,
-    ) -> Result<Self, ise_types::persist::PersistError> {
-        use ise_types::persist::{Persist, PersistError};
+    fn restore(r: &mut Reader) -> Result<Self, PersistError> {
         r.section(*b"CACH", |r| {
             let ways = r.usize()?;
             let set_count = r.usize()?;
@@ -190,23 +294,31 @@ impl ise_types::persist::Persist for CacheArray {
                 return Err(PersistError::Corrupt("degenerate cache geometry"));
             }
             let tick = r.u64()?;
-            let tags: Box<[u64]> = Persist::restore(r)?;
-            let lru: Box<[u64]> = Persist::restore(r)?;
-            let flags: Box<[u8]> = Persist::restore(r)?;
+            let tags = dense_words(r)?;
+            let lru = dense_words(r)?;
+            let flags = r.bytes()?;
             let slots = set_count
                 .checked_mul(ways)
                 .ok_or(PersistError::Corrupt("cache slot overflow"))?;
-            if tags.len() != slots || lru.len() != slots || flags.len() != slots {
+            if tags.len() / 8 != slots || lru.len() / 8 != slots || flags.len() != slots {
                 return Err(PersistError::Corrupt("cache array lengths"));
             }
-            Ok(CacheArray {
-                tags,
-                lru,
-                flags,
-                ways,
-                set_count,
-                tick,
-            })
+            let mut array = CacheArray::empty(ways, set_count, tick);
+            for c in 0..array.chunks.len() {
+                let lo = c * CHUNK_SETS * ways;
+                let hi = lo + array.chunk_len(c);
+                let (tags, lru, flags) =
+                    (&tags[8 * lo..8 * hi], &lru[8 * lo..8 * hi], &flags[lo..hi]);
+                if tags.iter().chain(lru).chain(flags).all(|&b| b == 0) {
+                    continue;
+                }
+                let mut chunk = Chunk::zeroed(hi - lo);
+                for (i, &f) in flags.iter().enumerate() {
+                    chunk.fill(i, le_word(tags, i), le_word(lru, i), f);
+                }
+                array.chunks[c] = Some(chunk);
+            }
+            Ok(array)
         })
     }
 }
@@ -308,6 +420,243 @@ mod tests {
         assert_eq!(back.insert(line(4), false), c.insert(line(4), false));
         assert_eq!(back.insert(line(6), true), c.insert(line(6), true));
         assert_eq!(back.occupancy(), c.occupancy());
+    }
+
+    /// The flat layout this array replaced, kept as the naive model:
+    /// every slot zero-filled at construction, one dense array per
+    /// field indexed by `set * ways + way`, saved in the same `CACH`
+    /// encoding.
+    struct DenseArray {
+        tags: Vec<u64>,
+        lru: Vec<u64>,
+        flags: Vec<u8>,
+        ways: usize,
+        set_count: usize,
+        tick: u64,
+    }
+
+    impl DenseArray {
+        fn new(cfg: &CacheConfig) -> Self {
+            let set_count = cfg.sets(LINE_SIZE as usize);
+            let slots = set_count * cfg.ways;
+            DenseArray {
+                tags: vec![0; slots],
+                lru: vec![0; slots],
+                flags: vec![0; slots],
+                ways: cfg.ways,
+                set_count,
+                tick: 0,
+            }
+        }
+
+        fn index_tag(&self, line: Addr) -> (usize, u64) {
+            let block = line.raw() / LINE_SIZE;
+            (
+                (block % self.set_count as u64) as usize,
+                block / self.set_count as u64,
+            )
+        }
+
+        fn find(&self, set: usize, tag: u64) -> Option<usize> {
+            let base = set * self.ways;
+            (base..base + self.ways)
+                .find(|&i| self.flags[i] & FLAG_VALID != 0 && self.tags[i] == tag)
+        }
+
+        fn lookup(&mut self, line: Addr) -> bool {
+            let (set, tag) = self.index_tag(line);
+            self.tick += 1;
+            let hit = self.find(set, tag);
+            if let Some(i) = hit {
+                self.lru[i] = self.tick;
+            }
+            hit.is_some()
+        }
+
+        fn contains(&self, line: Addr) -> bool {
+            let (set, tag) = self.index_tag(line);
+            self.find(set, tag).is_some()
+        }
+
+        fn mark_dirty(&mut self, line: Addr) {
+            let (set, tag) = self.index_tag(line);
+            if let Some(i) = self.find(set, tag) {
+                self.flags[i] |= FLAG_DIRTY;
+            }
+        }
+
+        fn insert(&mut self, line: Addr, dirty: bool) -> Eviction {
+            let (set, tag) = self.index_tag(line);
+            self.tick += 1;
+            let base = set * self.ways;
+            let flags = FLAG_VALID | if dirty { FLAG_DIRTY } else { 0 };
+            if let Some(i) = self.find(set, tag) {
+                self.lru[i] = self.tick;
+                if dirty {
+                    self.flags[i] |= FLAG_DIRTY;
+                }
+                return Eviction::None;
+            }
+            let free = (base..base + self.ways).find(|&i| self.flags[i] & FLAG_VALID == 0);
+            let victim = free.unwrap_or_else(|| {
+                (base + 1..base + self.ways).fold(base, |v, i| {
+                    if self.lru[i] < self.lru[v] {
+                        i
+                    } else {
+                        v
+                    }
+                })
+            });
+            let evicted =
+                Addr::new((self.tags[victim] * self.set_count as u64 + set as u64) * LINE_SIZE);
+            let was_dirty = self.flags[victim] & FLAG_DIRTY != 0;
+            self.tags[victim] = tag;
+            self.lru[victim] = self.tick;
+            self.flags[victim] = flags;
+            match (free, was_dirty) {
+                (Some(_), _) => Eviction::None,
+                (None, true) => Eviction::Dirty(evicted),
+                (None, false) => Eviction::Clean(evicted),
+            }
+        }
+
+        fn invalidate(&mut self, line: Addr) -> Option<bool> {
+            let (set, tag) = self.index_tag(line);
+            let i = self.find(set, tag)?;
+            self.flags[i] &= !FLAG_VALID;
+            Some(self.flags[i] & FLAG_DIRTY != 0)
+        }
+
+        fn occupancy(&self) -> usize {
+            self.flags.iter().filter(|&&f| f & FLAG_VALID != 0).count()
+        }
+    }
+
+    impl Persist for DenseArray {
+        fn save(&self, w: &mut Writer) {
+            w.section(*b"CACH", |w| {
+                w.usize(self.ways);
+                w.usize(self.set_count);
+                w.u64(self.tick);
+                self.tags.save(w);
+                self.lru.save(w);
+                self.flags.save(w);
+            });
+        }
+        fn restore(_: &mut Reader) -> Result<Self, PersistError> {
+            unreachable!("the model is only ever saved")
+        }
+    }
+
+    /// Replays `steps` random operations against the lazy array and the
+    /// dense model. Lines fall into a few sets spread over the whole
+    /// array (so some chunks stay missing) with more tags per set than
+    /// ways (so sets fill and evict). Returns the lazy array.
+    fn replay_against_dense(cfg: CacheConfig, steps: u64) -> CacheArray {
+        use ise_types::persist::save_container;
+        let mut lazy = CacheArray::new(&cfg);
+        let mut dense = DenseArray::new(&cfg);
+        let sets = dense.set_count as u64;
+        let hot_sets: Vec<u64> = (0..7).map(|k| (k * 2 * sets / 13 + k) % sets).collect();
+        let tags = cfg.ways as u64 * 3 / 2 + 1;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut evictions = 0;
+        for step in 0..steps {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let set = hot_sets[((state >> 40) % hot_sets.len() as u64) as usize];
+            let l = line(((state >> 20) % tags) * sets + set);
+            match (state >> 60) % 8 {
+                0..=2 => {
+                    let dirty = state & (1 << 7) != 0;
+                    let ev = lazy.insert(l, dirty);
+                    assert_eq!(ev, dense.insert(l, dirty), "insert at step {step}");
+                    evictions += usize::from(ev != Eviction::None);
+                }
+                3 | 4 => assert_eq!(lazy.lookup(l), dense.lookup(l), "lookup at step {step}"),
+                5 => assert_eq!(
+                    lazy.contains(l),
+                    dense.contains(l),
+                    "contains at step {step}"
+                ),
+                6 => {
+                    lazy.mark_dirty(l);
+                    dense.mark_dirty(l);
+                }
+                _ => assert_eq!(
+                    lazy.invalidate(l),
+                    dense.invalidate(l),
+                    "invalidate at step {step}"
+                ),
+            }
+            assert_eq!(
+                lazy.occupancy(),
+                dense.occupancy(),
+                "occupancy at step {step}"
+            );
+            if step % 4096 == 0 {
+                assert_eq!(
+                    save_container(&lazy),
+                    save_container(&dense),
+                    "bytes at step {step}"
+                );
+            }
+        }
+        assert!(evictions > 0, "the replay must fill sets");
+        let bytes = save_container(&lazy);
+        assert_eq!(bytes, save_container(&dense));
+        let back: CacheArray = ise_types::persist::restore_container(&bytes).unwrap();
+        assert_eq!(save_container(&back), bytes);
+        let created = |a: &CacheArray| a.chunks.iter().map(Option::is_some).collect::<Vec<_>>();
+        assert_eq!(
+            created(&back),
+            created(&lazy),
+            "restore creates exactly the touched chunks"
+        );
+        lazy
+    }
+
+    #[test]
+    fn lazy_array_matches_dense_array_on_l2_geometry() {
+        let lazy = replay_against_dense(CacheConfig::l2_isca23(), 24_000);
+        assert!(
+            lazy.chunks.iter().any(Option::is_none),
+            "some chunks stay untouched"
+        );
+    }
+
+    #[test]
+    fn lazy_array_matches_dense_array_with_a_partial_last_chunk() {
+        // 37 sets: the last chunk holds only 5 of `CHUNK_SETS` sets.
+        let lazy = replay_against_dense(
+            CacheConfig {
+                capacity_bytes: 37 * 3 * 64,
+                ways: 3,
+                latency: 1,
+                mshrs: 4,
+            },
+            24_000,
+        );
+        assert!(
+            lazy.chunks.last().is_some_and(Option::is_some),
+            "the partial chunk is exercised"
+        );
+    }
+
+    #[test]
+    fn fresh_l2_array_allocates_no_chunks() {
+        let mut c = CacheArray::new(&CacheConfig::l2_isca23());
+        assert_eq!(c.chunks.len(), 1024 / CHUNK_SETS);
+        assert!(c.chunks.iter().all(Option::is_none));
+        // Probes of untouched sets miss without creating a chunk.
+        assert!(!c.lookup(line(5)));
+        assert!(!c.contains(line(5)));
+        c.mark_dirty(line(5));
+        assert_eq!(c.invalidate(line(5)), None);
+        assert!(c.chunks.iter().all(Option::is_none));
+        c.insert(line(5), false);
+        assert_eq!(c.chunks.iter().filter(|c| c.is_some()).count(), 1);
     }
 
     #[test]

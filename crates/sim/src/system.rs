@@ -15,6 +15,7 @@ use ise_types::stats::CoreStats;
 use ise_types::CoreId;
 use ise_workloads::layout::{EINJECT_BASE, EINJECT_SIZE};
 use ise_workloads::Workload;
+use std::cell::OnceCell;
 use std::rc::Rc;
 
 /// Physical base of the OS-pinned FSB rings (outside the EInject region).
@@ -189,8 +190,13 @@ pub struct System {
     early_drain_per_core: Vec<u64>,
     now: Cycle,
     /// Fingerprint of the (config, workload) pair this system was built
-    /// from; snapshots embed it and restore validates it.
-    identity: u64,
+    /// from; snapshots embed it and restore validates it. Hashing every
+    /// instruction is linear in the trace length and most runs never
+    /// snapshot, so it is computed on first use (see [`System::identity`]).
+    identity: OnceCell<u64>,
+    /// The workload this system was built from; its traces are shared
+    /// with the cores, not copied.
+    workload: Workload,
     /// Built exactly once when [`System::run`] completes; [`System::stats`]
     /// serves this cache instead of re-collecting per-core vectors.
     final_stats: Option<SystemStats>,
@@ -305,7 +311,8 @@ impl System {
             discarded_per_core: vec![0; cfg.cores],
             early_drain_per_core: vec![0; cfg.cores],
             now: 0,
-            identity: system_identity(&cfg, workload),
+            identity: OnceCell::new(),
+            workload: workload.clone(),
             final_stats: None,
             tel,
             cfg,
@@ -629,6 +636,14 @@ impl System {
         next.clamp(self.now + 1, max_cycles)
     }
 
+    /// The identity fingerprint of this system's (configuration,
+    /// workload) pair, hashed on first call.
+    fn identity(&self) -> u64 {
+        *self
+            .identity
+            .get_or_init(|| system_identity(&self.cfg, &self.workload))
+    }
+
     /// Serializes the complete mid-run state of the system — every core
     /// pipeline, the hierarchy, FSB rings and controllers, fault sources,
     /// OS kernel, functional memory, processes, interrupt machinery and
@@ -642,7 +657,7 @@ impl System {
         use ise_types::persist::{Persist, Writer};
         let mut w = Writer::container();
         w.section(*b"SYS0", |w| {
-            w.u64(self.identity);
+            w.u64(self.identity());
             w.u64(self.now);
             self.interrupt_interval.save(w);
             w.u64(self.interrupt_cost);
@@ -693,7 +708,7 @@ impl System {
         let mut r = Reader::container(bytes)?;
         r.section(*b"SYS0", |r| {
             let identity = r.u64()?;
-            if identity != self.identity {
+            if identity != self.identity() {
                 return Err(PersistError::Corrupt("system identity mismatch"));
             }
             self.now = r.u64()?;
@@ -820,7 +835,7 @@ impl System {
                 break true;
             }
             let _ = std::fs::create_dir_all(dir);
-            let path = format!("{dir}/ckpt-{:016x}-{:012}.ises", self.identity, self.now);
+            let path = format!("{dir}/ckpt-{:016x}-{:012}.ises", self.identity(), self.now);
             let _ = std::fs::write(path, self.snapshot());
         };
         let stats = self.finalize();

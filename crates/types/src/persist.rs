@@ -152,6 +152,11 @@ impl Writer {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Writes `n` zero bytes in one run (no length prefix).
+    pub fn zeros(&mut self, n: usize) {
+        self.buf.resize(self.buf.len() + n, 0);
+    }
+
     /// Writes a `u8`.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -314,6 +319,11 @@ impl<'a> Reader<'a> {
     /// Reads an `f64` from its bit pattern.
     pub fn f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// Reads `n` raw bytes (no length prefix).
+    pub fn raw(&mut self, n: usize) -> Result<&'a [u8]> {
+        self.take(n)
     }
 
     /// Reads a length-prefixed byte string.

@@ -14,6 +14,10 @@
 //! as many cycles as the first. Any per-cycle allocation on the clocked
 //! path would make the longer window allocate strictly more; equality
 //! proves the marginal allocation cost of a steady-state cycle is zero.
+//!
+//! The counter is process-global and the harness runs tests on parallel
+//! threads, so every measurement holds [`MEASURE`]: otherwise one test's
+//! windows would also count the other test's allocations.
 
 use imprecise_store_exceptions::sim::System;
 use imprecise_store_exceptions::types::addr::Addr;
@@ -21,6 +25,7 @@ use imprecise_store_exceptions::types::{Instruction, SystemConfig};
 use imprecise_store_exceptions::workloads::Workload;
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Counts every allocation and reallocation; frees are not counted (the
 /// assertion is about acquiring memory, not churning it).
@@ -51,6 +56,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Serialises the tests that read [`ALLOCATIONS`].
+static MEASURE: Mutex<()> = Mutex::new(());
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
@@ -89,6 +97,9 @@ fn steady_workload() -> Workload {
 /// Warm a system up, then measure two windows where the second simulates
 /// twice as many cycles as the first; returns (allocs_1x, allocs_2x).
 fn window_allocs(skip: bool) -> (u64, u64) {
+    // A failed assertion in the other test poisons the lock; the counter
+    // itself is still sound.
+    let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     const WARM: u64 = 60_000;
     const WINDOW: u64 = 20_000;
     let w = steady_workload();
