@@ -15,7 +15,7 @@
 //! [`crate::SpeculationAccounting`].
 
 use crate::account::SpeculationAccounting;
-use ise_cpu::{Core, StepOutcome, VecTrace};
+use ise_cpu::{run_cores, Core, VecTrace};
 use ise_engine::{cycle_skip_override, Cycle};
 use ise_mem::MemoryHierarchy;
 use ise_types::config::SystemConfig;
@@ -102,125 +102,6 @@ fn aggregate_ipc(cores: &[Core<VecTrace>]) -> f64 {
     }
 }
 
-/// Runs `cores` to completion on a fresh hierarchy, tracking the peak
-/// store-buffer occupancy across all cores.
-///
-/// Store-buffer occupancy only changes inside [`Core::step`], and the
-/// cycle-skip clock executes steps at exactly the cycles the reference
-/// clock would, so skipping dead windows cannot miss a peak.
-fn run_tracking_peak_clocked(
-    cfg: &SystemConfig,
-    cores: &mut [Core<VecTrace>],
-    max_cycles: Cycle,
-    skip: bool,
-) -> usize {
-    let mut hier = MemoryHierarchy::new(*cfg);
-    let (peak, _, done) = run_span_clocked(cores, &mut hier, 0, 0, None, max_cycles, skip);
-    debug_assert!(done);
-    peak
-}
-
-/// The resumable inner loop behind [`run_tracking_peak_clocked`]: runs
-/// `cores` against `hier` starting at cycle `start` with peak watermark
-/// `peak`, pausing at the first visited cycle ≥ `stop` (when given).
-/// Returns `(peak, now, done)`; re-entering with the returned `now` and
-/// `peak` reproduces the uninterrupted trajectory exactly — the pause
-/// happens between loop iterations, before any core steps at `now`.
-fn run_span_clocked(
-    cores: &mut [Core<VecTrace>],
-    hier: &mut MemoryHierarchy,
-    start: Cycle,
-    peak: usize,
-    stop: Option<Cycle>,
-    max_cycles: Cycle,
-    skip: bool,
-) -> (usize, Cycle, bool) {
-    let mut peak = peak;
-    let mut now = start;
-    loop {
-        if stop.is_some_and(|t| now >= t) {
-            return (peak, now, false);
-        }
-        let mut all_done = true;
-        for core in cores.iter_mut() {
-            match core.step(now, hier) {
-                StepOutcome::Finished => {}
-                StepOutcome::Progress | StepOutcome::Waiting => all_done = false,
-                StepOutcome::Imprecise(_) | StepOutcome::Precise { .. } => {
-                    panic!("the Table 3 study runs exception-free workloads")
-                }
-            }
-            peak = peak.max(core.sb_len());
-        }
-        if all_done {
-            return (peak, now, true);
-        }
-        let next = if skip {
-            cores
-                .iter()
-                .map(|c| c.next_event(now))
-                .min()
-                .unwrap_or(Cycle::MAX)
-                .clamp(now + 1, max_cycles)
-        } else {
-            now + 1
-        };
-        let skipped = next - now - 1;
-        if skipped > 0 {
-            for core in cores.iter_mut() {
-                core.charge_idle(now, skipped);
-            }
-        }
-        now = next;
-        assert!(now < max_cycles, "exceeded cycle budget");
-    }
-}
-
-/// Serializes one sweep machine mid-run: the clock, the peak-occupancy
-/// watermark, the memory hierarchy, and every core (including trace
-/// positions and store-buffer contents).
-fn checkpoint_machine(
-    now: Cycle,
-    peak: usize,
-    hier: &ise_mem::MemoryHierarchy,
-    cores: &[Core<VecTrace>],
-) -> Vec<u8> {
-    let mut w = ise_types::persist::Writer::container();
-    w.section(*b"ASOC", |w| {
-        w.u64(now);
-        w.usize(peak);
-        hier.save_state(w);
-        w.usize(cores.len());
-        for c in cores {
-            c.save_state(w);
-        }
-    });
-    w.finish()
-}
-
-/// Restores a [`checkpoint_machine`] image into a freshly built machine
-/// of the same shape, returning the clock and watermark to resume from.
-fn resume_machine(
-    bytes: &[u8],
-    hier: &mut ise_mem::MemoryHierarchy,
-    cores: &mut [Core<VecTrace>],
-) -> Result<(Cycle, usize), ise_types::persist::PersistError> {
-    use ise_types::persist::PersistError;
-    let mut r = ise_types::persist::Reader::container(bytes)?;
-    r.section(*b"ASOC", |r| {
-        let now = r.u64()?;
-        let peak = r.usize()?;
-        hier.restore_state(r)?;
-        if r.usize()? != cores.len() {
-            return Err(PersistError::Corrupt("sweep machine core count mismatch"));
-        }
-        for c in cores.iter_mut() {
-            c.restore_state(r)?;
-        }
-        Ok((now, peak))
-    })
-}
-
 /// Sweeps checkpoint budgets for one workload. `traces` supplies one
 /// instruction stream per core; the system configuration's core count must
 /// be at least `traces.len()`.
@@ -263,124 +144,38 @@ pub fn sweep_checkpoints_clocked(
     let mut run_cfg = *cfg;
     run_cfg.cores = run_cfg.cores.max(traces.len());
 
-    // SC baseline.
-    let mut sc_cores = make_cores(&run_cfg, traces, ConsistencyModel::Sc);
-    run_tracking_peak_clocked(&run_cfg, &mut sc_cores, max_cycles, skip);
-    let sc_ipc = aggregate_ipc(&sc_cores);
-
-    // WC target.
-    let mut wc_cores = make_cores(&run_cfg, traces, ConsistencyModel::Wc);
-    run_tracking_peak_clocked(&run_cfg, &mut wc_cores, max_cycles, skip);
-    let wc_ipc = aggregate_ipc(&wc_cores);
-
-    let acc = SpeculationAccounting::for_system(&run_cfg);
-    let mut points = Vec::with_capacity(budgets.len());
-    for &budget in budgets {
-        let mut aso_cfg = run_cfg;
-        aso_cfg.core.sb_entries = SCALABLE_SB_CAP;
-        let mut cores = make_cores(&aso_cfg, traces, ConsistencyModel::Wc);
-        for c in cores.iter_mut() {
-            c.set_sb_max_in_flight(budget);
-        }
-        let peak_sb = run_tracking_peak_clocked(&aso_cfg, &mut cores, max_cycles, skip);
-        let ipc = aggregate_ipc(&cores);
-        points.push(SweepPoint {
-            checkpoints: budget,
-            ipc,
-            peak_sb,
-            state_bytes: acc.state_bytes(budget, peak_sb),
-        });
-    }
-
-    let required = points
-        .iter()
-        .filter(|p| p.ipc >= WC_TOLERANCE * wc_ipc)
-        .min_by_key(|p| p.state_bytes)
-        .copied();
-
-    SweepResult {
-        sc_ipc,
-        wc_ipc,
-        points,
-        required,
-    }
-}
-
-/// [`sweep_checkpoints_clocked`] in the warm-start regime: every sweep
-/// machine (SC, WC, and one per budget) boots once, runs `warmup`
-/// cycles, and is frozen into a [`checkpoint_machine`] image; the
-/// measured leg then resumes the image in a freshly built machine and
-/// runs to completion. The result is byte-identical to the cold sweep —
-/// the pause/resume happens between loop iterations — and the images
-/// are exactly what a sharded sweep would fan out to remote cells.
-///
-/// # Panics
-///
-/// As [`sweep_checkpoints`], plus if a checkpoint image fails to replay
-/// into its own machine shape.
-pub fn sweep_checkpoints_warm(
-    cfg: &SystemConfig,
-    traces: &[std::sync::Arc<[Instruction]>],
-    budgets: &[usize],
-    max_cycles: Cycle,
-    warmup: Cycle,
-    skip: bool,
-) -> SweepResult {
-    assert!(!traces.is_empty(), "need at least one trace");
-    let mut run_cfg = *cfg;
-    run_cfg.cores = run_cfg.cores.max(traces.len());
-
-    // Runs one machine with a warm-boot + resume seam at `warmup`.
-    let warm_run = |machine_cfg: &SystemConfig,
-                    model: ConsistencyModel,
-                    budget: Option<usize>|
-     -> (Vec<Core<VecTrace>>, usize) {
-        let mk = || {
-            let mut cores = make_cores(machine_cfg, traces, model);
-            if let Some(b) = budget {
-                for c in cores.iter_mut() {
-                    c.set_sb_max_in_flight(b);
-                }
+    // Runs one machine to completion on a fresh hierarchy, returning its
+    // aggregate IPC and peak store-buffer occupancy; `budget` caps each
+    // core's concurrently outstanding store drains.
+    let run = |cfg: &SystemConfig, model, budget: Option<usize>| {
+        let mut cores = make_cores(cfg, traces, model);
+        if let Some(b) = budget {
+            for c in cores.iter_mut() {
+                c.set_sb_max_in_flight(b);
             }
-            (cores, MemoryHierarchy::new(*machine_cfg))
-        };
-        let (mut cores, mut hier) = mk();
-        let (peak, now, done) =
-            run_span_clocked(&mut cores, &mut hier, 0, 0, Some(warmup), max_cycles, skip);
-        if done {
-            // The machine finished inside the warmup window: nothing to
-            // fan out, the boot run is the measurement.
-            return (cores, peak);
         }
-        let image = checkpoint_machine(now, peak, &hier, &cores);
-        let (mut cores, mut hier) = mk();
-        let (now, peak) =
-            resume_machine(&image, &mut hier, &mut cores).expect("machine checkpoint replays");
-        let (peak, _, done) =
-            run_span_clocked(&mut cores, &mut hier, now, peak, None, max_cycles, skip);
-        assert!(done, "resumed machine must run to completion");
-        (cores, peak)
+        let mut hier = MemoryHierarchy::new(*cfg);
+        let peak = run_cores(&mut cores, &mut hier, max_cycles, skip);
+        (aggregate_ipc(&cores), peak)
     };
-
-    let (sc_cores, _) = warm_run(&run_cfg, ConsistencyModel::Sc, None);
-    let sc_ipc = aggregate_ipc(&sc_cores);
-    let (wc_cores, _) = warm_run(&run_cfg, ConsistencyModel::Wc, None);
-    let wc_ipc = aggregate_ipc(&wc_cores);
+    let (sc_ipc, _) = run(&run_cfg, ConsistencyModel::Sc, None);
+    let (wc_ipc, _) = run(&run_cfg, ConsistencyModel::Wc, None);
 
     let acc = SpeculationAccounting::for_system(&run_cfg);
     let mut aso_cfg = run_cfg;
     aso_cfg.core.sb_entries = SCALABLE_SB_CAP;
-    let mut points = Vec::with_capacity(budgets.len());
-    for &budget in budgets {
-        let (cores, peak_sb) = warm_run(&aso_cfg, ConsistencyModel::Wc, Some(budget));
-        let ipc = aggregate_ipc(&cores);
-        points.push(SweepPoint {
-            checkpoints: budget,
-            ipc,
-            peak_sb,
-            state_bytes: acc.state_bytes(budget, peak_sb),
-        });
-    }
+    let points: Vec<SweepPoint> = budgets
+        .iter()
+        .map(|&budget| {
+            let (ipc, peak_sb) = run(&aso_cfg, ConsistencyModel::Wc, Some(budget));
+            SweepPoint {
+                checkpoints: budget,
+                ipc,
+                peak_sb,
+                state_bytes: acc.state_bytes(budget, peak_sb),
+            }
+        })
+        .collect();
 
     let required = points
         .iter()
@@ -461,23 +256,6 @@ mod tests {
     #[should_panic(expected = "at least one trace")]
     fn empty_traces_rejected() {
         sweep_checkpoints(&small_cfg(), &[], &[1], 1000);
-    }
-
-    #[test]
-    fn warm_started_sweep_matches_cold_exactly() {
-        let cfg = small_cfg();
-        let traces = vec![store_trace(0, 60), store_trace(1 << 20, 60)];
-        for skip in [false, true] {
-            let cold = sweep_checkpoints_clocked(&cfg, &traces, &[1, 8, 32], 10_000_000, skip);
-            // A warmup cut in the middle of the run and one past the end
-            // (every machine finishes inside the window, degrading to a
-            // cold run) must both reproduce the cold sweep exactly.
-            for warmup in [150, 9_999_999] {
-                let warm =
-                    sweep_checkpoints_warm(&cfg, &traces, &[1, 8, 32], 10_000_000, warmup, skip);
-                assert_eq!(cold, warm, "warmup {warmup}, skip {skip}");
-            }
-        }
     }
 
     #[test]

@@ -9,12 +9,44 @@
 //!   fan-out.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ise_bench::perf_baseline::{dram_bound_workload, scaling_cfg};
 use ise_sim::experiments::fig5_with_workers;
 use ise_sim::System;
+use ise_types::addr::Addr;
+use ise_types::instr::FenceKind;
+use ise_types::{Instruction, SystemConfig};
+use ise_workloads::Workload;
 use std::time::Instant;
 
 const MAX_CYCLES: u64 = 2_000_000_000;
+
+/// One core alternating a page-stride store with a full fence: every
+/// store misses the whole hierarchy and the fence parks the pipeline for
+/// the DRAM round trip — the dead-cycle-dominated regime the
+/// cycle-skipping clock collapses.
+fn dram_bound_workload(stores: u64) -> Workload {
+    let base = Addr::new(0x1000_0000);
+    Workload {
+        name: "dram-bound".into(),
+        traces: vec![(0..stores)
+            .flat_map(|i| {
+                [
+                    Instruction::store(base.offset(i * 4096), i),
+                    Instruction::fence(FenceKind::Full),
+                ]
+            })
+            .collect()],
+        einject_pages: Vec::new(),
+    }
+}
+
+/// The 2×1-mesh single-core system the scaling study runs on.
+fn scaling_cfg() -> SystemConfig {
+    let mut cfg = SystemConfig::isca23();
+    cfg.noc.mesh_x = 2;
+    cfg.noc.mesh_y = 1;
+    cfg.cores = 1;
+    cfg
+}
 
 fn bench_clock_speedup(c: &mut Criterion) {
     let workload = dram_bound_workload(2_000);

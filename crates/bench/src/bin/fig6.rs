@@ -1,40 +1,24 @@
 //! Regenerates Fig. 6: relative performance of GAP and Tailbench
 //! workloads with imprecise store exceptions vs the uninjected baseline.
 //!
-//! Pass `--quick` for the reduced test scale, and `--warm` to warm-start
-//! the sweep: every cell boots once, snapshots after
-//! [`WARMUP_CYCLES`], and the measured runs resume from the snapshots.
-//! The resume-is-byte-identical contract makes `--warm` output
-//! `cmp`-equal to a cold run; only wall-clock changes (reported on
-//! stderr so stdout stays byte-stable).
+//! Pass `--quick` for the reduced test scale. The wall-clock time of the
+//! rows is reported on stderr so stdout stays byte-stable.
 
 use ise_bench::{emit_report, print_table, report_sections};
-use ise_sim::experiments::{fig6, fig6_cloudsuite, fig6_warm_started, Fig6Scale};
+use ise_sim::experiments::{fig6, fig6_cloudsuite, Fig6Scale};
 use ise_sim::report::render_bars;
 use ise_types::ToJson;
 
-/// Cycles each warm-started cell executes before its snapshot is taken.
-const WARMUP_CYCLES: u64 = 50_000;
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let warm = std::env::args().any(|a| a == "--warm");
     let scale = if quick {
         Fig6Scale::quick()
     } else {
         Fig6Scale::full()
     };
     let t0 = std::time::Instant::now();
-    let rows = if warm {
-        fig6_warm_started(&scale, ise_par::worker_count(), WARMUP_CYCLES)
-    } else {
-        fig6(&scale)
-    };
-    eprintln!(
-        "fig6 rows: {} ms ({})",
-        t0.elapsed().as_millis(),
-        if warm { "warm-started" } else { "cold" }
-    );
+    let rows = fig6(&scale);
+    eprintln!("fig6 rows: {} ms", t0.elapsed().as_millis());
     let mut out = vec![vec![
         "workload".into(),
         "baseline cycles".into(),

@@ -5,10 +5,8 @@
 //! * `--differential` — builds a fixed microbench cell, snapshots it at
 //!   25/50/75% of the cold run, restores each cut into a fresh twin and
 //!   runs it out, asserting stats JSON and registry render are
-//!   byte-identical to the uninterrupted run; then checks the
-//!   warm-started fig5 rows against the cold rows the same way. Honors
-//!   `ISE_CYCLE_SKIP` and `ISE_WORKERS`, so a CI matrix over those pins
-//!   exercises every clock/worker combination.
+//!   byte-identical to the uninterrupted run. Honors `ISE_CYCLE_SKIP`,
+//!   so a CI matrix over that pin exercises both clocks.
 //! * `--write-golden` — regenerates the checked-in golden snapshot
 //!   (`crates/bench/tests/golden/snapshot_v1.ises`) and its expected
 //!   end-of-run registry render. Run this (and commit the result) only
@@ -21,9 +19,8 @@
 //!   golden image and asserts both restores FAIL: the format must
 //!   reject, not misparse, damaged images.
 
-use ise_sim::experiments::{fig5_warm_started, fig5_with_workers};
 use ise_sim::System;
-use ise_types::{Json, SystemConfig, ToJson};
+use ise_types::{SystemConfig, ToJson};
 use ise_workloads::microbench::{microbench, MicrobenchConfig};
 use ise_workloads::Workload;
 
@@ -61,7 +58,6 @@ fn build() -> System {
 
 fn differential() {
     let skip = ise_engine::cycle_skip_override().unwrap_or(true);
-    let workers = ise_par::worker_count();
     let mut cold = build();
     let cold_stats = cold.run_clocked(MAX_CYCLES, skip);
     let cold_json = cold_stats.to_json().render();
@@ -89,23 +85,7 @@ fn differential() {
             .check_contract()
             .expect("contract holds across restore");
     }
-    let pages = [2usize, 64];
-    let cold_rows = Json::arr(
-        fig5_with_workers(&pages, workers)
-            .iter()
-            .map(ToJson::to_json),
-    );
-    let warm_rows = Json::arr(
-        fig5_warm_started(&pages, workers, 20_000)
-            .iter()
-            .map(ToJson::to_json),
-    );
-    assert_eq!(
-        warm_rows.render(),
-        cold_rows.render(),
-        "warm-started fig5 rows diverge from cold (workers={workers})"
-    );
-    println!("differential ok: 3 cuts + warm fig5 byte-identical (skip={skip}, workers={workers})");
+    println!("differential ok: 3 cuts byte-identical (skip={skip})");
 }
 
 /// The golden image always uses the skipping clock explicitly, so the

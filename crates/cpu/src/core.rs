@@ -12,7 +12,7 @@
 use crate::rob::{ReplayRing, RobEntry, RobRing};
 use crate::store_buffer::{DrainFault, StoreBuffer};
 use crate::trace::{PersistTrace, TraceSource};
-use ise_engine::{cycle_skip_override, Cycle};
+use ise_engine::Cycle;
 use ise_mem::hierarchy::{Access, MemoryHierarchy};
 use ise_types::addr::{Addr, ByteMask};
 use ise_types::config::CoreConfig;
@@ -698,104 +698,34 @@ impl<T: PersistTrace> Core<T> {
     }
 }
 
-/// Runs a single core to completion against a hierarchy with no faults and
-/// returns its stats — the building block of the Table 3 speedup study.
+/// Steps `cores` round-robin against the shared `hier` until every one
+/// finishes, and returns the peak store-buffer occupancy observed after
+/// any step — the bare-core clock behind the Table 3 study (a single
+/// core is a one-element slice). Per-core results are read afterwards
+/// through [`Core::stats`].
 ///
-/// `max_cycles` bounds runaway executions. Uses the cycle-skipping clock
-/// unless `ISE_CYCLE_SKIP=0` forces the reference per-cycle loop; the two
-/// produce identical statistics (see [`run_to_completion_clocked`]).
-///
-/// # Panics
-///
-/// Panics if the core reports an exception (callers wanting exception
-/// handling must embed the core in a system) or if `max_cycles` elapses.
-pub fn run_to_completion<T: TraceSource>(
-    core: &mut Core<T>,
-    hier: &mut MemoryHierarchy,
-    max_cycles: Cycle,
-) -> CoreStats {
-    run_to_completion_clocked(
-        core,
-        hier,
-        max_cycles,
-        cycle_skip_override().unwrap_or(true),
-    )
-}
-
-/// [`run_to_completion`] with an explicit clock choice: `skip = false`
-/// runs the reference `now += 1` loop, `skip = true` jumps the clock to
-/// [`Core::next_event`] and bulk-charges the skipped window via
-/// [`Core::charge_idle`]. Both produce identical [`CoreStats`]; the
-/// differential tests pin that down.
+/// `skip = false` runs the reference `now += 1` loop. `skip = true`
+/// jumps the clock to the minimum of every core's [`Core::next_event`]
+/// — a global window in which *no* core acts, so no core's view of the
+/// shared hierarchy can diverge from the reference schedule — and
+/// bulk-charges each core for the window via [`Core::charge_idle`].
+/// Both clocks produce identical stats and peaks: store-buffer
+/// occupancy only changes inside [`Core::step`], and the skipping clock
+/// steps at exactly the cycles the reference would.
 ///
 /// # Panics
 ///
-/// Same conditions as [`run_to_completion`]; the cycle budget trips at
-/// the same cycle under either clock (jumps clamp to `max_cycles`).
-pub fn run_to_completion_clocked<T: TraceSource>(
-    core: &mut Core<T>,
-    hier: &mut MemoryHierarchy,
-    max_cycles: Cycle,
-    skip: bool,
-) -> CoreStats {
-    let mut now = 0;
-    loop {
-        match core.step(now, hier) {
-            StepOutcome::Finished => return core.stats(),
-            StepOutcome::Progress | StepOutcome::Waiting => {}
-            StepOutcome::Imprecise(_) | StepOutcome::Precise { .. } => {
-                panic!("unexpected exception in run_to_completion")
-            }
-        }
-        let next = if skip {
-            core.next_event(now).clamp(now + 1, max_cycles)
-        } else {
-            now + 1
-        };
-        core.charge_idle(now, next - now - 1);
-        now = next;
-        assert!(now < max_cycles, "exceeded cycle budget");
-    }
-}
-
-/// Steps a set of cores round-robin against a shared hierarchy until all
-/// finish, returning per-core stats — the multicore building block of the
-/// Table 3 study (exception-free runs only).
-///
-/// Uses the cycle-skipping clock unless `ISE_CYCLE_SKIP=0` forces the
-/// reference loop (see [`run_multicore_clocked`]).
-///
-/// # Panics
-///
-/// Panics if any core reports an exception or `max_cycles` elapses.
-pub fn run_multicore<T: TraceSource>(
-    cores: &mut [Core<T>],
-    hier: &mut MemoryHierarchy,
-    max_cycles: Cycle,
-) -> Vec<CoreStats> {
-    run_multicore_clocked(
-        cores,
-        hier,
-        max_cycles,
-        cycle_skip_override().unwrap_or(true),
-    )
-}
-
-/// [`run_multicore`] with an explicit clock choice. Under `skip = true`
-/// the clock jumps to the minimum of every unfinished core's
-/// [`Core::next_event`] — a global window in which *no* core acts, so no
-/// core's view of the shared hierarchy can diverge from the reference
-/// schedule — and each core is bulk-charged for the window.
-///
-/// # Panics
-///
-/// Same conditions as [`run_multicore`].
-pub fn run_multicore_clocked<T: TraceSource>(
+/// Panics if any core reports an exception (callers wanting exception
+/// handling must embed the cores in a system) or if `max_cycles`
+/// elapses; the budget trips at the same cycle under either clock
+/// (jumps clamp to `max_cycles`).
+pub fn run_cores<T: TraceSource>(
     cores: &mut [Core<T>],
     hier: &mut MemoryHierarchy,
     max_cycles: Cycle,
     skip: bool,
-) -> Vec<CoreStats> {
+) -> usize {
+    let mut peak = 0;
     let mut now = 0;
     loop {
         let mut all_done = true;
@@ -804,12 +734,13 @@ pub fn run_multicore_clocked<T: TraceSource>(
                 StepOutcome::Finished => {}
                 StepOutcome::Progress | StepOutcome::Waiting => all_done = false,
                 StepOutcome::Imprecise(_) | StepOutcome::Precise { .. } => {
-                    panic!("unexpected exception in run_multicore")
+                    panic!("unexpected exception in run_cores")
                 }
             }
+            peak = peak.max(core.sb_len());
         }
         if all_done {
-            return cores.iter().map(|c| c.stats()).collect();
+            return peak;
         }
         let next = if skip {
             cores
@@ -850,6 +781,15 @@ mod tests {
         Core::new(CoreId(0), cfg, VecTrace::new(instrs))
     }
 
+    /// Runs `core` alone (a one-element slice) on a fresh hierarchy under
+    /// the chosen clock, returning its stats and the kernel's peak
+    /// store-buffer occupancy.
+    fn run_alone(mut core: Core<VecTrace>, max_cycles: Cycle, skip: bool) -> (CoreStats, usize) {
+        let mut h = hier();
+        let peak = run_cores(std::slice::from_mut(&mut core), &mut h, max_cycles, skip);
+        (core.stats(), peak)
+    }
+
     fn store_heavy_trace(n: u64) -> Vec<Instruction> {
         // Stores to distinct lines, interleaved with ALU work: the WC-vs-SC
         // separation case.
@@ -874,9 +814,8 @@ mod tests {
     #[test]
     fn alu_trace_retires_at_full_width() {
         let n = 400;
-        let mut c = core_with(ConsistencyModel::Wc, vec![Instruction::other(); n]);
-        let mut h = hier();
-        let stats = run_to_completion(&mut c, &mut h, 10_000);
+        let c = core_with(ConsistencyModel::Wc, vec![Instruction::other(); n]);
+        let (stats, _) = run_alone(c, 10_000, true);
         assert_eq!(stats.retired, n as u64);
         // 4-wide: ~n/4 cycles plus small pipeline fill.
         assert!(
@@ -889,12 +828,12 @@ mod tests {
     #[test]
     fn wc_outperforms_sc_on_store_misses() {
         let trace = store_heavy_trace(200);
-        let mut h1 = hier();
-        let mut sc = core_with(ConsistencyModel::Sc, trace.clone());
-        let sc_stats = run_to_completion(&mut sc, &mut h1, 10_000_000);
-        let mut h2 = hier();
-        let mut wc = core_with(ConsistencyModel::Wc, trace);
-        let wc_stats = run_to_completion(&mut wc, &mut h2, 10_000_000);
+        let (sc_stats, _) = run_alone(
+            core_with(ConsistencyModel::Sc, trace.clone()),
+            10_000_000,
+            true,
+        );
+        let (wc_stats, _) = run_alone(core_with(ConsistencyModel::Wc, trace), 10_000_000, true);
         let speedup = sc_stats.cycles as f64 / wc_stats.cycles as f64;
         assert!(
             speedup > 1.2,
@@ -909,9 +848,9 @@ mod tests {
     fn pc_between_sc_and_wc() {
         let trace = store_heavy_trace(200);
         let run = |m| {
-            let mut h = hier();
-            let mut c = core_with(m, trace.clone());
-            run_to_completion(&mut c, &mut h, 10_000_000).cycles
+            run_alone(core_with(m, trace.clone()), 10_000_000, true)
+                .0
+                .cycles
         };
         let (sc, pc, wc) = (
             run(ConsistencyModel::Sc),
@@ -929,9 +868,7 @@ mod tests {
             Instruction::fence(FenceKind::Full),
             Instruction::other(),
         ];
-        let mut c = core_with(ConsistencyModel::Wc, trace);
-        let mut h = hier();
-        let stats = run_to_completion(&mut c, &mut h, 100_000);
+        let (stats, _) = run_alone(core_with(ConsistencyModel::Wc, trace), 100_000, true);
         assert!(
             stats.sync_stall_cycles > 0,
             "fence must stall for the drain"
@@ -945,9 +882,7 @@ mod tests {
             Instruction::store(Addr::new(0x2000), 1),
             Instruction::atomic(Addr::new(0x3000), 1, Reg(0)),
         ];
-        let mut c = core_with(ConsistencyModel::Wc, trace);
-        let mut h = hier();
-        let stats = run_to_completion(&mut c, &mut h, 100_000);
+        let (stats, _) = run_alone(core_with(ConsistencyModel::Wc, trace), 100_000, true);
         assert_eq!(stats.retired, 2);
         assert!(stats.sync_stall_cycles > 0);
     }
@@ -956,9 +891,7 @@ mod tests {
     fn store_to_load_forwarding_is_fast() {
         let a = Addr::new(0x4000);
         let trace = vec![Instruction::store(a, 7), Instruction::load(a, Reg(0))];
-        let mut c = core_with(ConsistencyModel::Wc, trace);
-        let mut h = hier();
-        let stats = run_to_completion(&mut c, &mut h, 100_000);
+        let (stats, _) = run_alone(core_with(ConsistencyModel::Wc, trace), 100_000, true);
         assert_eq!(stats.retired, 2);
         // The load must not have missed to memory.
         assert_eq!(stats.l1d_misses, 0);
@@ -1129,12 +1062,8 @@ mod tests {
             ConsistencyModel::Wc,
         ] {
             let trace = store_heavy_trace(120);
-            let mut h_ref = hier();
-            let mut c_ref = core_with(model, trace.clone());
-            let reference = run_to_completion_clocked(&mut c_ref, &mut h_ref, 10_000_000, false);
-            let mut h_skip = hier();
-            let mut c_skip = core_with(model, trace);
-            let skipped = run_to_completion_clocked(&mut c_skip, &mut h_skip, 10_000_000, true);
+            let reference = run_alone(core_with(model, trace.clone()), 10_000_000, false);
+            let skipped = run_alone(core_with(model, trace), 10_000_000, true);
             assert_eq!(reference, skipped, "model {model:?}");
         }
     }
@@ -1153,15 +1082,11 @@ mod tests {
             trace.push(Instruction::load(Addr::new(0x8_0000 + i * 64), Reg(1)));
         }
         for model in [ConsistencyModel::Pc, ConsistencyModel::Wc] {
-            let mut h_ref = hier();
-            let mut c_ref = core_with(model, trace.clone());
-            let reference = run_to_completion_clocked(&mut c_ref, &mut h_ref, 10_000_000, false);
-            let mut h_skip = hier();
-            let mut c_skip = core_with(model, trace.clone());
-            let skipped = run_to_completion_clocked(&mut c_skip, &mut h_skip, 10_000_000, true);
+            let reference = run_alone(core_with(model, trace.clone()), 10_000_000, false);
+            let skipped = run_alone(core_with(model, trace.clone()), 10_000_000, true);
             assert_eq!(reference, skipped, "model {model:?}");
             assert!(
-                reference.sync_stall_cycles > 0,
+                reference.0.sync_stall_cycles > 0,
                 "workload must exercise sync stalls for the comparison to bite"
             );
         }
@@ -1185,13 +1110,22 @@ mod tests {
             ]
         };
         for model in [ConsistencyModel::Sc, ConsistencyModel::Wc] {
-            let mut h_ref = hier();
-            let mut ref_cores = build(model);
-            let reference = run_multicore_clocked(&mut ref_cores, &mut h_ref, 10_000_000, false);
-            let mut h_skip = hier();
-            let mut skip_cores = build(model);
-            let skipped = run_multicore_clocked(&mut skip_cores, &mut h_skip, 10_000_000, true);
+            let run = |skip| {
+                let mut cores = build(model);
+                let peak = run_cores(&mut cores, &mut hier(), 10_000_000, skip);
+                let stats: Vec<CoreStats> = cores.iter().map(|c| c.stats()).collect();
+                (stats, peak)
+            };
+            let (reference, ref_peak) = run(false);
+            let (skipped, skip_peak) = run(true);
             assert_eq!(reference, skipped, "model {model:?}");
+            assert_eq!(ref_peak, skip_peak, "peak occupancy, model {model:?}");
+            if model == ConsistencyModel::Wc {
+                assert!(
+                    ref_peak >= 2,
+                    "the WC store-heavy core must buffer stores for the peak comparison to bite"
+                );
+            }
         }
     }
 

@@ -26,6 +26,6 @@ mod rob;
 pub mod store_buffer;
 pub mod trace;
 
-pub use crate::core::{run_multicore, run_to_completion, Core, StepOutcome};
+pub use crate::core::{run_cores, Core, StepOutcome};
 pub use store_buffer::{DrainFault, SbEntry, StoreBuffer};
 pub use trace::{PersistTrace, TraceSource, VecTrace};

@@ -519,7 +519,8 @@ forbid: 1:r0=1 & 1:r1=0
         // The `.srclitmus` loader must not pick up the `.litmus`
         // regression corpus sitting in the same directory (and vice
         // versa — `load_litmus_dir` filters on `.litmus`).
-        let dir = std::env::temp_dir().join("ise-srclitmus-loader-test");
+        let dir =
+            std::env::temp_dir().join(format!("ise-srclitmus-loader-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("hw.litmus"), "P0: W A 1\n").unwrap();

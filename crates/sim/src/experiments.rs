@@ -233,19 +233,6 @@ pub fn fig5_with_workers(page_counts: &[usize], workers: usize) -> Vec<Fig5Row> 
     })
 }
 
-/// [`fig5_with_workers`] in the warm-start regime: each cell boots
-/// once, runs its warmup prefix, snapshots in memory, and the measured
-/// run resumes from that buffer inside the same worker task. Rows are
-/// byte-identical to the cold sweep (the snapshot resume contract);
-/// see [`run_workload_warm`] for why boot and measure are fused.
-pub fn fig5_warm_started(page_counts: &[usize], workers: usize, warmup: u64) -> Vec<Fig5Row> {
-    ise_par::par_map(page_counts, workers, |_, &pages| {
-        let (cfg, workload) = fig5_cell(pages);
-        let stats = run_workload_warm(cfg, &workload, warmup, MAX_CYCLES);
-        fig5_row(pages, &stats)
-    })
-}
-
 /// One row of the demand-paging extension of Fig. 5.
 #[derive(Debug, Clone, Copy)]
 pub struct Fig5IoRow {
@@ -506,44 +493,6 @@ pub fn fig6_with_workers(scale: &Fig6Scale, workers: usize) -> Vec<Fig6Row> {
     })
 }
 
-/// [`fig6_with_workers`] in the warm-start regime: every bar's baseline
-/// and imprecise cells are synthesized once in the driver, and each of
-/// the ten cells boots one system, warms it for `warmup` cycles,
-/// snapshots in memory, and measures from that buffer — boot and
-/// measure fused in one worker task ([`run_workload_warm`]). The rows
-/// are byte-identical to the cold figure; the warmup (TLB fills,
-/// cache-hierarchy first touches) is simulated once per cell, which is
-/// where sharded or repeated campaigns recover wall-clock.
-pub fn fig6_warm_started(scale: &Fig6Scale, workers: usize, warmup: u64) -> Vec<Fig6Row> {
-    let mut cfg = SystemConfig::isca23();
-    cfg.cores = scale.cores;
-    let mut workloads: Vec<Workload> = Vec::with_capacity(FIG6_BARS.len() * 2);
-    for bar in FIG6_BARS {
-        let faulting = fig6_bar_workload(bar, scale);
-        let baseline = Workload {
-            name: faulting.name.clone(),
-            traces: faulting.traces.clone(),
-            einject_pages: Vec::new(),
-        };
-        workloads.extend([baseline, faulting]);
-    }
-    let stats = ise_par::par_map(&workloads, workers, |_, w| {
-        run_workload_warm(cfg, w, warmup, MAX_CYCLES)
-    });
-    stats
-        .chunks(2)
-        .zip(workloads.chunks(2))
-        .map(|(pair, cell)| Fig6Row {
-            name: cell[1].name.clone(),
-            baseline_cycles: pair[0].cycles,
-            imprecise_cycles: pair[1].cycles,
-            exceptions: pair[1].imprecise_exceptions,
-            precise_exceptions: pair[1].precise_exceptions,
-            faulting_stores: pair[1].faulting_stores,
-        })
-        .collect()
-}
-
 /// Beyond-paper extension: the Cloudsuite workloads (which the paper
 /// lists in Table 3 but does not run in Fig. 6) under the same
 /// total-injection protocol.
@@ -572,73 +521,6 @@ pub fn fig6_cloudsuite_with_workers(scale: &Fig6Scale, workers: usize) -> Vec<Fi
         };
         fig6_run(&cloud_workload(*svc, &cfg), scale.cores)
     })
-}
-
-// ---------------------------------------------------------------------
-// Warm-started sweeps (machine snapshots as a shared warmup prefix)
-// ---------------------------------------------------------------------
-
-/// Boots one sweep cell, runs its warmup prefix once, and returns the
-/// post-warmup machine snapshot. `None` when the run completes inside
-/// the warmup window — such a cell is too short to warm-start and must
-/// run cold.
-pub fn warm_boot(cfg: SystemConfig, workload: &Workload, warmup: u64) -> Option<Vec<u8>> {
-    let mut sys = System::new(cfg, workload);
-    let skip = ise_engine::cycle_skip_override().unwrap_or(!cfg.reference_clock);
-    if sys.run_to(warmup, skip) {
-        return None;
-    }
-    Some(sys.snapshot())
-}
-
-/// Runs one sweep cell in the fused warm-start regime: boot, warmup,
-/// one in-memory snapshot, restore into the *same* machine, and the
-/// measured run — a single [`System`] build per cell.
-///
-/// The earlier two-phase driver ([`warm_boot`] fan-out, barrier, then
-/// [`run_workload_from`] fan-out) built every cell's system twice —
-/// recomputing the identity fingerprint over the cell's full
-/// multi-megabyte traces each time — and re-deserialized each boot
-/// snapshot from scratch in the measure phase. That overhead made a
-/// single-shot `fig6 --warm` *slower* than the cold sweep (10.6 s vs
-/// 8.8 s, medians of three on the CI container). Fusing the phases
-/// loads each cell's image once and restores from the in-memory
-/// buffer, keeping only the cost the regime is actually about: the
-/// snapshot round trip that the resume contract requires every warm
-/// row to exercise. A cell that completes inside the warmup window
-/// skips the round trip and just runs to completion (the cold
-/// equivalent of [`warm_boot`] returning `None`).
-pub fn run_workload_warm(
-    cfg: SystemConfig,
-    workload: &Workload,
-    warmup: u64,
-    max_cycles: u64,
-) -> SystemStats {
-    let mut sys = System::new(cfg, workload);
-    let skip = ise_engine::cycle_skip_override().unwrap_or(!cfg.reference_clock);
-    if !sys.run_to(warmup, skip) {
-        let snap = sys.snapshot();
-        sys.restore_from(&snap)
-            .expect("a snapshot restores into its own system");
-    }
-    sys.run_clocked(max_cycles, skip)
-}
-
-/// Runs one sweep cell to completion, resuming from `snap` when present
-/// (cold otherwise). By the snapshot resume contract the result is
-/// byte-identical to an uninterrupted run of the same cell.
-pub fn run_workload_from(
-    cfg: SystemConfig,
-    workload: &Workload,
-    snap: Option<&[u8]>,
-    max_cycles: u64,
-) -> SystemStats {
-    let mut sys = System::new(cfg, workload);
-    if let Some(bytes) = snap {
-        sys.restore_from(bytes)
-            .expect("a warm snapshot replays only into its own cell");
-    }
-    sys.run(max_cycles)
 }
 
 // ---------------------------------------------------------------------
@@ -826,27 +708,6 @@ mod tests {
         // At least the store-heavy kernels must take imprecise (not just
         // precise) exceptions.
         assert!(rows.iter().any(|r| r.exceptions > 0));
-    }
-
-    #[test]
-    fn warm_started_fig5_matches_cold_byte_for_byte() {
-        let cold = fig5_with_workers(&[2, 64], 2);
-        let warm = fig5_warm_started(&[2, 64], 2, 20_000);
-        assert_eq!(cold.to_json().render(), warm.to_json().render());
-    }
-
-    #[test]
-    fn warm_started_fig6_matches_cold_byte_for_byte() {
-        let scale = Fig6Scale::quick();
-        let cold = fig6_with_workers(&scale, 2);
-        let warm = fig6_warm_started(&scale, 2, 20_000);
-        assert_eq!(cold.to_json().render(), warm.to_json().render());
-    }
-
-    #[test]
-    fn warm_boot_declines_when_the_run_fits_in_the_warmup() {
-        let (cfg, w) = fig5_cell(2);
-        assert!(warm_boot(cfg, &w, u64::MAX >> 1).is_none());
     }
 
     #[test]

@@ -87,7 +87,8 @@ fn a_corruption_win_becomes_a_replayable_regression() {
     assert!(finding.detail.contains("applied store not visible"));
     assert_eq!(finding.case.program.len(), 1, "shrunk to one store");
 
-    let dir = std::env::temp_dir().join("ise-adversary-regress-test");
+    let dir =
+        std::env::temp_dir().join(format!("ise-adversary-regress-test-{}", std::process::id()));
     let path = write_regression(&finding, &dir).expect("regression writes");
     let text = std::fs::read_to_string(&path).expect("regression reads back");
     let parsed = parse_litmus(&text).expect("regression reparses");
@@ -96,5 +97,5 @@ fn a_corruption_win_becomes_a_replayable_regression() {
         text.contains("sim-invariant"),
         "the corpus name carries the finding kind: {text}"
     );
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
