@@ -57,8 +57,8 @@ pub struct EvalConfig {
     /// Cycle budget per run (clamped by the `ISE_CELL_BUDGET` watchdog).
     pub max_cycles: Cycle,
     /// Drive the reference per-cycle clock instead of cycle skipping.
-    /// Outcomes are byte-identical either way; the adversary-smoke CI
-    /// leg pins both to prove it.
+    /// Outcomes are byte-identical either way; the `adversary` binary
+    /// sets it from the `ISE_CYCLE_SKIP` pin, and CI runs it under both.
     pub reference_clock: bool,
 }
 
@@ -228,8 +228,7 @@ pub fn evaluate(plan: &AdvPlan, cfg: &EvalConfig) -> EvalOutcome {
         Some(cap) => cfg.max_cycles.min(cap),
         None => cfg.max_cycles,
     };
-    let skip = ise_engine::cycle_skip_override().unwrap_or(!sys_cfg.reference_clock);
-    let (stats, timed_out) = sys.run_bounded(budget, skip);
+    let (stats, timed_out) = sys.run_bounded(budget, !cfg.reference_clock);
 
     // A timed-out run is reported, not audited — mid-flight state
     // legitimately violates end-of-run conservation.

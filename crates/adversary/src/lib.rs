@@ -17,7 +17,7 @@
 //! ([`ise_sim::invariants`]), a corruption win is auto-shrunk through the
 //! `ise-fuzz` shrinker into a litmus-dialect regression ([`regress`]), and
 //! each campaign emits a deterministic JSON resilience scorecard —
-//! byte-identical at any `ISE_WORKERS` count and under either clock. The
+//! byte-identical at any worker count and under either clock. The
 //! CI self-check runs the same seeded search against the unhardened and
 //! hardened [`ise_types::RecoveryHardening`] configurations and demands
 //! the search win against the former and fail against the latter.
@@ -35,7 +35,6 @@ pub use eval::{evaluate, EvalConfig, EvalOutcome, Objective};
 pub use plan::{drain_boundary, AdvPlan, FSB_CAPACITIES, POOL_PAGES};
 pub use regress::{corruption_case, corruption_oracle, shrink_corruption, write_regression};
 pub use search::{
-    run_search, run_search_with_workers, self_check, AdversaryReport, ObjectiveResult,
-    SearchConfig, SelfCheck,
+    run_search, self_check, AdversaryReport, ObjectiveResult, SearchConfig, SelfCheck,
 };
 pub use target::{pool_page, pool_pages, victim_workload, BURST_STORES};

@@ -171,17 +171,10 @@ impl ToJson for AdversaryReport {
     }
 }
 
-/// Runs the search with the default worker count
-/// ([`ise_par::worker_count`]).
-pub fn run_search(cfg: &SearchConfig) -> AdversaryReport {
-    run_search_with_workers(cfg, ise_par::worker_count())
-}
-
-/// [`run_search`] with an explicit worker count. All mutation draws
-/// happen sequentially on the coordinator; only the (pure, cached)
-/// evaluations fan out — so the report is byte-identical for every
-/// `workers` value.
-pub fn run_search_with_workers(cfg: &SearchConfig, workers: usize) -> AdversaryReport {
+/// Runs the search on `workers` threads. All mutation draws happen
+/// sequentially on the coordinator; only the (pure, cached) evaluations
+/// fan out — so the report is byte-identical for every `workers` value.
+pub fn run_search(cfg: &SearchConfig, workers: usize) -> AdversaryReport {
     let n_obj = Objective::ALL.len();
     let mut rngs: Vec<SimRng> = (0..n_obj)
         .map(|i| SimRng::seed_from(cfg.seed ^ ((i as u64 + 1) << 32)))
@@ -338,12 +331,20 @@ impl SelfCheck {
 }
 
 /// Runs the smoke search against the unhardened and hardened recovery
-/// configurations with the same seed — the CI gate that proves the
-/// search has teeth and the hardening has effect.
-pub fn self_check(seed: u64) -> SelfCheck {
+/// configurations with the same seed, on `workers` threads and the
+/// clock `skip` selects — the CI gate that proves the search has teeth
+/// and the hardening has effect.
+pub fn self_check(seed: u64, workers: usize, skip: bool) -> SelfCheck {
+    let run = |eval: EvalConfig| {
+        let eval = EvalConfig {
+            reference_clock: !skip,
+            ..eval
+        };
+        run_search(&SearchConfig::smoke(seed, eval), workers)
+    };
     SelfCheck {
-        unhardened: run_search(&SearchConfig::smoke(seed, EvalConfig::unhardened())),
-        hardened: run_search(&SearchConfig::smoke(seed, EvalConfig::hardened())),
+        unhardened: run(EvalConfig::unhardened()),
+        hardened: run(EvalConfig::hardened()),
     }
 }
 
@@ -357,8 +358,8 @@ mod tests {
             rounds: 2,
             ..SearchConfig::smoke(7, EvalConfig::hardened())
         };
-        let a = run_search_with_workers(&cfg, 1).to_registry().render();
-        let b = run_search_with_workers(&cfg, 4).to_registry().render();
+        let a = run_search(&cfg, 1).to_registry().render();
+        let b = run_search(&cfg, 4).to_registry().render();
         assert_eq!(a, b);
     }
 
@@ -370,7 +371,7 @@ mod tests {
             mutations_per_parent: 1,
             ..SearchConfig::smoke(3, EvalConfig::hardened())
         };
-        let reg = run_search(&cfg).to_registry();
+        let reg = run_search(&cfg, 2).to_registry();
         for obj in Objective::ALL {
             assert!(reg.get(&format!("objective.{}.win", obj.name())).is_some());
             assert!(reg

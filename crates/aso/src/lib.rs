@@ -24,4 +24,4 @@ pub mod account;
 pub mod sweep;
 
 pub use account::SpeculationAccounting;
-pub use sweep::{sweep_checkpoints, sweep_checkpoints_clocked, SweepPoint, SweepResult};
+pub use sweep::{sweep_checkpoints_clocked, SweepPoint, SweepResult};

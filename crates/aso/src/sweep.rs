@@ -16,7 +16,7 @@
 
 use crate::account::SpeculationAccounting;
 use ise_cpu::{run_cores, Core, VecTrace};
-use ise_engine::{cycle_skip_override, Cycle};
+use ise_engine::Cycle;
 use ise_mem::MemoryHierarchy;
 use ise_types::config::SystemConfig;
 use ise_types::model::ConsistencyModel;
@@ -102,37 +102,15 @@ fn aggregate_ipc(cores: &[Core<VecTrace>]) -> f64 {
     }
 }
 
-/// Sweeps checkpoint budgets for one workload. `traces` supplies one
-/// instruction stream per core; the system configuration's core count must
-/// be at least `traces.len()`.
+/// Sweeps checkpoint budgets for one workload on the clock `skip`
+/// selects (the cycle-skipping one when `true`; both give identical
+/// results). `traces` supplies one instruction stream per core; the
+/// system configuration's core count must be at least `traces.len()`.
 ///
 /// # Panics
 ///
 /// Panics if `traces` is empty, a workload raises an exception (the
 /// Table 3 study is exception-free), or `max_cycles` elapses.
-pub fn sweep_checkpoints(
-    cfg: &SystemConfig,
-    traces: &[std::sync::Arc<[Instruction]>],
-    budgets: &[usize],
-    max_cycles: Cycle,
-) -> SweepResult {
-    sweep_checkpoints_clocked(
-        cfg,
-        traces,
-        budgets,
-        max_cycles,
-        cycle_skip_override().unwrap_or(true),
-    )
-}
-
-/// [`sweep_checkpoints`] with an explicit clock choice, ignoring the
-/// `ISE_CYCLE_SKIP` environment override — the entry point the
-/// differential suite uses to compare the reference and cycle-skip
-/// clocks in-process.
-///
-/// # Panics
-///
-/// As [`sweep_checkpoints`].
 pub fn sweep_checkpoints_clocked(
     cfg: &SystemConfig,
     traces: &[std::sync::Arc<[Instruction]>],
@@ -219,7 +197,7 @@ mod tests {
     fn wc_beats_sc_and_big_budget_reaches_wc() {
         let cfg = small_cfg();
         let traces = vec![store_trace(0, 60), store_trace(1 << 20, 60)];
-        let r = sweep_checkpoints(&cfg, &traces, &[1, 8, 32], 10_000_000);
+        let r = sweep_checkpoints_clocked(&cfg, &traces, &[1, 8, 32], 10_000_000, true);
         assert!(r.wc_speedup() > 1.2, "speedup {:.2}", r.wc_speedup());
         let best = r.points.last().unwrap();
         assert!(
@@ -235,7 +213,7 @@ mod tests {
     fn ipc_is_monotone_in_checkpoints_roughly() {
         let cfg = small_cfg();
         let traces = vec![store_trace(0, 60)];
-        let r = sweep_checkpoints(&cfg, &traces, &[1, 4, 16], 10_000_000);
+        let r = sweep_checkpoints_clocked(&cfg, &traces, &[1, 4, 16], 10_000_000, true);
         assert!(
             r.points[0].ipc <= r.points[2].ipc * 1.02,
             "more checkpoints should not hurt: {:?}",
@@ -247,7 +225,7 @@ mod tests {
     fn state_includes_overlay_floor() {
         let cfg = small_cfg();
         let traces = vec![store_trace(0, 20)];
-        let r = sweep_checkpoints(&cfg, &traces, &[2], 10_000_000);
+        let r = sweep_checkpoints_clocked(&cfg, &traces, &[2], 10_000_000, true);
         let acc = SpeculationAccounting::for_system(&cfg);
         assert!(r.points[0].state_bytes >= acc.cache_overlay_bytes);
     }
@@ -255,7 +233,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one trace")]
     fn empty_traces_rejected() {
-        sweep_checkpoints(&small_cfg(), &[], &[1], 1000);
+        sweep_checkpoints_clocked(&small_cfg(), &[], &[1], 1000, true);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ise_consistency::program::{LitmusProgram, Loc, Stmt};
 use ise_litmus::machine::{explore, MachineConfig};
-use ise_sim::system::run_workload;
+use ise_sim::System;
 use ise_types::addr::Addr;
 use ise_types::config::SystemConfig;
 use ise_types::instr::Reg;
@@ -57,6 +57,7 @@ fn faulting_store_workload(stores: u64) -> Workload {
 /// *store buffer* (and with it the FSB) changes how much one exception
 /// batches and how often the pipeline stalls.
 fn ablation_fsb_size(c: &mut Criterion) {
+    let skip = ise_engine::cycle_skip_override().unwrap_or(true);
     let mut group = c.benchmark_group("ablation/sb_fsb_size");
     group.sample_size(10);
     let w = faulting_store_workload(512);
@@ -67,7 +68,7 @@ fn ablation_fsb_size(c: &mut Criterion) {
         cfg.cores = 1;
         cfg.core.sb_entries = sb;
         group.bench_with_input(BenchmarkId::new("sb_entries", sb), &w, |b, w| {
-            b.iter(|| run_workload(cfg, w, u64::MAX / 4))
+            b.iter(|| System::new(cfg, w).run_clocked(u64::MAX / 4, skip))
         });
     }
     group.finish();
@@ -76,6 +77,7 @@ fn ablation_fsb_size(c: &mut Criterion) {
 /// The Table 3 skew axis: end-to-end runtime of a store-heavy faulting
 /// workload as the store-to-load latency skew grows.
 fn ablation_skew(c: &mut Criterion) {
+    let skip = ise_engine::cycle_skip_override().unwrap_or(true);
     let mut group = c.benchmark_group("ablation/store_skew");
     group.sample_size(10);
     let w = faulting_store_workload(256);
@@ -86,7 +88,7 @@ fn ablation_skew(c: &mut Criterion) {
         cfg.cores = 1;
         cfg.memory.store_latency_skew = skew;
         group.bench_with_input(BenchmarkId::new("skew", skew), &w, |b, w| {
-            b.iter(|| run_workload(cfg, w, u64::MAX / 4))
+            b.iter(|| System::new(cfg, w).run_clocked(u64::MAX / 4, skip))
         });
     }
     group.finish();
@@ -95,6 +97,7 @@ fn ablation_skew(c: &mut Criterion) {
 /// Batching: one system run per fault intensity (the Fig. 5 axis), as a
 /// wall-clock measurement of the simulator itself.
 fn ablation_batching(c: &mut Criterion) {
+    let skip = ise_engine::cycle_skip_override().unwrap_or(true);
     use ise_workloads::microbench::{microbench, MicrobenchConfig};
     let mut group = c.benchmark_group("ablation/batching");
     group.sample_size(10);
@@ -116,7 +119,7 @@ fn ablation_batching(c: &mut Criterion) {
         cfg.noc.mesh_y = 1;
         cfg.cores = 1;
         group.bench_with_input(BenchmarkId::new("pages", pages), &w, |b, w| {
-            b.iter(|| run_workload(cfg, w, u64::MAX / 4))
+            b.iter(|| System::new(cfg, w).run_clocked(u64::MAX / 4, skip))
         });
     }
     group.finish();

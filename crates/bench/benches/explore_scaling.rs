@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ise_litmus::corpus::corpus;
 use ise_litmus::machine::{explore, MachineConfig};
 use ise_litmus::parse::{parse_litmus, ParsedLitmus};
-use ise_litmus::runner::run_corpus_with_workers;
+use ise_litmus::runner::run_corpus;
 use ise_types::ConsistencyModel;
 use std::time::Instant;
 
@@ -76,7 +76,7 @@ fn bench_worker_scaling(c: &mut Criterion) {
     group.sample_size(10);
     for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
-            b.iter(|| run_corpus_with_workers(&tests, w))
+            b.iter(|| run_corpus(&tests, w))
         });
     }
     group.finish();

@@ -3,12 +3,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ise_sim::experiments::fig5;
-use ise_sim::system::run_workload;
+use ise_sim::System;
 use ise_types::config::SystemConfig;
 use ise_workloads::microbench::{microbench, MicrobenchConfig};
 use ise_workloads::Workload;
 
 fn bench_microbench_run(c: &mut Criterion) {
+    let skip = ise_engine::cycle_skip_override().unwrap_or(true);
     let mut group = c.benchmark_group("fig5/system_run");
     group.sample_size(10);
     for pages in [4usize, 512] {
@@ -29,16 +30,18 @@ fn bench_microbench_run(c: &mut Criterion) {
         cfg.noc.mesh_y = 1;
         cfg.cores = 1;
         group.bench_with_input(BenchmarkId::new("pages", pages), &workload, |b, w| {
-            b.iter(|| run_workload(cfg, w, u64::MAX / 4))
+            b.iter(|| System::new(cfg, w).run_clocked(u64::MAX / 4, skip))
         });
     }
     group.finish();
 }
 
 fn bench_fig5_driver(c: &mut Criterion) {
+    let workers = ise_par::worker_count();
+    let skip = ise_engine::cycle_skip_override().unwrap_or(true);
     let mut group = c.benchmark_group("fig5/driver");
     group.sample_size(10);
-    group.bench_function("two_points", |b| b.iter(|| fig5(&[4, 512])));
+    group.bench_function("two_points", |b| b.iter(|| fig5(&[4, 512], workers, skip)));
     group.finish();
 }
 

@@ -2,7 +2,7 @@
 //! Baseline-vs-Imprecise system runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ise_sim::system::run_workload;
+use ise_sim::System;
 use ise_types::config::SystemConfig;
 use ise_workloads::graph::{gap_workload, GapConfig, GapKernel};
 use ise_workloads::kvstore::{kv_workload, KvConfig, KvEngine};
@@ -33,6 +33,7 @@ fn bench_generation(c: &mut Criterion) {
 }
 
 fn bench_runs(c: &mut Criterion) {
+    let skip = ise_engine::cycle_skip_override().unwrap_or(true);
     let mut group = c.benchmark_group("fig6/system_run");
     group.sample_size(10);
     let mut cfg = SystemConfig::isca23();
@@ -40,7 +41,7 @@ fn bench_runs(c: &mut Criterion) {
     for (label, faulted) in [("baseline", false), ("imprecise", true)] {
         let w = small_gap(GapKernel::Bfs, faulted);
         group.bench_with_input(BenchmarkId::new("bfs", label), &w, |b, w| {
-            b.iter(|| run_workload(cfg, w, u64::MAX / 4))
+            b.iter(|| System::new(cfg, w).run_clocked(u64::MAX / 4, skip))
         });
     }
     group.finish();

@@ -9,7 +9,7 @@
 //!   fan-out.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ise_sim::experiments::fig5_with_workers;
+use ise_sim::experiments::fig5;
 use ise_sim::System;
 use ise_types::addr::Addr;
 use ise_types::instr::FenceKind;
@@ -81,12 +81,13 @@ fn bench_clock_speedup(c: &mut Criterion) {
 }
 
 fn bench_sweep_worker_scaling(c: &mut Criterion) {
+    let skip = ise_engine::cycle_skip_override().unwrap_or(true);
     let pages = [2usize, 64, 256];
     let mut group = c.benchmark_group("sim_scaling/fig5_workers");
     group.sample_size(10);
     for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
-            b.iter(|| fig5_with_workers(&pages, w))
+            b.iter(|| fig5(&pages, w, skip))
         });
     }
     group.finish();

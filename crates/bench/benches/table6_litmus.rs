@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ise_consistency::axiom::allowed_outcomes;
 use ise_litmus::corpus::corpus;
 use ise_litmus::machine::{explore, MachineConfig};
-use ise_litmus::runner::{run_corpus, run_corpus_with_workers};
+use ise_litmus::runner::run_corpus;
 use ise_types::ConsistencyModel;
 
 fn bench_axiomatic(c: &mut Criterion) {
@@ -34,15 +34,16 @@ fn bench_operational(c: &mut Criterion) {
 }
 
 fn bench_whole_campaign(c: &mut Criterion) {
+    let workers = ise_par::worker_count();
     let tests = corpus();
     let mut group = c.benchmark_group("table6/campaign");
     group.sample_size(10);
-    group.bench_function("full", |b| b.iter(|| run_corpus(&tests)));
-    // The parallel frontier at pinned worker counts (run_corpus itself
-    // follows ISE_WORKERS / machine parallelism).
+    group.bench_function("full", |b| b.iter(|| run_corpus(&tests, workers)));
+    // The parallel frontier at pinned worker counts ("full" follows
+    // ISE_WORKERS / machine parallelism).
     for workers in [1usize, 4] {
         group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, &w| {
-            b.iter(|| run_corpus_with_workers(&tests, w))
+            b.iter(|| run_corpus(&tests, w))
         });
     }
     group.finish();

@@ -54,18 +54,19 @@ fn small_cfg() -> SystemConfig {
 }
 
 fn bench_disabled_vs_traced(c: &mut Criterion) {
+    let skip = ise_engine::cycle_skip_override().unwrap_or(true);
     let workload = faulting_workload(1_500);
     let cfg = small_cfg();
     let mut group = c.benchmark_group("telemetry_overhead");
     group.sample_size(10);
     group.bench_function("disabled", |b| {
-        b.iter(|| System::new(cfg, &workload).run(MAX_CYCLES))
+        b.iter(|| System::new(cfg, &workload).run_clocked(MAX_CYCLES, skip))
     });
     group.bench_function("traced", |b| {
         b.iter(|| {
             System::new(cfg, &workload)
                 .with_trace(65_536)
-                .run(MAX_CYCLES)
+                .run_clocked(MAX_CYCLES, skip)
         })
     });
     group.finish();
@@ -82,7 +83,7 @@ fn bench_disabled_vs_traced(c: &mut Criterion) {
             let sys = System::new(cfg, &workload);
             let sys = if traced { sys.with_trace(65_536) } else { sys };
             let mut sys = sys;
-            criterion::black_box(sys.run(MAX_CYCLES));
+            criterion::black_box(sys.run_clocked(MAX_CYCLES, skip));
         }
         start.elapsed()
     };

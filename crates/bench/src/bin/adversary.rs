@@ -18,9 +18,10 @@
 //!   `ise-fuzz` shrinker and render it into `DIR` as a replayable
 //!   `.litmus` reproducer
 //!
-//! Prints the resilience scorecard(s) as JSON. The scorecard is
-//! byte-identical for every `ISE_WORKERS` value and under either
-//! `ISE_CYCLE_SKIP` pin — the CI adversary-smoke job diffs exactly that.
+//! Reads `ISE_WORKERS` (worker count) and `ISE_CYCLE_SKIP` (clock) once,
+//! here, and prints the resilience scorecard(s) as JSON. The scorecard
+//! is byte-identical for every worker count and under either clock —
+//! the CI `pinned-binaries` job diffs exactly that.
 
 use ise_adversary::{
     self_check, shrink_corruption, write_regression, EvalConfig, Objective, SearchConfig,
@@ -28,6 +29,8 @@ use ise_adversary::{
 use ise_types::ToJson;
 
 fn main() {
+    let workers = ise_par::worker_count();
+    let skip = ise_engine::cycle_skip_override().unwrap_or(true);
     let mut seed = 1u64;
     let mut rounds = 6usize;
     let mut beam = 3usize;
@@ -58,7 +61,7 @@ fn main() {
     }
 
     if check {
-        let sc = self_check(seed);
+        let sc = self_check(seed, workers, skip);
         println!("{}", sc.unhardened.to_json().render());
         println!("{}", sc.hardened.to_json().render());
         if let Some(dir) = out_dir.as_deref() {
@@ -77,18 +80,19 @@ fn main() {
         return;
     }
 
-    let eval = if unhardened {
+    let mut eval = if unhardened {
         EvalConfig::unhardened()
     } else {
         EvalConfig::hardened()
     };
+    eval.reference_clock = !skip;
     let cfg = SearchConfig {
         rounds,
         beam_width: beam,
         mutations_per_parent: mutations,
         ..SearchConfig::smoke(seed, eval)
     };
-    let report = ise_adversary::run_search(&cfg);
+    let report = ise_adversary::run_search(&cfg, workers);
     println!("{}", report.to_json().render());
     if let Some(dir) = out_dir.as_deref() {
         write_corruption(&report, seed, dir);

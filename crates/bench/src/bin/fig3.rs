@@ -9,6 +9,7 @@ use ise_workloads::layout::EINJECT_BASE;
 use ise_workloads::Workload;
 
 fn main() {
+    let skip = ise_engine::cycle_skip_override().unwrap_or(true);
     let base = Addr::new(EINJECT_BASE);
     let trace: Vec<Instruction> = (0..4)
         .map(|i| Instruction::store(base.offset(i * 8), i + 1))
@@ -22,7 +23,7 @@ fn main() {
     cfg.noc.mesh_x = 2;
     cfg.noc.mesh_y = 1;
     let mut sys = System::new(cfg, &workload).with_contract_monitor();
-    let stats = sys.run(1_000_000);
+    let stats = sys.run_clocked(1_000_000, skip);
 
     println!("Fig. 3: detection and handling flow, as executed:\n");
     println!(" 1. ROB retires the store into the store buffer (WC: no stall).");

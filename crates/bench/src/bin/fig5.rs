@@ -15,13 +15,15 @@ use ise_sim::report::render_bars;
 use ise_types::ToJson;
 
 fn main() {
+    let workers = ise_par::worker_count();
+    let skip = ise_engine::cycle_skip_override().unwrap_or(true);
     let quick = std::env::args().any(|a| a == "--quick");
     let (pages, io_pages) = if quick {
         (FIG5_PAGES_QUICK, FIG5_IO_PAGES_QUICK)
     } else {
         (FIG5_PAGES_FULL, FIG5_IO_PAGES_FULL)
     };
-    let rows = fig5(pages);
+    let rows = fig5(pages, workers, skip);
     let mut out = vec![vec![
         "faulting pages".into(),
         "exceptions".into(),
@@ -68,7 +70,7 @@ fn main() {
 
     // Extension: demand paging — batched page-in IO vs the serial
     // precise-fault regime (§5.3's second batching argument).
-    let io_rows = fig5_demand_paging(io_pages, FIG5_IO_LATENCY);
+    let io_rows = fig5_demand_paging(io_pages, FIG5_IO_LATENCY, workers, skip);
     let mut out = vec![vec![
         "faulting pages".into(),
         "exceptions".into(),

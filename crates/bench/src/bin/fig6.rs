@@ -10,6 +10,8 @@ use ise_sim::report::render_bars;
 use ise_types::ToJson;
 
 fn main() {
+    let workers = ise_par::worker_count();
+    let skip = ise_engine::cycle_skip_override().unwrap_or(true);
     let quick = std::env::args().any(|a| a == "--quick");
     let scale = if quick {
         Fig6Scale::quick()
@@ -17,7 +19,7 @@ fn main() {
         Fig6Scale::full()
     };
     let t0 = std::time::Instant::now();
-    let rows = fig6(&scale);
+    let rows = fig6(&scale, workers, skip);
     eprintln!("fig6 rows: {} ms", t0.elapsed().as_millis());
     let mut out = vec![vec![
         "workload".into(),
@@ -53,7 +55,7 @@ fn main() {
          All workloads ran start to finish with faults transparently handled."
     );
     // Beyond-paper extension: the Cloudsuite rows under the same protocol.
-    let ext = fig6_cloudsuite(&scale);
+    let ext = fig6_cloudsuite(&scale, workers, skip);
     let mut out = vec![vec![
         "workload (extension)".into(),
         "relative perf".into(),

@@ -21,6 +21,7 @@ use ise_fuzz::{run_campaign, write_regressions, FuzzConfig};
 use ise_litmus::machine::SeededBug;
 
 fn main() {
+    let workers = ise_par::worker_count();
     let mut cfg = FuzzConfig {
         cases: 500,
         ..FuzzConfig::default()
@@ -48,7 +49,7 @@ fn main() {
             other => panic!("unknown flag {other:?}"),
         }
     }
-    let report = run_campaign(&cfg);
+    let report = run_campaign(&cfg, workers);
     println!("{}", report.to_registry().render());
     if let Some(dir) = out_dir {
         let paths = write_regressions(&report, &dir).expect("writing reproducers");

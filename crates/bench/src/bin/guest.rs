@@ -8,8 +8,9 @@
 //!
 //! * `cargo run -p ise-bench --bin guest` — run every program under the
 //!   current clock pin (`ISE_CYCLE_SKIP`), print a summary, and emit
-//!   one `JSON guest: {...}` registry line (the `guest-smoke` CI job
-//!   byte-compares it against `crates/bench/tests/golden/guest.json`).
+//!   one `JSON guest: {...}` registry line (the `pinned-binaries` CI
+//!   job byte-compares it against
+//!   `crates/bench/tests/golden/guest_registry.json`).
 //! * `cargo run -p ise-bench --bin guest -- --write-bins` — regenerate
 //!   the checked-in `guest/*.bin` images from the in-crate assembler.
 

@@ -5,8 +5,8 @@
 //! * `--differential` — builds a fixed microbench cell, snapshots it at
 //!   25/50/75% of the cold run, restores each cut into a fresh twin and
 //!   runs it out, asserting stats JSON and registry render are
-//!   byte-identical to the uninterrupted run. Honors `ISE_CYCLE_SKIP`,
-//!   so a CI matrix over that pin exercises both clocks.
+//!   byte-identical to the uninterrupted run, on the clock the
+//!   `ISE_CYCLE_SKIP` pin selects (CI runs it under both).
 //! * `--write-golden` — regenerates the checked-in golden snapshot
 //!   (`crates/bench/tests/golden/snapshot_v1.ises`) and its expected
 //!   end-of-run registry render. Run this (and commit the result) only
@@ -56,8 +56,7 @@ fn build() -> System {
     System::new(cfg, &workload).with_contract_monitor()
 }
 
-fn differential() {
-    let skip = ise_engine::cycle_skip_override().unwrap_or(true);
+fn differential(skip: bool) {
     let mut cold = build();
     let cold_stats = cold.run_clocked(MAX_CYCLES, skip);
     let cold_json = cold_stats.to_json().render();
@@ -89,7 +88,7 @@ fn differential() {
 }
 
 /// The golden image always uses the skipping clock explicitly, so the
-/// checked-in bytes are independent of the CI matrix pin in effect. The
+/// checked-in bytes are independent of the `ISE_CYCLE_SKIP` pin. The
 /// cut lands at half the cell's (deterministic) cold duration.
 fn golden_snapshot_and_expectation() -> (Vec<u8>, String) {
     let total = build().run_clocked(MAX_CYCLES, true).cycles;
@@ -157,11 +156,12 @@ fn corrupt_golden() {
 }
 
 fn main() {
+    let skip = ise_engine::cycle_skip_override().unwrap_or(true);
     let args: Vec<String> = std::env::args().skip(1).collect();
     assert!(!args.is_empty(), "usage: snapshot_smoke [--differential] [--write-golden] [--replay-golden] [--corrupt-golden]");
     for arg in &args {
         match arg.as_str() {
-            "--differential" => differential(),
+            "--differential" => differential(skip),
             "--write-golden" => write_golden(),
             "--replay-golden" => replay_golden(),
             "--corrupt-golden" => corrupt_golden(),

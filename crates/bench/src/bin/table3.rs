@@ -9,13 +9,15 @@ use ise_sim::experiments::{table3, Table3Scale};
 use ise_types::ToJson;
 
 fn main() {
+    let workers = ise_par::worker_count();
+    let skip = ise_engine::cycle_skip_override().unwrap_or(true);
     let quick = std::env::args().any(|a| a == "--quick");
     let scale = if quick {
         Table3Scale::quick()
     } else {
         Table3Scale::full()
     };
-    let rows = table3(&scale);
+    let rows = table3(&scale, workers, skip);
     let mut out = vec![vec![
         "suite".into(),
         "workload".into(),

@@ -6,15 +6,12 @@ use ise_litmus::corpus::corpus;
 use ise_litmus::runner::run_corpus;
 
 fn main() {
+    let workers = ise_par::worker_count();
     let tests = corpus();
     // Parallel over (test, model, fault-mode) cases; the merged summary
     // is identical to a sequential run (set ISE_WORKERS to pin).
-    eprintln!(
-        "running {} tests on {} worker(s)",
-        tests.len(),
-        ise_par::worker_count()
-    );
-    let summary = run_corpus(&tests);
+    eprintln!("running {} tests on {workers} worker(s)", tests.len());
+    let summary = run_corpus(&tests, workers);
     let mut rows = vec![vec![
         "ordering relation".into(),
         "cases covered".into(),

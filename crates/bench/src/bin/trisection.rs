@@ -24,6 +24,7 @@ use ise_consistency::MappingBug;
 use ise_fuzz::{run_trisection, write_src_regressions, TrisectConfig};
 
 fn main() {
+    let workers = ise_par::worker_count();
     let mut cfg = TrisectConfig {
         cases: 500,
         ..TrisectConfig::default()
@@ -58,7 +59,7 @@ fn main() {
             other => panic!("unknown flag {other:?}"),
         }
     }
-    let report = run_trisection(&cfg);
+    let report = run_trisection(&cfg, workers);
     println!("{}", report.to_registry().render());
     if let Some(dir) = out_dir {
         let paths = write_src_regressions(&report, &dir).expect("writing reproducers");

@@ -22,8 +22,8 @@ use std::fmt::Write;
 pub const FIG5_PAGES_FULL: &[usize] = &[1, 4, 16, 64, 256, 512, 1024];
 
 /// Reduced sweep for `fig5 --quick`: the unbatched end, the knee, and
-/// the batched end. The registry golden and the CI perf-smoke leg pin
-/// this scale so the comparison is cheap under both clock pins.
+/// the batched end. The registry golden and the CI `pinned-binaries`
+/// job pin this scale so the comparison is cheap under both clocks.
 pub const FIG5_PAGES_QUICK: &[usize] = &[1, 16, 256];
 
 /// Demand-paging extension page counts (full scale).
@@ -167,7 +167,7 @@ pub fn table5_report_with_snapshot() -> (String, Registry) {
     cfg.noc.mesh_x = 2;
     cfg.noc.mesh_y = 1;
     let mut sys = System::new(cfg, &workload).with_contract_monitor();
-    let stats = sys.run(10_000_000);
+    let stats = sys.run_clocked(10_000_000, true);
     let mut snapshot = Registry::new();
     snapshot.add("imprecise_exceptions", stats.imprecise_exceptions);
     snapshot.add("stores_applied", stats.stores_applied);

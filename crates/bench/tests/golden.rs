@@ -74,30 +74,40 @@ fn mapping_tables_match_snapshot() {
 #[test]
 fn fig5_quick_registry_matches_snapshot() {
     // The exact registry the `fig5 --quick` binary emits on its `JSON
-    // fig5:` line. The CI perf-smoke leg re-derives the same bytes from
-    // the release binary under both `ISE_CYCLE_SKIP` pins and diffs
-    // against this file, so a perf rework that changes *any* reported
-    // counter — or makes the two clocks disagree — fails fast.
+    // fig5:` line, under both clocks. The CI `pinned-binaries` job
+    // re-derives the same bytes from the release binary under both
+    // `ISE_CYCLE_SKIP` pins and diffs against this file, so a perf
+    // rework that changes *any* reported counter — or makes the two
+    // clocks disagree — fails fast.
     use ise_sim::experiments::{fig5, fig5_demand_paging};
     use ise_types::ToJson;
-    let rows = fig5(ise_bench::FIG5_PAGES_QUICK);
-    let io_rows = fig5_demand_paging(ise_bench::FIG5_IO_PAGES_QUICK, ise_bench::FIG5_IO_LATENCY);
-    let registry = ise_bench::report_sections([
-        ("rows", rows.to_json()),
-        ("demand_paging", io_rows.to_json()),
-    ]);
-    check_golden("fig5_quick_registry.json", &(registry.render() + "\n"));
+    for skip in [false, true] {
+        let rows = fig5(ise_bench::FIG5_PAGES_QUICK, 4, skip);
+        let io_rows = fig5_demand_paging(
+            ise_bench::FIG5_IO_PAGES_QUICK,
+            ise_bench::FIG5_IO_LATENCY,
+            4,
+            skip,
+        );
+        let registry = ise_bench::report_sections([
+            ("rows", rows.to_json()),
+            ("demand_paging", io_rows.to_json()),
+        ]);
+        check_golden("fig5_quick_registry.json", &(registry.render() + "\n"));
+    }
 }
 
 #[test]
 fn fig6_quick_registry_matches_snapshot() {
     // Same contract for `fig6 --quick` (whole-workload runs, so this is
-    // the heavier of the two registry goldens).
+    // the heavier of the two registry goldens). In-process it runs the
+    // skip clock only; the reference clock is the pinned `fig6 --quick`
+    // binary run in CI.
     use ise_sim::experiments::{fig6, fig6_cloudsuite, Fig6Scale};
     use ise_types::ToJson;
     let scale = Fig6Scale::quick();
-    let rows = fig6(&scale);
-    let ext = fig6_cloudsuite(&scale);
+    let rows = fig6(&scale, 4, true);
+    let ext = fig6_cloudsuite(&scale, 4, true);
     let registry =
         ise_bench::report_sections([("rows", rows.to_json()), ("cloudsuite", ext.to_json())]);
     check_golden("fig6_quick_registry.json", &(registry.render() + "\n"));

@@ -1,8 +1,7 @@
 //! Golden end-to-end guest runs: the checked-in RV64 images executed
 //! through the `ise-isa` frontend and replayed on the timing model must
 //! reproduce `golden/guest_registry.json` byte for byte — under both
-//! clocks, any worker count (CI pins 1/2/4/8), and a mid-run
-//! snapshot/restore cut. The registry carries the final register file
+//! clocks and across a mid-run snapshot/restore cut. The registry carries the final register file
 //! of every hart and the per-hart retired counts, so trace or
 //! architectural drift cannot hide from the byte compare.
 

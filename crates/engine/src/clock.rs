@@ -1,34 +1,27 @@
 //! Clock-policy selection for the cycle-skipping simulator loops.
 //!
-//! Every per-cycle loop in the repo (the full-system loop in `ise-sim`,
-//! the multicore harness in `ise-cpu`, the ASO sweep in `ise-aso`) has
-//! two equivalent drivers: the *reference* clock that ticks `now += 1`
+//! Both per-cycle loops in the repo (`System::run_to` in `ise-sim` and
+//! the bare-core `run_cores` kernel in `ise-cpu`) have two equivalent
+//! drivers: the *reference* clock that ticks `now += 1`
 //! unconditionally, and the *cycle-skipping* clock that jumps `now`
-//! straight to the earliest next wake-up. The skip clock is the default;
-//! the reference clock is kept both as the differential-testing oracle
-//! and as an escape hatch.
+//! straight to the earliest next wake-up. Every library entry point
+//! takes the choice as an explicit `skip: bool`; the skip clock is the
+//! default, and the reference clock is kept as the differential-testing
+//! oracle.
 //!
-//! The `ISE_CYCLE_SKIP` environment variable overrides whatever the
-//! caller configured, mirroring the `ISE_WORKERS` convention from
-//! `ise-par`: CI pins one differential leg to `ISE_CYCLE_SKIP=0`
-//! (reference) and one to `ISE_CYCLE_SKIP=1` (skip) and asserts
-//! byte-identical reports. The spellings are the shared ones from
-//! [`ise_types::env`], and a malformed value aborts the run instead of
-//! silently deferring to the configured default.
+//! The `ISE_CYCLE_SKIP` environment variable is read only at the binary
+//! edge: each binary, example and bench calls [`cycle_skip_override`]
+//! once at the top of `main` and passes the result down. CI runs the
+//! pin-reading binaries under `ISE_CYCLE_SKIP=0` (reference) and
+//! `ISE_CYCLE_SKIP=1` (skip) and asserts byte-identical reports. The
+//! spellings are the shared ones from [`ise_types::env`], and a
+//! malformed value aborts the run instead of silently falling back to
+//! the default.
 
-/// Parses a cycle-skip override string: `Some(false)` for
-/// `0`/`off`/`false`/`no`, `Some(true)` for `1`/`on`/`true`/`yes`
-/// (case-insensitively), `None` for anything else (the pure-`Option`
-/// surface; [`cycle_skip_override`] is the loud env-reading one).
-pub fn parse_cycle_skip(value: Option<&str>) -> Option<bool> {
-    value.and_then(|v| ise_types::env::parse_flag(v).ok())
-}
-
-/// The `ISE_CYCLE_SKIP` environment override. `Some(false)` forces the
-/// reference per-cycle clock, `Some(true)` forces cycle skipping,
-/// `None` (unset) defers to the caller's configuration
-/// (`SystemConfig::reference_clock` in `ise-sim`, on by default
-/// elsewhere).
+/// The `ISE_CYCLE_SKIP` environment pin. `Some(false)` selects the
+/// reference per-cycle clock, `Some(true)` cycle skipping, `None`
+/// (unset) leaves the choice to the binary (the skip clock, or
+/// `SystemConfig::reference_clock` where a campaign is handed one).
 ///
 /// # Panics
 ///
@@ -37,17 +30,6 @@ pub fn parse_cycle_skip(value: Option<&str>) -> Option<bool> {
 /// leg.
 pub fn cycle_skip_override() -> Option<bool> {
     ise_types::env::env_flag("ISE_CYCLE_SKIP")
-}
-
-/// Parses a watchdog cell-budget string: `Some(cycles)` for a positive
-/// integer, `None` for unset (the pure-`Option` surface;
-/// [`cell_budget`] is the loud env-reading one).
-///
-/// # Panics
-///
-/// Panics with the variable name on zero or non-numeric values.
-pub fn parse_cell_budget(value: Option<&str>) -> Option<crate::Cycle> {
-    ise_types::env::cycles_from("ISE_CELL_BUDGET", value)
 }
 
 /// The `ISE_CELL_BUDGET` environment override: a watchdog ceiling, in
@@ -64,22 +46,11 @@ pub fn parse_cell_budget(value: Option<&str>) -> Option<crate::Cycle> {
 /// Panics if `ISE_CELL_BUDGET` is set to anything but a positive
 /// integer — a typo would silently run without a watchdog.
 pub fn cell_budget() -> Option<crate::Cycle> {
-    parse_cell_budget(std::env::var("ISE_CELL_BUDGET").ok().as_deref())
-}
-
-/// Parses a checkpoint-cadence string: `Some(cycles)` for a positive
-/// integer, `None` for unset (the pure-`Option` surface;
-/// [`ckpt_every`] is the loud env-reading one).
-///
-/// # Panics
-///
-/// Panics with the variable name on zero or non-numeric values.
-pub fn parse_ckpt_every(value: Option<&str>) -> Option<crate::Cycle> {
-    ise_types::env::cycles_from("ISE_CKPT_EVERY", value)
+    ise_types::env::env_cycles("ISE_CELL_BUDGET")
 }
 
 /// The `ISE_CKPT_EVERY` environment override: the cadence, in cycles,
-/// at which `System::run_clocked` emits periodic checkpoints (into the
+/// at which `System::run_bounded` emits periodic checkpoints (into the
 /// directory named by `ISE_CKPT_DIR`, default `ise-ckpt/`). `None`
 /// (unset) disables periodic emission.
 ///
@@ -88,57 +59,5 @@ pub fn parse_ckpt_every(value: Option<&str>) -> Option<crate::Cycle> {
 /// Panics if `ISE_CKPT_EVERY` is set to anything but a positive
 /// integer — a typo would silently disable checkpointing.
 pub fn ckpt_every() -> Option<crate::Cycle> {
-    parse_ckpt_every(std::env::var("ISE_CKPT_EVERY").ok().as_deref())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_recognises_off_spellings() {
-        for v in ["0", "off", "OFF", "false", "no", " 0 "] {
-            assert_eq!(parse_cycle_skip(Some(v)), Some(false), "value {v:?}");
-        }
-    }
-
-    #[test]
-    fn parse_recognises_on_spellings() {
-        for v in ["1", "on", "true", "YES", " 1 "] {
-            assert_eq!(parse_cycle_skip(Some(v)), Some(true), "value {v:?}");
-        }
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert_eq!(parse_cycle_skip(Some("2")), None);
-        assert_eq!(parse_cycle_skip(Some("maybe")), None);
-        assert_eq!(parse_cycle_skip(Some("")), None);
-        assert_eq!(parse_cycle_skip(None), None);
-    }
-
-    #[test]
-    fn cell_budget_parses_positive_cycles() {
-        assert_eq!(parse_cell_budget(None), None);
-        assert_eq!(parse_cell_budget(Some("250000")), Some(250_000));
-        assert_eq!(parse_cell_budget(Some(" 1 ")), Some(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "ISE_CELL_BUDGET: expected a positive cycle count")]
-    fn cell_budget_rejects_zero_loudly() {
-        parse_cell_budget(Some("0"));
-    }
-
-    #[test]
-    fn ckpt_every_parses_positive_cycles() {
-        assert_eq!(parse_ckpt_every(None), None);
-        assert_eq!(parse_ckpt_every(Some("5000")), Some(5_000));
-    }
-
-    #[test]
-    #[should_panic(expected = "ISE_CKPT_EVERY: expected a positive cycle count")]
-    fn ckpt_every_rejects_zero_loudly() {
-        parse_ckpt_every(Some("0"));
-    }
+    ise_types::env::env_cycles("ISE_CKPT_EVERY")
 }

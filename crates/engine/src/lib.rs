@@ -28,10 +28,7 @@ pub mod clock;
 pub mod queue;
 pub mod rng;
 
-pub use clock::{
-    cell_budget, ckpt_every, cycle_skip_override, parse_cell_budget, parse_ckpt_every,
-    parse_cycle_skip,
-};
+pub use clock::{cell_budget, ckpt_every, cycle_skip_override};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 

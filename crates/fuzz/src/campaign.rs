@@ -3,10 +3,10 @@
 //! A campaign runs `cases` independent [`FuzzCase`]s, each derived from
 //! the master seed and its index by a splitmix64 stride — so case *i*
 //! is the same program for every worker count, and the whole report
-//! (rendered registry included) is byte-identical under `ISE_WORKERS=1`
-//! and `ISE_WORKERS=8`. Findings are shrunk on the worker that found
-//! them and surface as minimal reproducers, renderable into the litmus
-//! text dialect for the regression corpus under `litmus/regressions/`.
+//! (rendered registry included) is byte-identical for every worker
+//! count. Findings are shrunk on the worker that found them and surface
+//! as minimal reproducers, renderable into the litmus text dialect for
+//! the regression corpus under `litmus/regressions/`.
 
 use crate::gen::{generate, FuzzCase, GenConfig};
 use crate::oracle::{check_case, Finding, FindingKind, OracleConfig};
@@ -267,7 +267,7 @@ fn run_cell(cfg: &FuzzConfig, index: usize, seed: u64, case: &FuzzCase) -> Cell 
 /// whose generated cases render identically share one evaluation, with
 /// the cloned findings re-stamped to each slot's own index and seed so
 /// the report is byte-identical to a dedupe-free run.
-pub fn run_campaign_with_workers(cfg: &FuzzConfig, workers: usize) -> FuzzReport {
+pub fn run_campaign(cfg: &FuzzConfig, workers: usize) -> FuzzReport {
     let cases: Vec<(usize, u64, FuzzCase)> = (0..cfg.cases)
         .map(|i| {
             let seed = case_seed(cfg.seed, i);
@@ -331,12 +331,6 @@ pub fn run_campaign_with_workers(cfg: &FuzzConfig, workers: usize) -> FuzzReport
     report
 }
 
-/// Runs the campaign with the default worker count
-/// ([`ise_par::worker_count`]).
-pub fn run_campaign(cfg: &FuzzConfig) -> FuzzReport {
-    run_campaign_with_workers(cfg, ise_par::worker_count())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,7 +353,7 @@ mod tests {
 
     #[test]
     fn a_healthy_campaign_is_clean() {
-        let report = run_campaign_with_workers(&small(80), 2);
+        let report = run_campaign(&small(80), 2);
         assert!(report.clean(), "{:?}", report.findings);
         assert_eq!(report.cases, 80);
         assert_eq!(report.model_cases.iter().sum::<u64>(), 80);
@@ -377,7 +371,7 @@ mod tests {
             },
             ..small(60)
         };
-        let report = run_campaign_with_workers(&cfg, 2);
+        let report = run_campaign(&cfg, 2);
         assert!(!report.clean(), "the seeded bug was never caught");
         for f in &report.findings {
             assert_eq!(f.kind, FindingKind::AxiomViolation);
@@ -394,8 +388,8 @@ mod tests {
     #[test]
     fn reports_are_identical_across_worker_counts() {
         let cfg = small(60);
-        let a = run_campaign_with_workers(&cfg, 1).to_registry().render();
-        let b = run_campaign_with_workers(&cfg, 4).to_registry().render();
+        let a = run_campaign(&cfg, 1).to_registry().render();
+        let b = run_campaign(&cfg, 4).to_registry().render();
         assert_eq!(a, b);
     }
 
@@ -419,7 +413,7 @@ mod tests {
             },
             ..small(120)
         };
-        let report = run_campaign_with_workers(&cfg, 2);
+        let report = run_campaign(&cfg, 2);
         assert_eq!(report.cases, 120);
         assert!(
             report.unique_cases < report.cases,
@@ -429,7 +423,7 @@ mod tests {
         assert_eq!(report.model_cases.iter().sum::<u64>(), 120);
         assert_eq!(
             report.to_registry().render(),
-            run_campaign_with_workers(&cfg, 1).to_registry().render(),
+            run_campaign(&cfg, 1).to_registry().render(),
             "dedupe must not perturb the report"
         );
     }

@@ -25,8 +25,8 @@
 //!
 //! Everything is deterministic: one master seed fixes the entire
 //! campaign, per-case seeds are derived by index (never by worker), and
-//! the report registry renders byte-identically for every
-//! `ISE_WORKERS` value.
+//! the report registry renders byte-identically for every worker
+//! count.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -39,15 +39,14 @@ pub mod src_gen;
 pub mod trisect;
 
 pub use campaign::{
-    case_seed, run_campaign, run_campaign_with_workers, to_parsed, write_regressions,
-    CampaignFinding, FuzzConfig, FuzzReport,
+    case_seed, run_campaign, to_parsed, write_regressions, CampaignFinding, FuzzConfig, FuzzReport,
 };
 pub use gen::{generate, FuzzCase, GenConfig};
 pub use oracle::{check_case, Finding, FindingKind, OracleConfig};
 pub use shrink::{shrink, ShrinkResult};
 pub use src_gen::{generate_src, SrcGenConfig, TrisectCase};
 pub use trisect::{
-    check_src_case, run_trisection, run_trisection_with_workers, shrink_src, to_src_parsed,
-    write_src_regressions, SrcFinding, SrcShrinkResult, TrisectConfig, TrisectFinding,
-    TrisectFindingKind, TrisectOracleConfig, TrisectReport,
+    check_src_case, run_trisection, shrink_src, to_src_parsed, write_src_regressions, SrcFinding,
+    SrcShrinkResult, TrisectConfig, TrisectFinding, TrisectFindingKind, TrisectOracleConfig,
+    TrisectReport,
 };

@@ -639,7 +639,7 @@ fn run_cell(cfg: &TrisectConfig, index: usize) -> Cell {
 /// Runs the trisection campaign on `workers` threads. The report is
 /// independent of `workers`: cases are split by stride and reduced in
 /// index order.
-pub fn run_trisection_with_workers(cfg: &TrisectConfig, workers: usize) -> TrisectReport {
+pub fn run_trisection(cfg: &TrisectConfig, workers: usize) -> TrisectReport {
     let indices: Vec<usize> = (0..cfg.cases).collect();
     let cells = ise_par::par_map(&indices, workers, |_, &i| run_cell(cfg, i));
     let mut report = TrisectReport {
@@ -665,12 +665,6 @@ pub fn run_trisection_with_workers(cfg: &TrisectConfig, workers: usize) -> Trise
         report.findings.extend(cell.findings);
     }
     report
-}
-
-/// Runs the trisection campaign with the default worker count
-/// ([`ise_par::worker_count`]).
-pub fn run_trisection(cfg: &TrisectConfig) -> TrisectReport {
-    run_trisection_with_workers(cfg, ise_par::worker_count())
 }
 
 #[cfg(test)]
@@ -809,7 +803,7 @@ mod tests {
             cases: 60,
             ..TrisectConfig::default()
         };
-        let report = run_trisection_with_workers(&cfg, 2);
+        let report = run_trisection(&cfg, 2);
         assert!(report.clean(), "{:?}", report.findings);
         assert_eq!(report.cases, 60);
         assert_eq!(report.model_cases.iter().sum::<u64>(), 60);
@@ -821,8 +815,8 @@ mod tests {
             cases: 40,
             ..TrisectConfig::default()
         };
-        let a = run_trisection_with_workers(&cfg, 1).to_registry().render();
-        let b = run_trisection_with_workers(&cfg, 4).to_registry().render();
+        let a = run_trisection(&cfg, 1).to_registry().render();
+        let b = run_trisection(&cfg, 4).to_registry().render();
         assert_eq!(a, b);
     }
 }

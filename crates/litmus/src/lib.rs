@@ -32,5 +32,5 @@ pub mod src_parse;
 pub use corpus::{corpus, Family, LitmusTest};
 pub use machine::{explore, ExplorationResult, MachineConfig, SeededBug};
 pub use parse::{load_litmus_dir, parse_litmus, render_litmus, ParseError, ParsedLitmus};
-pub use runner::{run_corpus, run_corpus_with_workers, run_test, CorpusSummary, LitmusReport};
+pub use runner::{run_corpus, run_test, CorpusSummary, LitmusReport};
 pub use src_parse::{load_src_litmus_dir, parse_src_litmus, render_src_litmus, ParsedSrcLitmus};

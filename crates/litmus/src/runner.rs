@@ -219,19 +219,13 @@ impl ToJson for CorpusSummary {
 }
 
 /// Runs every corpus test under {PC, WC} × {no faults, all faulting,
-/// first location faulting}, on [`ise_par::worker_count`] workers (the
-/// `ISE_WORKERS` environment variable overrides the machine default).
-pub fn run_corpus(tests: &[LitmusTest]) -> CorpusSummary {
-    run_corpus_with_workers(tests, ise_par::worker_count())
-}
-
-/// [`run_corpus`] with an explicit worker count.
+/// first location faulting}, on `workers` workers.
 ///
 /// Each (test, model, fault-mode) case is an independent exploration, so
 /// the frontier hands one case to each worker; results are reduced in
 /// case-insertion order, making the summary identical — report for
 /// report — to a sequential (`workers == 1`) run.
-pub fn run_corpus_with_workers(tests: &[LitmusTest], workers: usize) -> CorpusSummary {
+pub fn run_corpus(tests: &[LitmusTest], workers: usize) -> CorpusSummary {
     let mut cases = Vec::with_capacity(tests.len() * 6);
     for test in tests {
         for model in [ConsistencyModel::Pc, ConsistencyModel::Wc] {
@@ -253,7 +247,7 @@ mod tests {
 
     #[test]
     fn whole_corpus_passes_under_pc_and_wc_with_and_without_faults() {
-        let summary = run_corpus(&corpus());
+        let summary = run_corpus(&corpus(), 4);
         let failures: Vec<String> = summary
             .reports
             .iter()
@@ -274,7 +268,7 @@ mod tests {
 
     #[test]
     fn corpus_observes_nontrivial_behaviour() {
-        let summary = run_corpus(&corpus());
+        let summary = run_corpus(&corpus(), 4);
         for r in &summary.reports {
             assert!(
                 !r.observed.is_empty() || r.allowed.len() == 1,
@@ -319,7 +313,7 @@ mod tests {
 
     #[test]
     fn by_family_covers_all_eight() {
-        let summary = run_corpus(&corpus());
+        let summary = run_corpus(&corpus(), 4);
         let fams = summary.by_family();
         assert_eq!(fams.len(), 8);
         for (fam, cases, passed) in fams {
@@ -331,8 +325,8 @@ mod tests {
     #[test]
     fn registry_matches_by_family_and_is_worker_invariant() {
         let tests = corpus();
-        let sequential = run_corpus_with_workers(&tests, 1);
-        let sharded = run_corpus_with_workers(&tests, 4);
+        let sequential = run_corpus(&tests, 1);
+        let sharded = run_corpus(&tests, 4);
         assert_eq!(
             sequential.to_registry().render(),
             sharded.to_registry().render(),

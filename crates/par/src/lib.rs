@@ -23,22 +23,16 @@
 //! assert_eq!(doubled, vec![2, 4, 6, 8]);
 //! ```
 //!
-//! The worker count comes from the `ISE_WORKERS` environment variable
-//! when set (see [`worker_count`]), so CI can pin it per matrix leg.
+//! Library entry points take the worker count as an argument. Each
+//! binary, example and bench reads it once, at the top of `main`, with
+//! [`worker_count`] (the `ISE_WORKERS` environment variable when set),
+//! so CI can pin it per matrix leg.
 
 #![deny(missing_docs)]
 
 use std::num::NonZeroUsize;
 use std::panic;
 use std::thread;
-
-/// Parses a worker-count override (the `ISE_WORKERS` convention):
-/// `Some(n)` for a positive integer, `None` for anything else (the
-/// pure-`Option` surface over [`ise_types::env::parse_count`];
-/// [`worker_count`] is the loud env-reading one).
-pub fn parse_workers(value: Option<&str>) -> Option<NonZeroUsize> {
-    value.and_then(|v| ise_types::env::parse_count(v).ok())
-}
 
 /// The worker count to use by default: `ISE_WORKERS` when set,
 /// otherwise the machine's available parallelism (falling back to 1
@@ -161,20 +155,5 @@ mod tests {
         .expect_err("panic must propagate");
         let msg = err.downcast_ref::<String>().expect("string panic payload");
         assert!(msg.contains("poisoned item"), "got: {msg}");
-    }
-
-    #[test]
-    fn parse_workers_accepts_positive_integers_only() {
-        assert_eq!(parse_workers(Some("4")).map(NonZeroUsize::get), Some(4));
-        assert_eq!(parse_workers(Some(" 2 ")).map(NonZeroUsize::get), Some(2));
-        assert_eq!(parse_workers(Some("0")), None);
-        assert_eq!(parse_workers(Some("-1")), None);
-        assert_eq!(parse_workers(Some("lots")), None);
-        assert_eq!(parse_workers(None), None);
-    }
-
-    #[test]
-    fn worker_count_is_at_least_one() {
-        assert!(worker_count() >= 1);
     }
 }

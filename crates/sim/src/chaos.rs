@@ -200,27 +200,6 @@ impl ChaosCampaign {
         ChaosCampaign { cfg, chaos }
     }
 
-    /// Runs the full sweep over `workloads`, one kind × rate × workload
-    /// cell per worker, on [`ise_par::worker_count`] workers (the
-    /// `ISE_WORKERS` environment variable overrides the machine
-    /// default).
-    ///
-    /// Each workload must declare `einject_pages` (the pool faults are
-    /// sampled from); the campaign clears that list so EInject stays
-    /// inert and the [`FaultInjector`] is the only fault source.
-    ///
-    /// A cell that would exceed its cycle budget (the tighter of
-    /// [`ChaosConfig::max_cycles`] and the `ISE_CELL_BUDGET` watchdog)
-    /// degrades to a reported [`ChaosRun::timed_out`] outcome instead of
-    /// panicking out of a worker.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a workload declares no faulting pages.
-    pub fn run(&self, workloads: &[Workload]) -> ChaosReport {
-        self.run_with_workers(workloads, ise_par::worker_count())
-    }
-
     /// One deterministic stream per cell, derived from the cell's
     /// *content* (workload name, fault kind, rate) rather than its sweep
     /// position: reordering or extending the sweep leaves every other
@@ -243,7 +222,18 @@ impl ChaosCampaign {
         ise_types::persist::fnv1a(&sys.snapshot())
     }
 
-    /// [`run`](ChaosCampaign::run) with an explicit worker count.
+    /// Runs the full sweep over `workloads`, one kind × rate × workload
+    /// cell per worker, on `workers` threads. Each cell runs on the
+    /// clock the campaign's [`SystemConfig::reference_clock`] selects.
+    ///
+    /// Each workload must declare `einject_pages` (the pool faults are
+    /// sampled from); the campaign clears that list so EInject stays
+    /// inert and the [`FaultInjector`] is the only fault source.
+    ///
+    /// A cell that would exceed its cycle budget (the tighter of
+    /// [`ChaosConfig::max_cycles`] and the `ISE_CELL_BUDGET` watchdog)
+    /// degrades to a reported [`ChaosRun::timed_out`] outcome instead of
+    /// panicking out of a worker.
     ///
     /// Every cell is fully independent — it seeds its own RNG stream and
     /// builds its own [`System`] — and results are reduced in sweep
@@ -251,6 +241,10 @@ impl ChaosCampaign {
     /// for every worker count. Cells whose boot snapshots hash equal
     /// (duplicate sweep entries) are simulated once and their result
     /// replicated into each sweep slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a workload declares no faulting pages.
     pub fn run_with_workers(&self, workloads: &[Workload], workers: usize) -> ChaosReport {
         let mut cells =
             Vec::with_capacity(workloads.len() * self.chaos.kinds.len() * self.chaos.rates.len());
@@ -296,8 +290,9 @@ impl ChaosCampaign {
     /// event per injected page and closes with `fault_cleared` for every
     /// cause that healed or was resolved — the campaign-level events the
     /// per-run counters lose. Cell seeding matches what
-    /// [`ChaosCampaign::run`] would use for the matching sweep cell of
-    /// `workload`, so the traced run reproduces a sweep cell exactly.
+    /// [`ChaosCampaign::run_with_workers`] would use for the matching
+    /// sweep cell of `workload`, so the traced run reproduces a sweep
+    /// cell exactly.
     pub fn trace_cell(
         &self,
         workload: &Workload,
@@ -389,8 +384,7 @@ impl ChaosCampaign {
             Some(cap) => self.chaos.max_cycles.min(cap),
             None => self.chaos.max_cycles,
         };
-        let skip = ise_engine::cycle_skip_override().unwrap_or(!self.cfg.reference_clock);
-        let (stats, timed_out) = sys.run_bounded(budget, skip);
+        let (stats, timed_out) = sys.run_bounded(budget, !self.cfg.reference_clock);
 
         // A timed-out cell is reported, not audited: conservation and
         // contract checks only make sense over a completed run.
@@ -460,7 +454,7 @@ mod tests {
             rates: vec![0.5],
             max_cycles: 200_000_000,
         };
-        let report = ChaosCampaign::new(small_cfg(), chaos).run(&[tiny_workload()]);
+        let report = ChaosCampaign::new(small_cfg(), chaos).run_with_workers(&[tiny_workload()], 2);
         assert_eq!(report.runs.len(), 1);
         let run = &report.runs[0];
         assert!(run.ok(), "violations: {:?}", run.violations);
@@ -478,7 +472,7 @@ mod tests {
         };
         let mk = || {
             ChaosCampaign::new(small_cfg(), chaos.clone())
-                .run(&[tiny_workload()])
+                .run_with_workers(&[tiny_workload()], 2)
                 .to_json()
                 .render()
         };
@@ -499,7 +493,7 @@ mod tests {
         let mk = |reference: bool| {
             let mut cfg = small_cfg();
             cfg.reference_clock = reference;
-            ChaosCampaign::new(cfg, chaos.clone()).run(&[tiny_workload()])
+            ChaosCampaign::new(cfg, chaos.clone()).run_with_workers(&[tiny_workload()], 2)
         };
         let skip = mk(false);
         let run = &skip.runs[0];
@@ -534,7 +528,7 @@ mod tests {
         assert!(rendered.contains("\"fsb_drain_begin\""));
         // Tracing is a pure observer: the traced cell reproduces the
         // corresponding sweep cell byte-for-byte.
-        let report = campaign.run(&[w]);
+        let report = campaign.run_with_workers(&[w], 2);
         assert_eq!(
             run.to_json().render(),
             report.runs[0].to_json().render(),
@@ -553,7 +547,8 @@ mod tests {
             rates: vec![0.5, 0.5],
             max_cycles: 200_000_000,
         };
-        let report = ChaosCampaign::new(small_cfg(), chaos.clone()).run(&[tiny_workload()]);
+        let report =
+            ChaosCampaign::new(small_cfg(), chaos.clone()).run_with_workers(&[tiny_workload()], 2);
         assert_eq!(report.runs.len(), 4);
         assert_eq!(report.unique_cells, 1, "all four cells hash equal");
         let first = report.runs[0].to_json().render();
@@ -566,7 +561,7 @@ mod tests {
             rates: vec![0.5],
             ..chaos
         };
-        let solo = ChaosCampaign::new(small_cfg(), single).run(&[tiny_workload()]);
+        let solo = ChaosCampaign::new(small_cfg(), single).run_with_workers(&[tiny_workload()], 2);
         assert_eq!(solo.unique_cells, 1);
         assert_eq!(solo.runs[0].to_json().render(), first);
     }

@@ -1,7 +1,7 @@
 //! One driver per paper table/figure (see DESIGN.md §4 for the index).
 
-use crate::system::{run_workload, System, SystemStats};
-use ise_aso::sweep::{sweep_checkpoints, SweepResult};
+use crate::system::{System, SystemStats};
+use ise_aso::sweep::{sweep_checkpoints_clocked, SweepResult};
 use ise_consistency::program::{LitmusProgram, Loc, Stmt};
 use ise_litmus::corpus::{corpus, Family, LitmusTest};
 use ise_litmus::machine::{explore, MachineConfig};
@@ -86,25 +86,19 @@ impl Table3Scale {
 }
 
 /// Runs one workload's sweep on one system configuration.
-fn sweep_for(cfg: &SystemConfig, spec: &MixSpec, scale: &Table3Scale) -> SweepResult {
+fn sweep_for(cfg: &SystemConfig, spec: &MixSpec, scale: &Table3Scale, skip: bool) -> SweepResult {
     let w = synthesize(spec, scale.instrs_per_core, scale.cores, 0x7a31);
-    sweep_checkpoints(cfg, &w.traces, scale.budgets, MAX_CYCLES)
+    sweep_checkpoints_clocked(cfg, &w.traces, scale.budgets, MAX_CYCLES, skip)
 }
 
 /// Regenerates Table 3: per workload, the measured mix, WC speedup, and
 /// the speculation state required on the baseline / 2× memory latency /
-/// 4× store-skew systems.
+/// 4× store-skew systems, on the clock `skip` selects.
 ///
-/// Rows are fanned out over the `ise-par` worker pool (`ISE_WORKERS` /
-/// available parallelism); see [`table3_with_workers`].
-pub fn table3(scale: &Table3Scale) -> Vec<Table3Row> {
-    table3_with_workers(scale, ise_par::worker_count())
-}
-
-/// [`table3`] on an explicit worker count. Every row is an independent
-/// simulation cell; results are merged in mix order, so the output is
-/// byte-identical for every worker count (the PR 2 determinism rules).
-pub fn table3_with_workers(scale: &Table3Scale, workers: usize) -> Vec<Table3Row> {
+/// Every row is an independent simulation cell fanned out over
+/// `workers` threads; results are merged in mix order, so the output is
+/// byte-identical for every worker count and either clock.
+pub fn table3(scale: &Table3Scale, workers: usize, skip: bool) -> Vec<Table3Row> {
     let mut base_cfg = SystemConfig::isca23();
     base_cfg.cores = scale.cores;
     let systems = [
@@ -118,7 +112,7 @@ pub fn table3_with_workers(scale: &Table3Scale, workers: usize) -> Vec<Table3Row
         let measured_mix = InstructionMix::measure(w.traces[0].iter());
         let sweeps: Vec<SweepResult> = systems
             .iter()
-            .map(|cfg| sweep_for(cfg, spec, scale))
+            .map(|cfg| sweep_for(cfg, spec, scale, skip))
             .collect();
         Table3Row {
             measured_mix,
@@ -182,12 +176,21 @@ impl ToJson for Fig5Row {
 /// "without batching" bar (≈600 cycles per store, dispatch-dominated);
 /// high intensities fill the store buffer with faulting stores and
 /// amortize the dispatch, reproducing the "with batching" bar.
-pub fn fig5(page_counts: &[usize]) -> Vec<Fig5Row> {
-    fig5_with_workers(page_counts, ise_par::worker_count())
+///
+/// Each fault intensity is an independent single-core simulation on the
+/// clock `skip` selects, fanned out over `workers` threads; rows come
+/// back in `page_counts` order regardless of which worker ran them.
+pub fn fig5(page_counts: &[usize], workers: usize, skip: bool) -> Vec<Fig5Row> {
+    ise_par::par_map(page_counts, workers, |_, &pages| {
+        let (cfg, workload) = fig5_cell(pages);
+        let stats = System::new(cfg, &workload).run_clocked(MAX_CYCLES, skip);
+        fig5_row(pages, &stats)
+    })
 }
 
 /// One Fig. 5 sweep cell: the single-core system configuration and the
-/// microbenchmark workload for a given fault intensity.
+/// microbenchmark workload for a given fault intensity (shared by
+/// [`fig5`] and [`fig5_demand_paging`]).
 fn fig5_cell(pages: usize) -> (SystemConfig, Workload) {
     let mb = microbench(&MicrobenchConfig {
         stores_per_iter: 10_000,
@@ -220,17 +223,6 @@ fn fig5_row(pages: usize, stats: &SystemStats) -> Fig5Row {
         apply_per_store: stats.breakdown.apply as f64 / n,
         other_per_store: stats.breakdown.other_os as f64 / n,
     }
-}
-
-/// [`fig5`] on an explicit worker count. Each fault intensity is an
-/// independent single-core simulation; rows come back in `page_counts`
-/// order regardless of which worker ran them.
-pub fn fig5_with_workers(page_counts: &[usize], workers: usize) -> Vec<Fig5Row> {
-    ise_par::par_map(page_counts, workers, |_, &pages| {
-        let (cfg, workload) = fig5_cell(pages);
-        let stats = run_workload(cfg, &workload, MAX_CYCLES);
-        fig5_row(pages, &stats)
-    })
 }
 
 /// One row of the demand-paging extension of Fig. 5.
@@ -277,36 +269,18 @@ impl ToJson for Fig5IoRow {
 /// resolved page requiring a device page-in. One imprecise exception
 /// covers many faulting pages, so their IOs are submitted together and
 /// overlap; the traditional precise regime would pay them serially.
-pub fn fig5_demand_paging(page_counts: &[usize], io_latency: u64) -> Vec<Fig5IoRow> {
-    fig5_demand_paging_with_workers(page_counts, io_latency, ise_par::worker_count())
-}
-
-/// [`fig5_demand_paging`] on an explicit worker count, with the same
-/// insertion-order merge guarantee as [`fig5_with_workers`].
-pub fn fig5_demand_paging_with_workers(
+///
+/// Same cells, clock choice and merge guarantee as [`fig5`].
+pub fn fig5_demand_paging(
     page_counts: &[usize],
     io_latency: u64,
     workers: usize,
+    skip: bool,
 ) -> Vec<Fig5IoRow> {
     ise_par::par_map(page_counts, workers, |_, &pages| {
-        let mb = microbench(&MicrobenchConfig {
-            stores_per_iter: 10_000,
-            iterations: 1,
-            array_bytes: 4 << 20,
-            faulting_pages_per_iter: pages,
-            seed: 99,
-        });
-        let workload = Workload {
-            name: format!("mbench-io-{pages}"),
-            traces: vec![mb.iterations[0].trace.clone()],
-            einject_pages: mb.iterations[0].faulting_pages.clone(),
-        };
-        let mut cfg = SystemConfig::isca23();
-        cfg.noc.mesh_x = 2;
-        cfg.noc.mesh_y = 1;
-        cfg.cores = 1;
+        let (cfg, workload) = fig5_cell(pages);
         let mut sys = System::new(cfg, &workload).with_demand_paging_io(io_latency);
-        let stats = sys.run(MAX_CYCLES);
+        let stats = sys.run_clocked(MAX_CYCLES, skip);
         Fig5IoRow {
             faulting_pages: pages,
             exceptions: stats.imprecise_exceptions,
@@ -407,7 +381,7 @@ impl Fig6Scale {
     }
 }
 
-fn fig6_run(workload_faulting: &Workload, cores: usize) -> Fig6Row {
+fn fig6_run(workload_faulting: &Workload, cores: usize, skip: bool) -> Fig6Row {
     let baseline = Workload {
         name: workload_faulting.name.clone(),
         traces: workload_faulting.traces.clone(),
@@ -415,8 +389,8 @@ fn fig6_run(workload_faulting: &Workload, cores: usize) -> Fig6Row {
     };
     let mut cfg = SystemConfig::isca23();
     cfg.cores = cores;
-    let base_stats = run_workload(cfg, &baseline, MAX_CYCLES);
-    let imp_stats = run_workload(cfg, workload_faulting, MAX_CYCLES);
+    let base_stats = System::new(cfg, &baseline).run_clocked(MAX_CYCLES, skip);
+    let imp_stats = System::new(cfg, workload_faulting).run_clocked(MAX_CYCLES, skip);
     Fig6Row {
         name: workload_faulting.name.clone(),
         baseline_cycles: base_stats.cycles,
@@ -425,12 +399,6 @@ fn fig6_run(workload_faulting: &Workload, cores: usize) -> Fig6Row {
         precise_exceptions: imp_stats.precise_exceptions,
         faulting_stores: imp_stats.faulting_stores,
     }
-}
-
-/// Regenerates Fig. 6: BFS/SSSP/BC and Silo/Masstree with all their
-/// memory marked faulting at start, versus the uninjected baseline.
-pub fn fig6(scale: &Fig6Scale) -> Vec<Fig6Row> {
-    fig6_with_workers(scale, ise_par::worker_count())
 }
 
 /// One Fig. 6 bar waiting to be simulated: workload synthesis and both
@@ -484,25 +452,24 @@ fn fig6_bar_workload(bar: Fig6Bar, scale: &Fig6Scale) -> Workload {
     }
 }
 
-/// [`fig6`] on an explicit worker count. The five bars (BFS, SSSP, BC,
-/// Silo, Masstree) are independent baseline+imprecise simulation pairs;
-/// the merge preserves that bar order for every worker count.
-pub fn fig6_with_workers(scale: &Fig6Scale, workers: usize) -> Vec<Fig6Row> {
+/// Regenerates Fig. 6: BFS/SSSP/BC and Silo/Masstree with all their
+/// memory marked faulting at start, versus the uninjected baseline, on
+/// the clock `skip` selects.
+///
+/// The five bars are independent baseline+imprecise simulation pairs
+/// fanned out over `workers` threads; the merge preserves bar order for
+/// every worker count.
+pub fn fig6(scale: &Fig6Scale, workers: usize, skip: bool) -> Vec<Fig6Row> {
     ise_par::par_map(&FIG6_BARS, workers, |_, bar| {
-        fig6_run(&fig6_bar_workload(*bar, scale), scale.cores)
+        fig6_run(&fig6_bar_workload(*bar, scale), scale.cores, skip)
     })
 }
 
 /// Beyond-paper extension: the Cloudsuite workloads (which the paper
 /// lists in Table 3 but does not run in Fig. 6) under the same
-/// total-injection protocol.
-pub fn fig6_cloudsuite(scale: &Fig6Scale) -> Vec<Fig6Row> {
-    fig6_cloudsuite_with_workers(scale, ise_par::worker_count())
-}
-
-/// [`fig6_cloudsuite`] on an explicit worker count, merged in service
-/// order (data caching, media streaming, data serving).
-pub fn fig6_cloudsuite_with_workers(scale: &Fig6Scale, workers: usize) -> Vec<Fig6Row> {
+/// total-injection protocol, workers and clock as [`fig6`], merged in
+/// service order (data caching, media streaming, data serving).
+pub fn fig6_cloudsuite(scale: &Fig6Scale, workers: usize, skip: bool) -> Vec<Fig6Row> {
     use ise_workloads::cloud::{cloud_workload, CloudConfig, CloudService};
     let services = [
         CloudService::DataCaching,
@@ -519,7 +486,7 @@ pub fn fig6_cloudsuite_with_workers(scale: &Fig6Scale, workers: usize) -> Vec<Fi
             seed: 42,
             in_einject: true,
         };
-        fig6_run(&cloud_workload(*svc, &cfg), scale.cores)
+        fig6_run(&cloud_workload(*svc, &cfg), scale.cores, skip)
     })
 }
 
@@ -528,9 +495,9 @@ pub fn fig6_cloudsuite_with_workers(scale: &Fig6Scale, workers: usize) -> Vec<Fi
 // ---------------------------------------------------------------------
 
 /// Runs the whole litmus campaign (Table 6): every corpus test under
-/// {PC, WC} × {faults off, faults on}.
-pub fn table6() -> CorpusSummary {
-    run_corpus(&corpus())
+/// {PC, WC} × {faults off, faults on}, on `workers` threads.
+pub fn table6(workers: usize) -> CorpusSummary {
+    run_corpus(&corpus(), workers)
 }
 
 /// The Fig. 1 message-passing demonstration: the forbidden outcome is
@@ -605,18 +572,6 @@ pub fn fig2() -> Fig2Result {
     }
 }
 
-// ---------------------------------------------------------------------
-// Microbenchmark batching ablation (supports Fig. 5's narrative)
-// ---------------------------------------------------------------------
-
-/// Result of a single-workload contract audit: run a faulting store
-/// workload with the monitor on and report the verdict.
-pub fn audit_contract(workload: &Workload, cfg: SystemConfig) -> Result<(), String> {
-    let mut sys = System::new(cfg, workload).with_contract_monitor();
-    sys.run(MAX_CYCLES);
-    sys.check_contract().map_err(|v| v.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,7 +599,7 @@ mod tests {
 
     #[test]
     fn fig5_batching_reduces_per_store_overhead() {
-        let rows = fig5(&[2, 512]);
+        let rows = fig5(&[2, 512], 2, true);
         assert_eq!(rows.len(), 2);
         let (sparse, dense) = (&rows[0], &rows[1]);
         assert!(sparse.exceptions > 0 && dense.exceptions > 0);
@@ -674,7 +629,7 @@ mod tests {
 
     #[test]
     fn demand_paging_batching_beats_serial() {
-        let rows = fig5_demand_paging(&[64], 20_000);
+        let rows = fig5_demand_paging(&[64], 20_000, 1, true);
         let r = &rows[0];
         assert!(r.exceptions > 0);
         assert!(r.pages_resolved >= 32, "most marked pages get touched");
@@ -689,7 +644,7 @@ mod tests {
 
     #[test]
     fn fig6_quick_stays_near_baseline() {
-        let rows = fig6(&Fig6Scale::quick());
+        let rows = fig6(&Fig6Scale::quick(), 4, true);
         assert_eq!(rows.len(), 5);
         for row in &rows {
             assert!(
@@ -712,7 +667,7 @@ mod tests {
 
     #[test]
     fn table3_quick_shape() {
-        let rows = table3(&Table3Scale::quick());
+        let rows = table3(&Table3Scale::quick(), 4, true);
         assert_eq!(rows.len(), 8);
         let bc = rows.iter().find(|r| r.spec.name == "BC").unwrap();
         let sssp = rows.iter().find(|r| r.spec.name == "SSSP").unwrap();

@@ -15,8 +15,8 @@
 //! by the timing plane ([`SystemStats::to_registry`]). Both planes are
 //! pure functions of the program image, so the rendered registry is
 //! byte-identical across clock modes, worker counts, and mid-run
-//! snapshot/restore cuts — the golden contract the `guest-smoke` CI job
-//! and the `guest_golden` test pin.
+//! snapshot/restore cuts — the golden contract the `pinned-binaries` CI
+//! job and the `guest_golden` test pin.
 
 use crate::system::{System, SystemStats};
 use ise_engine::Cycle;

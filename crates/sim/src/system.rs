@@ -2,7 +2,7 @@
 
 use ise_core::{CompositeResolver, ContractMonitor, EInject, FaultResolver, Fsb, Fsbc, OrderEvent};
 use ise_cpu::{Core, StepOutcome, VecTrace};
-use ise_engine::{cycle_skip_override, Cycle};
+use ise_engine::Cycle;
 use ise_mem::{FlatMemory, MemoryHierarchy};
 use ise_os::handler::OverheadBreakdown;
 use ise_os::{InterruptControl, OsKernel, Process, ProcessState};
@@ -10,7 +10,6 @@ use ise_telemetry::{Registry, Telemetry, TelemetryConfig, TraceEventKind};
 use ise_types::addr::Addr;
 use ise_types::config::SystemConfig;
 use ise_types::json::{Json, ToJson};
-use ise_types::model::ConsistencyModel;
 use ise_types::stats::CoreStats;
 use ise_types::CoreId;
 use ise_workloads::layout::{EINJECT_BASE, EINJECT_SIZE};
@@ -763,31 +762,16 @@ impl System {
         Ok(())
     }
 
-    /// Runs until every live core finishes (or is killed).
-    ///
-    /// Uses the event-driven cycle-skipping clock unless
-    /// [`SystemConfig::reference_clock`] (or `ISE_CYCLE_SKIP=0`) selects
-    /// the per-cycle reference loop; the two produce byte-identical
-    /// [`SystemStats`] (the differential suite in
+    /// Runs until every live core finishes (or is killed), on the clock
+    /// `skip` selects: the event-driven cycle-skipping clock when
+    /// `true`, the per-cycle reference loop when `false`. The two
+    /// produce byte-identical [`SystemStats`] (the differential suite in
     /// `tests/clock_equivalence.rs` pins this down).
     ///
     /// # Panics
     ///
     /// Panics if `max_cycles` elapses first — at the same cycle under
     /// either clock, since jumps clamp to `max_cycles`.
-    pub fn run(&mut self, max_cycles: Cycle) -> SystemStats {
-        let skip = cycle_skip_override().unwrap_or(!self.cfg.reference_clock);
-        self.run_clocked(max_cycles, skip)
-    }
-
-    /// [`System::run`] with an explicit clock choice, ignoring both the
-    /// configuration toggle and the environment override — the entry
-    /// point the differential suite uses to compare the two clocks
-    /// in-process regardless of how the test run itself is pinned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_cycles` elapses first.
     pub fn run_clocked(&mut self, max_cycles: Cycle, skip: bool) -> SystemStats {
         let (stats, timed_out) = self.run_bounded(max_cycles, skip);
         assert!(!timed_out, "exceeded cycle budget at {}", self.now);
@@ -815,9 +799,9 @@ impl System {
     /// [`System::run_bounded`] with a periodic-checkpoint cadence: every
     /// `every` cycles the run pauses and a [`System::snapshot`] is
     /// written to `dir` as `ckpt-<identity>-<cycle>.ises`. This is what
-    /// `ISE_CKPT_EVERY`/`ISE_CKPT_DIR` route [`System::run`] through;
-    /// checkpointing never changes the run's results — the trajectory is
-    /// the same one `run_to` resume semantics guarantee.
+    /// `ISE_CKPT_EVERY`/`ISE_CKPT_DIR` route [`System::run_bounded`]
+    /// through; checkpointing never changes the run's results — the
+    /// trajectory is the same one `run_to` resume semantics guarantee.
     pub fn run_checkpointed(
         &mut self,
         max_cycles: Cycle,
@@ -847,7 +831,7 @@ impl System {
     /// statistics or telemetry. Returns `true` when the run completed.
     ///
     /// This is the checkpointing entry point: call `run_to` to park the
-    /// system at a warm-up or snapshot boundary, take a
+    /// system at a snapshot boundary, take a
     /// [`System::snapshot`], then keep going with another `run_to` or a
     /// finalizing [`System::run_bounded`]/[`System::run_clocked`] — the
     /// resumed trajectory is byte-identical to an uninterrupted run
@@ -1016,25 +1000,11 @@ impl System {
     }
 }
 
-/// Convenience: run `workload` on `cfg` and return the stats.
-pub fn run_workload(cfg: SystemConfig, workload: &Workload, max_cycles: Cycle) -> SystemStats {
-    System::new(cfg, workload).run(max_cycles)
-}
-
-/// Convenience: run the same workload under a different model.
-pub fn run_workload_with_model(
-    cfg: SystemConfig,
-    model: ConsistencyModel,
-    workload: &Workload,
-    max_cycles: Cycle,
-) -> SystemStats {
-    run_workload(cfg.with_model(model), workload, max_cycles)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ise_types::addr::PAGE_SIZE;
+    use ise_types::model::ConsistencyModel;
     use ise_types::Instruction;
     use ise_workloads::microbench::{microbench, MicrobenchConfig};
 
@@ -1062,7 +1032,7 @@ mod tests {
 
     #[test]
     fn clean_run_takes_no_exceptions() {
-        let stats = run_workload(small_cfg(), &store_workload(false), 1_000_000);
+        let stats = System::new(small_cfg(), &store_workload(false)).run_clocked(1_000_000, true);
         assert_eq!(stats.imprecise_exceptions, 0);
         assert_eq!(stats.denied, 0);
         assert_eq!(stats.retired(), 100);
@@ -1071,7 +1041,7 @@ mod tests {
     #[test]
     fn faulting_run_handles_imprecise_and_applies_stores() {
         let mut sys = System::new(small_cfg(), &store_workload(true)).with_contract_monitor();
-        let stats = sys.run(10_000_000);
+        let stats = sys.run_clocked(10_000_000, true);
         assert!(stats.imprecise_exceptions >= 1);
         assert!(stats.stores_applied >= 1);
         assert_eq!(stats.killed, 0);
@@ -1092,8 +1062,8 @@ mod tests {
 
     #[test]
     fn faulting_costs_cycles_but_not_much_user_work() {
-        let clean = run_workload(small_cfg(), &store_workload(false), 10_000_000);
-        let faulty = run_workload(small_cfg(), &store_workload(true), 10_000_000);
+        let clean = System::new(small_cfg(), &store_workload(false)).run_clocked(10_000_000, true);
+        let faulty = System::new(small_cfg(), &store_workload(true)).run_clocked(10_000_000, true);
         assert!(faulty.cycles > clean.cycles);
         assert_eq!(clean.retired(), faulty.retired());
     }
@@ -1101,7 +1071,7 @@ mod tests {
     #[test]
     fn sc_system_takes_precise_exceptions_instead() {
         let cfg = small_cfg().with_model(ConsistencyModel::Sc);
-        let stats = run_workload(cfg, &store_workload(true), 10_000_000);
+        let stats = System::new(cfg, &store_workload(true)).run_clocked(10_000_000, true);
         assert_eq!(stats.imprecise_exceptions, 0);
         assert!(stats.precise_exceptions >= 1);
         assert_eq!(stats.retired(), 100);
@@ -1115,7 +1085,7 @@ mod tests {
             traces: vec![mb.iterations[0].trace.clone()],
             einject_pages: mb.iterations[0].faulting_pages.clone(),
         };
-        let stats = run_workload(small_cfg(), &workload, 100_000_000);
+        let stats = System::new(small_cfg(), &workload).run_clocked(100_000_000, true);
         assert!(stats.imprecise_exceptions > 0);
         assert!(stats.batch_factor() >= 1.0);
     }
@@ -1125,10 +1095,10 @@ mod tests {
         // The §4.5 ablation in the timing pipeline: only faulting entries
         // travel through the FSB; companions drain to memory directly.
         let w = store_workload(true);
-        let same = run_workload(small_cfg(), &w, 10_000_000);
+        let same = System::new(small_cfg(), &w).run_clocked(10_000_000, true);
         let mut split_cfg = small_cfg();
         split_cfg.core.drain_policy = ise_types::DrainPolicy::SplitStream;
-        let split = run_workload(split_cfg, &w, 10_000_000);
+        let split = System::new(split_cfg, &w).run_clocked(10_000_000, true);
         assert_eq!(same.retired(), split.retired(), "same user work");
         assert!(
             split.stores_applied < same.stores_applied,
@@ -1144,9 +1114,9 @@ mod tests {
         // Interrupts slow the run but never break it; interrupts arriving
         // while an exception handler runs are deferred (IE bit, §5.3).
         let w = store_workload(true);
-        let plain = System::new(small_cfg(), &w).run(10_000_000);
+        let plain = System::new(small_cfg(), &w).run_clocked(10_000_000, true);
         let mut sys = System::new(small_cfg(), &w).with_timer_interrupts(200);
-        let stats = sys.run(10_000_000);
+        let stats = sys.run_clocked(10_000_000, true);
         assert_eq!(stats.retired(), plain.retired());
         assert!(stats.interrupts_delivered > 0, "interrupts must fire");
         assert!(
@@ -1162,7 +1132,7 @@ mod tests {
 
     #[test]
     fn interrupt_free_system_reports_zero_interrupts() {
-        let stats = run_workload(small_cfg(), &store_workload(false), 1_000_000);
+        let stats = System::new(small_cfg(), &store_workload(false)).run_clocked(1_000_000, true);
         assert_eq!(stats.interrupts_delivered, 0);
         assert_eq!(stats.interrupts_deferred, 0);
     }
@@ -1174,13 +1144,13 @@ mod tests {
         let w = store_workload(true);
         let full = System::new(small_cfg(), &w).with_contract_monitor();
         let mut full = full;
-        let full_stats = full.run(10_000_000);
+        let full_stats = full.run_clocked(10_000_000, true);
         assert_eq!(full_stats.early_drain_interrupts, 0, "default ring fits");
 
         let mut sys = System::new(small_cfg(), &w)
             .with_fsb_capacity(4)
             .with_contract_monitor();
-        let stats = sys.run(10_000_000);
+        let stats = sys.run_clocked(10_000_000, true);
         assert_eq!(stats.retired(), 100, "all work completes despite chunking");
         assert_eq!(stats.killed, 0);
         assert_eq!(
@@ -1237,7 +1207,7 @@ mod tests {
         )
         .with_fsb_capacity(4)
         .with_contract_monitor();
-        let stats = sys.run(10_000_000);
+        let stats = sys.run_clocked(10_000_000, true);
 
         assert_eq!(stats.killed, 1, "the machine check must kill");
         assert!(sys.process_killed(0));
@@ -1264,7 +1234,7 @@ mod tests {
     #[test]
     fn applied_per_core_sums_to_stores_applied() {
         let w = store_workload(true);
-        let stats = System::new(small_cfg(), &w).run(10_000_000);
+        let stats = System::new(small_cfg(), &w).run_clocked(10_000_000, true);
         assert_eq!(
             stats.applied_per_core.iter().sum::<u64>(),
             stats.stores_applied
@@ -1283,18 +1253,6 @@ mod tests {
             .to_json()
             .render();
         assert_eq!(reference, skipped);
-    }
-
-    #[test]
-    fn reference_clock_config_toggle_selects_the_loop() {
-        // Both clocks agree, so the toggle is only observable as
-        // identical output — this pins the builder wiring itself.
-        let w = store_workload(false);
-        let cfg = small_cfg().with_reference_clock(true);
-        assert!(cfg.reference_clock);
-        let a = run_workload(cfg, &w, 1_000_000).to_json().render();
-        let b = run_workload(small_cfg(), &w, 1_000_000).to_json().render();
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -1366,7 +1324,7 @@ mod tests {
     #[test]
     fn stats_served_from_end_of_run_cache() {
         let mut sys = System::new(small_cfg(), &store_workload(false));
-        let returned = sys.run(1_000_000);
+        let returned = sys.run_clocked(1_000_000, true);
         let cached = sys.stats();
         assert_eq!(returned.to_json().render(), cached.to_json().render());
         assert!(
@@ -1400,7 +1358,7 @@ mod tests {
             traces: vec![mk(0).into(), mk(1).into()],
             einject_pages: vec![],
         };
-        let stats = run_workload(small_cfg(), &w, 10_000_000);
+        let stats = System::new(small_cfg(), &w).run_clocked(10_000_000, true);
         assert_eq!(stats.cores.len(), 2);
         assert_eq!(stats.retired(), 160);
     }
@@ -1408,9 +1366,9 @@ mod tests {
     #[test]
     fn tracing_never_changes_stats_json() {
         let w = store_workload(true);
-        let plain = System::new(small_cfg(), &w).run(10_000_000);
+        let plain = System::new(small_cfg(), &w).run_clocked(10_000_000, true);
         let mut traced_sys = System::new(small_cfg(), &w).with_trace(4096);
-        let traced = traced_sys.run(10_000_000);
+        let traced = traced_sys.run_clocked(10_000_000, true);
         assert_eq!(
             plain.to_json().render(),
             traced.to_json().render(),
@@ -1422,7 +1380,7 @@ mod tests {
     #[test]
     fn trace_records_drain_episodes_and_fault_detections() {
         let mut sys = System::new(small_cfg(), &store_workload(true)).with_trace(4096);
-        let stats = sys.run(10_000_000);
+        let stats = sys.run_clocked(10_000_000, true);
         let trace = sys.telemetry();
         let count = |name: &str| {
             trace
@@ -1461,7 +1419,7 @@ mod tests {
         let mut sys = System::new(small_cfg(), &store_workload(true))
             .with_timer_interrupts(200)
             .with_trace(65536);
-        let stats = sys.run(10_000_000);
+        let stats = sys.run_clocked(10_000_000, true);
         let count = |name: &str| {
             sys.telemetry()
                 .trace
@@ -1494,7 +1452,7 @@ mod tests {
         let mut sys = System::new(small_cfg(), &store_workload(true))
             .with_fsb_capacity(4)
             .with_trace(4096);
-        let stats = sys.run(10_000_000);
+        let stats = sys.run_clocked(10_000_000, true);
         let chunks = sys
             .telemetry()
             .trace

@@ -310,12 +310,12 @@ pub struct SystemConfig {
     pub memory: MemoryConfig,
     /// OS handler costs.
     pub os: OsCostConfig,
-    /// When true, the simulator drives its clock with the reference
-    /// per-cycle loop (`now += 1`) instead of the event-driven
-    /// cycle-skipping loop. The two produce byte-identical statistics —
-    /// the reference clock exists as the differential-testing oracle and
-    /// as an escape hatch. The `ISE_CYCLE_SKIP` environment variable
-    /// overrides this field at run time.
+    /// When true, campaigns handed this configuration (the chaos sweep)
+    /// drive their cells with the reference per-cycle loop (`now += 1`)
+    /// instead of the event-driven cycle-skipping loop. The two produce
+    /// byte-identical statistics — the reference clock exists as the
+    /// differential-testing oracle. Entry points that take an explicit
+    /// `skip` ignore this field.
     ///
     /// This is a simulator-implementation knob, not an architectural
     /// parameter, so it is deliberately absent from the JSON rendering.

@@ -11,9 +11,8 @@
 //!
 //! Two layers:
 //!
-//! * [`parse_flag`] / [`parse_count`] — pure parsers returning
-//!   `Result`, for callers that want to keep `Option` semantics (the
-//!   legacy `parse_cycle_skip` / `parse_workers` surfaces).
+//! * [`parse_flag`] / [`parse_count`] / [`parse_cycles`] — pure
+//!   parsers returning `Result`.
 //! * [`flag_from`] / [`count_from`] and the env-reading [`env_flag`] /
 //!   [`env_count`] — the loud layer: unset means `None`, a recognised
 //!   value parses, and anything else panics with the variable name and

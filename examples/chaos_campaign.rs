@@ -20,11 +20,15 @@ use imprecise_store_exceptions::types::{ConsistencyModel, FaultKind, ToJson};
 use imprecise_store_exceptions::workloads::kvstore::{kv_workload, KvConfig, KvEngine};
 
 fn main() {
+    let workers = imprecise_store_exceptions::par::worker_count();
+    let skip = imprecise_store_exceptions::engine::cycle_skip_override().unwrap_or(true);
     let mut cfg = SystemConfig::isca23();
     cfg.noc.mesh_x = 2;
     cfg.noc.mesh_y = 1;
     cfg.cores = 2;
-    let cfg = cfg.with_model(ConsistencyModel::Pc);
+    let cfg = cfg
+        .with_model(ConsistencyModel::Pc)
+        .with_reference_clock(!skip);
 
     let mut kv = KvConfig::small(2);
     kv.preload = 400;
@@ -48,7 +52,7 @@ fn main() {
     };
 
     let campaign = ChaosCampaign::new(cfg, chaos);
-    let report = campaign.run(std::slice::from_ref(&workload));
+    let report = campaign.run_with_workers(std::slice::from_ref(&workload), workers);
     eprintln!(
         "{} runs, all invariants {}",
         report.runs.len(),

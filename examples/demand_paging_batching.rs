@@ -10,6 +10,8 @@ use imprecise_store_exceptions::os::paging::IoScheduler;
 use imprecise_store_exceptions::sim::experiments::fig5;
 
 fn main() {
+    let workers = imprecise_store_exceptions::par::worker_count();
+    let skip = imprecise_store_exceptions::engine::cycle_skip_override().unwrap_or(true);
     // IO overlap: the §5.3 argument in isolation.
     let io = IoScheduler::new(20_000);
     println!("demand-paging IO for N page faults (io_latency = 20k cycles):");
@@ -35,7 +37,7 @@ fn main() {
         "{:>8} {:>6} {:>7} {:>8} {:>8} {:>8} {:>8}",
         "pages", "excs", "batch", "uarch", "apply", "otherOS", "total"
     );
-    for row in fig5(&[1, 16, 128, 1024]) {
+    for row in fig5(&[1, 16, 128, 1024], workers, skip) {
         println!(
             "{:>8} {:>6} {:>7.2} {:>8.1} {:>8.1} {:>8.1} {:>8.1}",
             row.faulting_pages,

@@ -7,10 +7,10 @@
 //! Run with: `cargo run --release --example graph_analytics`
 
 use imprecise_store_exceptions::prelude::*;
-use imprecise_store_exceptions::sim::system::run_workload;
 use imprecise_store_exceptions::workloads::graph::{gap_workload, GapConfig, GapKernel};
 
 fn main() {
+    let skip = imprecise_store_exceptions::engine::cycle_skip_override().unwrap_or(true);
     let cores = 2;
     println!(
         "{:<6} {:>12} {:>12} {:>9} {:>10} {:>10}",
@@ -33,8 +33,8 @@ fn main() {
         };
         let mut sys_cfg = SystemConfig::isca23();
         sys_cfg.cores = cores;
-        let base = run_workload(sys_cfg, &baseline, u64::MAX / 4);
-        let imp = run_workload(sys_cfg, &faulting, u64::MAX / 4);
+        let base = System::new(sys_cfg, &baseline).run_clocked(u64::MAX / 4, skip);
+        let imp = System::new(sys_cfg, &faulting).run_clocked(u64::MAX / 4, skip);
         println!(
             "{:<6} {:>12} {:>12} {:>8.1}% {:>10} {:>10}",
             faulting.name,

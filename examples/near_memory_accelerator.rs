@@ -21,6 +21,7 @@ use ise_types::addr::PAGE_SIZE;
 use std::rc::Rc;
 
 fn main() {
+    let skip = imprecise_store_exceptions::engine::cycle_skip_override().unwrap_or(true);
     // ---- täkō ----------------------------------------------------------
     // A compression callback covers 16 pages; all callback metadata is
     // cold at start (demand-loaded dictionaries).
@@ -52,7 +53,7 @@ fn main() {
         vec![tako.clone()],
     )
     .with_contract_monitor();
-    let stats = sys.run(100_000_000);
+    let stats = sys.run_clocked(100_000_000, skip);
     println!("== täkō (compression callbacks, all metadata cold at start)");
     println!(
         "   retired {} instructions in {} cycles",

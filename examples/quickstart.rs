@@ -10,6 +10,7 @@
 use imprecise_store_exceptions::prelude::*;
 
 fn main() {
+    let skip = imprecise_store_exceptions::engine::cycle_skip_override().unwrap_or(true);
     // Allocate a page inside the EInject-reserved region and mark it
     // faulting (the ioctl of paper §6.2).
     let base = Addr::new(ise_workloads::layout::EINJECT_BASE);
@@ -37,7 +38,7 @@ fn main() {
     );
 
     let mut system = System::new(cfg, &workload).with_contract_monitor();
-    let stats = system.run(10_000_000);
+    let stats = system.run_clocked(10_000_000, skip);
 
     println!("retired instructions : {}", stats.retired());
     println!("cycles               : {}", stats.cycles);

@@ -6,11 +6,12 @@
 //!
 //! Run with: `cargo run --release --example speculation_cost`
 
-use imprecise_store_exceptions::aso::sweep::sweep_checkpoints;
+use imprecise_store_exceptions::aso::sweep::sweep_checkpoints_clocked;
 use imprecise_store_exceptions::prelude::*;
 use imprecise_store_exceptions::workloads::mixes::{synthesize, table3_mixes};
 
 fn main() {
+    let skip = imprecise_store_exceptions::engine::cycle_skip_override().unwrap_or(true);
     let spec = table3_mixes()
         .into_iter()
         .find(|m| m.name == "BC")
@@ -19,7 +20,13 @@ fn main() {
 
     let mut cfg = SystemConfig::isca23();
     cfg.cores = 2;
-    let result = sweep_checkpoints(&cfg, &workload.traces, &[1, 2, 4, 8, 16, 32], u64::MAX / 4);
+    let result = sweep_checkpoints_clocked(
+        &cfg,
+        &workload.traces,
+        &[1, 2, 4, 8, 16, 32],
+        u64::MAX / 4,
+        skip,
+    );
 
     println!("workload: {} ({})", spec.name, spec.suite);
     println!(

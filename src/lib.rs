@@ -36,7 +36,7 @@
 //! cfg.noc.mesh_x = 2;
 //! cfg.noc.mesh_y = 1;
 //! let mut system = System::new(cfg, &workload).with_contract_monitor();
-//! let stats = system.run(10_000_000);
+//! let stats = system.run_clocked(10_000_000, true); // true: the cycle-skipping clock
 //!
 //! assert!(stats.imprecise_exceptions >= 1);
 //! assert_eq!(stats.retired(), 32);

@@ -4,8 +4,8 @@
 //! pipeline.
 
 use imprecise_store_exceptions::adversary::{
-    evaluate, run_search_with_workers, self_check, shrink_corruption, write_regression, AdvPlan,
-    EvalConfig, Objective, SearchConfig,
+    evaluate, run_search, self_check, shrink_corruption, write_regression, AdvPlan, EvalConfig,
+    Objective, SearchConfig,
 };
 use imprecise_store_exceptions::litmus::parse_litmus;
 use imprecise_store_exceptions::types::{ExceptionKind, FaultKind};
@@ -23,7 +23,7 @@ fn tiny(seed: u64, eval: EvalConfig) -> SearchConfig {
 
 #[test]
 fn seeded_weakness_self_check_separates_the_two_kernels() {
-    let sc = self_check(1);
+    let sc = self_check(1, 4, true);
     assert!(
         sc.unhardened.win(Objective::Corrupt),
         "the search must find a silent-corruption plan against the unhardened kernel:\n{}",
@@ -47,21 +47,19 @@ fn seeded_weakness_self_check_separates_the_two_kernels() {
 #[test]
 fn scorecard_is_byte_identical_across_worker_counts() {
     let cfg = tiny(5, EvalConfig::unhardened());
-    let one = run_search_with_workers(&cfg, 1).to_registry().render();
-    let four = run_search_with_workers(&cfg, 4).to_registry().render();
+    let one = run_search(&cfg, 1).to_registry().render();
+    let four = run_search(&cfg, 4).to_registry().render();
     assert_eq!(one, four);
 }
 
 #[test]
 fn scorecard_is_byte_identical_across_clock_pins() {
-    let skip = run_search_with_workers(&tiny(5, EvalConfig::hardened()), 2)
+    let skip = run_search(&tiny(5, EvalConfig::hardened()), 2)
         .to_registry()
         .render();
     let mut reference = EvalConfig::hardened();
     reference.reference_clock = true;
-    let r = run_search_with_workers(&tiny(5, reference), 2)
-        .to_registry()
-        .render();
+    let r = run_search(&tiny(5, reference), 2).to_registry().render();
     assert_eq!(skip, r);
 }
 

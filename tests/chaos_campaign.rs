@@ -55,7 +55,7 @@ fn sweep_config(seed: u64) -> ChaosConfig {
 #[test]
 fn sweep_holds_invariants_across_kinds_rates_workloads() {
     let campaign = ChaosCampaign::new(small_cfg(), sweep_config(0xC4A05));
-    let report = campaign.run(&[tiny_kv(), tiny_gap()]);
+    let report = campaign.run_with_workers(&[tiny_kv(), tiny_gap()], 2);
     // 4 kinds × 3 rates × 2 workloads.
     assert_eq!(report.runs.len(), 24);
     for run in &report.runs {
@@ -86,7 +86,7 @@ fn same_seed_yields_byte_identical_reports() {
     cfg.rates.truncate(1);
     let render = || {
         ChaosCampaign::new(small_cfg(), cfg.clone())
-            .run(&[tiny_kv()])
+            .run_with_workers(&[tiny_kv()], 2)
             .to_json()
             .render()
     };
@@ -96,7 +96,7 @@ fn same_seed_yields_byte_identical_reports() {
     let mut other = cfg.clone();
     other.seed = 0xF00D;
     let b = ChaosCampaign::new(small_cfg(), other)
-        .run(&[tiny_kv()])
+        .run_with_workers(&[tiny_kv()], 2)
         .to_json()
         .render();
     assert_ne!(a, b, "the seed must actually steer the campaign");
@@ -142,7 +142,7 @@ fn transient_bus_errors_recover_without_killing() {
         &w,
         vec![injector.clone() as Rc<dyn FaultResolver>],
     );
-    let stats = sys.run(10_000_000);
+    let stats = sys.run_clocked(10_000_000, true);
     assert_eq!(stats.killed, 0, "transient faults must be survivable");
     assert!(stats.imprecise_exceptions >= 1);
     assert!(stats.transient_recovered >= 1, "retry path must have fired");
@@ -167,7 +167,7 @@ fn irrecoverable_fault_kills_one_core_while_the_other_completes() {
     );
     let mut sys =
         System::with_fault_sources(small_cfg(), &w, vec![injector as Rc<dyn FaultResolver>]);
-    let stats = sys.run(10_000_000);
+    let stats = sys.run_clocked(10_000_000, true);
     assert_eq!(stats.killed, 1, "exactly the faulting process dies");
     assert!(sys.process_killed(0));
     assert!(!sys.process_killed(1));

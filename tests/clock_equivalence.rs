@@ -3,17 +3,14 @@
 //! for byte — from the per-cycle reference, for every workload mix,
 //! builder combination, fault plan, and sweep-worker count.
 //!
-//! CI additionally runs the whole test suite under an
-//! `ISE_CYCLE_SKIP={0,1}` matrix so the env-driven default path is
-//! pinned against the goldens at both ends; this suite compares the two
-//! clocks directly in-process through the `*_clocked` entry points,
-//! which ignore the override.
+//! Every entry point takes the clock as an explicit `skip` argument, so
+//! this suite compares the two clocks directly in-process; CI runs the
+//! pin-reading binaries under `ISE_CYCLE_SKIP={0,1}` against the goldens.
 
 use imprecise_store_exceptions::aso::sweep_checkpoints_clocked;
 use imprecise_store_exceptions::core_hw::{FaultPlan, FaultResolver};
 use imprecise_store_exceptions::sim::experiments::{
-    fig5_demand_paging_with_workers, fig5_with_workers, fig6_with_workers, table3_with_workers,
-    Fig6Scale, Table3Scale,
+    fig5, fig5_demand_paging, fig6, table3, Fig6Scale, Table3Scale,
 };
 use imprecise_store_exceptions::sim::System;
 use imprecise_store_exceptions::types::addr::Addr;
@@ -260,31 +257,31 @@ fn render_rows<T: ToJson>(rows: &[T]) -> String {
 
 #[test]
 fn experiment_sweeps_identical_across_worker_counts() {
-    // Every sweep runs on the (default) cycle-skipping clock here; the
-    // CI `ISE_CYCLE_SKIP` matrix pins the sweeps cross-clock. What this
-    // test pins is the insertion-order merge: the fan-out must be
-    // invisible at every worker count.
-    let fig5_ref = render_rows(&fig5_with_workers(&[2, 64], 1));
-    let io_ref = render_rows(&fig5_demand_paging_with_workers(&[2, 16], 500, 1));
+    // The reference is the per-cycle clock on one worker; every other
+    // worker count runs the cycle-skipping clock. So this pins both the
+    // insertion-order merge (the fan-out must be invisible) and the
+    // clock equivalence of whole sweeps.
+    let fig5_ref = render_rows(&fig5(&[2, 64], 1, false));
+    let io_ref = render_rows(&fig5_demand_paging(&[2, 16], 500, 1, false));
     let scale = Table3Scale {
         instrs_per_core: 1_500,
         cores: 2,
         budgets: &[1, 8],
     };
-    let table3_ref = render_rows(&table3_with_workers(&scale, 1));
+    let table3_ref = render_rows(&table3(&scale, 1, false));
     for workers in WORKER_COUNTS {
         assert_eq!(
-            render_rows(&fig5_with_workers(&[2, 64], workers)),
+            render_rows(&fig5(&[2, 64], workers, true)),
             fig5_ref,
             "fig5 workers={workers}"
         );
         assert_eq!(
-            render_rows(&fig5_demand_paging_with_workers(&[2, 16], 500, workers)),
+            render_rows(&fig5_demand_paging(&[2, 16], 500, workers, true)),
             io_ref,
             "fig5-io workers={workers}"
         );
         assert_eq!(
-            render_rows(&table3_with_workers(&scale, workers)),
+            render_rows(&table3(&scale, workers, true)),
             table3_ref,
             "table3 workers={workers}"
         );
@@ -300,10 +297,10 @@ fn fig6_sweep_identical_across_worker_counts() {
         kv_ops: 500,
         cores: 2,
     };
-    let reference = render_rows(&fig6_with_workers(&scale, 1));
+    let reference = render_rows(&fig6(&scale, 1, true));
     for workers in WORKER_COUNTS {
         assert_eq!(
-            render_rows(&fig6_with_workers(&scale, workers)),
+            render_rows(&fig6(&scale, workers, true)),
             reference,
             "fig6 workers={workers}"
         );

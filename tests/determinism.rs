@@ -4,7 +4,6 @@
 
 use imprecise_store_exceptions::prelude::*;
 use imprecise_store_exceptions::sim::experiments::{fig5, fig6, Fig6Scale};
-use imprecise_store_exceptions::sim::system::run_workload;
 use imprecise_store_exceptions::workloads::graph::{gap_workload, GapConfig, GapKernel};
 use imprecise_store_exceptions::workloads::kvstore::{kv_workload, KvConfig, KvEngine};
 use imprecise_store_exceptions::workloads::microbench::{microbench, MicrobenchConfig};
@@ -36,8 +35,8 @@ fn system_runs_are_deterministic() {
         c.in_einject = true;
         gap_workload(GapKernel::Bfs, &c)
     };
-    let a = run_workload(cfg, &w, u64::MAX / 4);
-    let b = run_workload(cfg, &w, u64::MAX / 4);
+    let a = System::new(cfg, &w).run_clocked(u64::MAX / 4, true);
+    let b = System::new(cfg, &w).run_clocked(u64::MAX / 4, true);
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.imprecise_exceptions, b.imprecise_exceptions);
     assert_eq!(a.stores_applied, b.stores_applied);
@@ -46,13 +45,13 @@ fn system_runs_are_deterministic() {
 
 #[test]
 fn experiment_drivers_are_deterministic() {
-    let a = fig5(&[64]);
-    let b = fig5(&[64]);
+    let a = fig5(&[64], 1, true);
+    let b = fig5(&[64], 1, true);
     assert_eq!(a[0].exceptions, b[0].exceptions);
     assert_eq!(a[0].faulting_stores, b[0].faulting_stores);
 
-    let fa = fig6(&Fig6Scale::quick());
-    let fb = fig6(&Fig6Scale::quick());
+    let fa = fig6(&Fig6Scale::quick(), 4, true);
+    let fb = fig6(&Fig6Scale::quick(), 4, true);
     for (x, y) in fa.iter().zip(&fb) {
         assert_eq!(x.baseline_cycles, y.baseline_cycles, "{}", x.name);
         assert_eq!(x.imprecise_cycles, y.imprecise_cycles, "{}", x.name);

@@ -1,7 +1,6 @@
 //! End-to-end integration: cores + hierarchy + FSB/FSBC + EInject + OS.
 
 use imprecise_store_exceptions::prelude::*;
-use imprecise_store_exceptions::sim::system::{run_workload, run_workload_with_model};
 use ise_types::addr::PAGE_SIZE;
 use ise_types::exception::ErrorCode;
 use ise_workloads::layout::EINJECT_BASE;
@@ -33,7 +32,7 @@ fn store_workload(stores: u64, faulting_pages: u64) -> Workload {
 #[test]
 fn all_faulting_stores_reach_memory_in_program_order_values() {
     let mut sys = System::new(small_cfg(), &store_workload(200, 1)).with_contract_monitor();
-    let stats = sys.run(50_000_000);
+    let stats = sys.run_clocked(50_000_000, true);
     assert!(stats.imprecise_exceptions >= 1);
     assert_eq!(stats.retired(), 400);
     // Every store value visible: the last writer of each word wins, and
@@ -55,19 +54,19 @@ fn all_faulting_stores_reach_memory_in_program_order_values() {
 #[test]
 fn wc_and_pc_systems_handle_faults_sc_takes_precise() {
     for model in [ConsistencyModel::Pc, ConsistencyModel::Wc] {
-        let stats = run_workload_with_model(small_cfg(), model, &store_workload(64, 1), 50_000_000);
+        let stats = System::new(small_cfg().with_model(model), &store_workload(64, 1))
+            .run_clocked(50_000_000, true);
         assert!(
             stats.imprecise_exceptions >= 1,
             "{model}: no imprecise exceptions"
         );
         assert_eq!(stats.retired(), 128, "{model}");
     }
-    let stats = run_workload_with_model(
-        small_cfg(),
-        ConsistencyModel::Sc,
+    let stats = System::new(
+        small_cfg().with_model(ConsistencyModel::Sc),
         &store_workload(64, 1),
-        50_000_000,
-    );
+    )
+    .run_clocked(50_000_000, true);
     assert_eq!(stats.imprecise_exceptions, 0, "SC has no store buffer");
     assert!(stats.precise_exceptions >= 1);
 }
@@ -111,7 +110,7 @@ fn segfault_terminates_the_process_and_discards_stores() {
 #[test]
 fn einject_pages_clear_exactly_once() {
     let mut sys = System::new(small_cfg(), &store_workload(600, 2));
-    let stats = sys.run(100_000_000);
+    let stats = sys.run_clocked(100_000_000, true);
     assert!(!sys.einject().is_faulting(Addr::new(EINJECT_BASE)));
     assert!(!sys
         .einject()
@@ -138,7 +137,7 @@ fn mixed_load_store_workload_with_faults_completes() {
         traces: vec![trace.clone().into(), trace.into()],
         einject_pages: vec![base.page()],
     };
-    let stats = run_workload(small_cfg(), &w, 100_000_000);
+    let stats = System::new(small_cfg(), &w).run_clocked(100_000_000, true);
     assert_eq!(stats.retired(), 300);
     assert!(stats.imprecise_exceptions + stats.precise_exceptions > 0);
 }
@@ -149,7 +148,7 @@ fn fsb_error_codes_survive_the_full_path() {
     // one the OS observes.
     let w = store_workload(8, 1);
     let mut sys = System::new(small_cfg(), &w).with_contract_monitor();
-    sys.run(10_000_000);
+    sys.run_clocked(10_000_000, true);
     // The monitor recorded PUT events whose entries carry BusError codes.
     let log = sys.check_contract();
     assert!(log.is_ok());

@@ -6,7 +6,7 @@ use imprecise_store_exceptions::sim::experiments::{
 
 #[test]
 fn table3_rows_track_paper_shape() {
-    let rows = table3(&Table3Scale::quick());
+    let rows = table3(&Table3Scale::quick(), 4, true);
     assert_eq!(rows.len(), 8);
     for r in &rows {
         // Mix matches the spec within tolerance.
@@ -34,7 +34,7 @@ fn table3_rows_track_paper_shape() {
 
 #[test]
 fn fig5_batching_trend() {
-    let rows = fig5(&[4, 256, 1024]);
+    let rows = fig5(&[4, 256, 1024], 4, true);
     assert!(rows
         .windows(2)
         .all(|w| w[0].batch_factor <= w[1].batch_factor + 0.2));
@@ -49,7 +49,7 @@ fn fig5_batching_trend() {
 
 #[test]
 fn fig6_relative_performance_holds_up() {
-    let rows = fig6(&Fig6Scale::quick());
+    let rows = fig6(&Fig6Scale::quick(), 4, true);
     let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
     assert_eq!(names, vec!["BFS", "SSSP", "BC", "Silo", "Masstree"]);
     for r in &rows {
@@ -64,7 +64,7 @@ fn fig6_relative_performance_holds_up() {
 
 #[test]
 fn table6_fig1_fig2_verdicts() {
-    let summary = table6();
+    let summary = table6(4);
     assert!(summary.all_passed());
     assert!(summary.cases() >= 150, "cases {}", summary.cases());
 

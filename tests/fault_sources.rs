@@ -43,7 +43,7 @@ fn tako_faults_flow_through_the_fsb_and_resolve() {
     let mut sys =
         System::with_fault_sources(small_cfg(), &stores_into(base, 128), vec![tako.clone()])
             .with_contract_monitor();
-    let stats = sys.run(100_000_000);
+    let stats = sys.run_clocked(100_000_000, true);
     assert!(stats.imprecise_exceptions > 0, "accelerator must fault");
     assert_eq!(stats.retired(), 256);
     assert_eq!(stats.killed, 0);
@@ -62,7 +62,7 @@ fn poisoned_tako_pages_raise_accelerator_codes_and_recover() {
     tako.poison(base);
     let mut sys =
         System::with_fault_sources(small_cfg(), &stores_into(base, 32), vec![tako.clone()]);
-    let stats = sys.run(100_000_000);
+    let stats = sys.run_clocked(100_000_000, true);
     assert!(stats.imprecise_exceptions > 0);
     // The accelerator-specific code was observed at least once.
     let counts = tako.fault_counts();
@@ -84,7 +84,7 @@ fn midgard_back_side_faults_are_imprecise_for_stores() {
     mmu.map_vma(base, 8 * PAGE_SIZE, true);
     let mut sys =
         System::with_fault_sources(small_cfg(), &stores_into(base, 64), vec![mmu.clone()]);
-    let stats = sys.run(100_000_000);
+    let stats = sys.run_clocked(100_000_000, true);
     assert!(
         stats.imprecise_exceptions > 0,
         "late translation must fault"
@@ -123,7 +123,7 @@ fn three_fault_sources_compose_in_one_system() {
     };
     let mut sys = System::with_fault_sources(small_cfg(), &w, vec![tako.clone(), mmu.clone()])
         .with_contract_monitor();
-    let stats = sys.run(100_000_000);
+    let stats = sys.run_clocked(100_000_000, true);
     assert_eq!(stats.retired(), 48);
     assert!(stats.imprecise_exceptions + stats.precise_exceptions > 0);
     // Each source's cause was resolved.

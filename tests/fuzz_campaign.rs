@@ -4,9 +4,7 @@
 //! deliberately seeded ordering bug is caught and shrunk to a
 //! minimal reproducer.
 
-use imprecise_store_exceptions::fuzz::{
-    run_campaign_with_workers, FindingKind, FuzzConfig, OracleConfig,
-};
+use imprecise_store_exceptions::fuzz::{run_campaign, FindingKind, FuzzConfig, OracleConfig};
 use imprecise_store_exceptions::litmus::machine::SeededBug;
 use imprecise_store_exceptions::types::model::ConsistencyModel;
 
@@ -17,8 +15,8 @@ fn fixed_seed_campaign_is_byte_deterministic_across_worker_counts() {
         cases: 100,
         ..FuzzConfig::default()
     };
-    let one = run_campaign_with_workers(&cfg, 1).to_registry().render();
-    let four = run_campaign_with_workers(&cfg, 4).to_registry().render();
+    let one = run_campaign(&cfg, 1).to_registry().render();
+    let four = run_campaign(&cfg, 4).to_registry().render();
     assert_eq!(one, four, "worker count leaked into the report");
 }
 
@@ -34,7 +32,7 @@ fn a_healthy_machine_survives_a_tri_oracle_campaign() {
         },
         ..FuzzConfig::default()
     };
-    let report = run_campaign_with_workers(&cfg, 2);
+    let report = run_campaign(&cfg, 2);
     assert!(report.clean(), "findings: {:#?}", report.findings);
     assert_eq!(report.cases, 40);
     // The campaign exercised all three models and some faulting cases —
@@ -56,7 +54,7 @@ fn a_seeded_ordering_bug_is_caught_and_shrunk_to_a_minimal_reproducer() {
         },
         ..FuzzConfig::default()
     };
-    let report = run_campaign_with_workers(&cfg, 2);
+    let report = run_campaign(&cfg, 2);
     assert!(!report.clean(), "the seeded bug escaped 60 cases");
     let f = &report.findings[0];
     assert_eq!(f.kind, FindingKind::AxiomViolation);

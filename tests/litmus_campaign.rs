@@ -8,7 +8,7 @@ use imprecise_store_exceptions::prelude::*;
 
 #[test]
 fn table6_campaign_has_no_violations() {
-    let summary = run_corpus(&corpus());
+    let summary = run_corpus(&corpus(), 4);
     assert!(summary.all_passed(), "violations: {:#?}", {
         summary
             .reports

@@ -1,15 +1,12 @@
-//! Differential tests for the parallel exploration frontiers: whatever
-//! `ISE_WORKERS` or the machine's parallelism picks, the parallel runs
-//! must be indistinguishable — report for report, byte for byte — from
-//! the sequential reference (`workers == 1`), and the memoized machine
-//! must be indistinguishable from its path-enumerating reference.
-//!
-//! CI runs this suite under an `ISE_WORKERS={1,4}` matrix so the
-//! env-driven default path is exercised at both ends too.
+//! Differential tests for the parallel exploration frontiers: at every
+//! worker count, the parallel runs must be indistinguishable — report
+//! for report, byte for byte — from the sequential reference
+//! (`workers == 1`), and the memoized machine must be indistinguishable
+//! from its path-enumerating reference.
 
 use imprecise_store_exceptions::litmus::corpus::{corpus, Family};
 use imprecise_store_exceptions::litmus::machine::{explore, MachineConfig};
-use imprecise_store_exceptions::litmus::runner::{run_corpus_with_workers, CorpusSummary};
+use imprecise_store_exceptions::litmus::runner::{run_corpus, CorpusSummary};
 use imprecise_store_exceptions::sim::{ChaosCampaign, ChaosConfig};
 use imprecise_store_exceptions::types::config::SystemConfig;
 use imprecise_store_exceptions::types::{ConsistencyModel, FaultKind, ToJson};
@@ -51,9 +48,9 @@ fn parallel_corpus_runs_match_sequential_for_every_family() {
     for fam in Family::ALL {
         assert!(tests.iter().any(|t| t.family == fam), "{fam} missing");
     }
-    let sequential = run_corpus_with_workers(&tests, 1);
+    let sequential = run_corpus(&tests, 1);
     for workers in WORKER_COUNTS {
-        let parallel = run_corpus_with_workers(&tests, workers);
+        let parallel = run_corpus(&tests, workers);
         assert_summaries_identical(&sequential, &parallel, workers);
     }
 }

@@ -4,13 +4,12 @@
 //! legs on), and both seeded-buggy mappings are caught and shrunk to
 //! minimal source reproducers.
 //!
-//! CI runs this file under both `ISE_CYCLE_SKIP` pins (the
-//! trisection-smoke matrix), so byte-determinism here also covers the
-//! clock axis end to end.
+//! The timing-simulator legs compare both clocks explicitly, so
+//! byte-determinism here also covers the clock axis end to end.
 
 use imprecise_store_exceptions::consistency::MappingBug;
 use imprecise_store_exceptions::fuzz::{
-    run_trisection_with_workers, TrisectConfig, TrisectFindingKind, TrisectOracleConfig,
+    run_trisection, TrisectConfig, TrisectFindingKind, TrisectOracleConfig,
 };
 use imprecise_store_exceptions::types::model::ConsistencyModel;
 
@@ -23,7 +22,7 @@ fn fixed_seed_trisection_is_byte_deterministic_across_worker_counts() {
     };
     let renders: Vec<String> = [1, 2, 4, 8]
         .into_iter()
-        .map(|w| run_trisection_with_workers(&cfg, w).to_registry().render())
+        .map(|w| run_trisection(&cfg, w).to_registry().render())
         .collect();
     for (i, r) in renders.iter().enumerate().skip(1) {
         assert_eq!(
@@ -46,7 +45,7 @@ fn correct_mappings_survive_a_trisection_campaign() {
         },
         ..TrisectConfig::default()
     };
-    let report = run_trisection_with_workers(&cfg, 2);
+    let report = run_trisection(&cfg, 2);
     assert!(report.clean(), "findings: {:#?}", report.findings);
     assert_eq!(report.cases, 80);
     // The campaign exercised all three hardware models, faulting
@@ -70,7 +69,7 @@ fn seeded_bug_is_caught(bug: MappingBug) {
         },
         ..TrisectConfig::default()
     };
-    let report = run_trisection_with_workers(&cfg, 2);
+    let report = run_trisection(&cfg, 2);
     assert!(
         !report.clean(),
         "seeded mapping bug {} escaped 500 cases",
