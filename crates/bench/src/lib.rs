@@ -1,9 +1,8 @@
-//! Shared helpers for the experiment binaries and Criterion benches.
+//! Shared helpers for the experiment binaries.
 //!
 //! Each paper table/figure has a binary (`cargo run -p ise-bench --bin
-//! tableN|figN`) that prints the regenerated rows in the paper's layout,
-//! and most have a Criterion bench measuring the cost of regenerating
-//! them. See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
+//! tableN|figN`) that prints the regenerated rows in the paper's layout.
+//! See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
 //! recorded paper-vs-measured results.
 
 #![deny(missing_docs)]

@@ -10,7 +10,7 @@
 //! oracle.
 //!
 //! The `ISE_CYCLE_SKIP` environment variable is read only at the binary
-//! edge: each binary, example and bench calls [`cycle_skip_override`]
+//! edge: each binary and example calls [`cycle_skip_override`]
 //! once at the top of `main` and passes the result down. CI runs the
 //! pin-reading binaries under `ISE_CYCLE_SKIP=0` (reference) and
 //! `ISE_CYCLE_SKIP=1` (skip) and asserts byte-identical reports. The

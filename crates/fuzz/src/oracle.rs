@@ -148,6 +148,8 @@ fn memo_check_feasible(case: &FuzzCase) -> bool {
     case.program.threads.len() <= 2 || case.program.len() <= 5
 }
 
+/// Field-by-field agreement on every property of the state graph;
+/// `expansions` is the traversal's work count and differs by design.
 fn results_equal(a: &ExplorationResult, b: &ExplorationResult) -> bool {
     a.outcomes == b.outcomes
         && a.states == b.states

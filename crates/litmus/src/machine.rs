@@ -40,9 +40,10 @@ pub struct MachineConfig {
     pub max_states: usize,
     /// Seen-state memoization: prune subtrees rooted at states already
     /// expanded, making exploration proportional to distinct states
-    /// rather than paths. Disabling it (differential/property tests,
-    /// the `explore_scaling` bench baseline) re-walks every path but
-    /// must produce the identical [`ExplorationResult`].
+    /// rather than paths. Disabling it (differential/property tests)
+    /// re-walks every path but must produce the same
+    /// [`ExplorationResult`], except for its work counter
+    /// [`ExplorationResult::expansions`].
     pub memoize: bool,
     /// Opt-in mutation for fuzzer self-tests; `None` (always, outside
     /// those tests) runs the faithful machine.
@@ -107,6 +108,10 @@ pub struct ExplorationResult {
     /// flat-memory contents against. Collected on first expansion of
     /// each distinct state, so memoized and bare runs agree.
     pub mem_values: Vec<BTreeSet<u64>>,
+    /// States popped from the worklist: the traversal's work, not a
+    /// property of the state graph. The only field memoized and bare
+    /// runs may disagree on; memoization exists to make it smaller.
+    pub expansions: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -249,6 +254,7 @@ struct Explorer<'a> {
     /// Per-location values seen in memory across distinct states
     /// (collected on first expansion, like the exception counters).
     mem_values: Vec<BTreeSet<u64>>,
+    expansions: u64,
 }
 
 impl<'a> Explorer<'a> {
@@ -470,6 +476,7 @@ impl<'a> Explorer<'a> {
     fn run(&mut self, init: State) {
         let mut stack = vec![init];
         while let Some(s) = stack.pop() {
+            self.expansions += 1;
             // First expansion of this state? (Injective key, so this is
             // exactly "first time this observable state is seen".)
             let fresh = self.visited.insert(canonicalize(&s));
@@ -506,8 +513,10 @@ impl<'a> Explorer<'a> {
 /// With `cfg.memoize` (the default) revisited states prune their
 /// subtree, so the walk does work proportional to *distinct states*;
 /// with it disabled every path is re-walked. Both modes return the
-/// identical [`ExplorationResult`]: outcomes, distinct-state count, and
-/// exception counters are all properties of the state graph, not of the
+/// same [`ExplorationResult`] apart from
+/// [`expansions`](ExplorationResult::expansions), the traversal's work
+/// count: outcomes, distinct-state count, exception counters and the
+/// value envelope are all properties of the state graph, not of the
 /// traversal (DESIGN.md §9).
 ///
 /// # Panics
@@ -550,6 +559,7 @@ pub fn explore(prog: &LitmusProgram, cfg: &MachineConfig) -> ExplorationResult {
         imprecise: 0,
         precise: 0,
         mem_values: vec![BTreeSet::new(); compiled.locs.len()],
+        expansions: 0,
     };
     ex.run(init);
     ExplorationResult {
@@ -558,6 +568,7 @@ pub fn explore(prog: &LitmusProgram, cfg: &MachineConfig) -> ExplorationResult {
         imprecise_detections: ex.imprecise,
         precise_exceptions: ex.precise,
         mem_values: ex.mem_values,
+        expansions: ex.expansions,
     }
 }
 

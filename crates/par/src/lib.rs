@@ -6,8 +6,8 @@
 //! items, but their reports are contractually deterministic: the same
 //! input must yield byte-identical output regardless of how many
 //! threads ran it. This crate provides exactly that discipline, in the
-//! same offline-shim spirit as `criterion`/`quickprop`: no external
-//! dependencies, just `std::thread::scope`.
+//! same offline-shim spirit as `quickprop`: no external dependencies,
+//! just `std::thread::scope`.
 //!
 //! Two rules make the parallelism invisible in the results:
 //!
@@ -24,7 +24,7 @@
 //! ```
 //!
 //! Library entry points take the worker count as an argument. Each
-//! binary, example and bench reads it once, at the top of `main`, with
+//! binary and example reads it once, at the top of `main`, with
 //! [`worker_count`] (the `ISE_WORKERS` environment variable when set),
 //! so CI can pin it per matrix leg.
 

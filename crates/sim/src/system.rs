@@ -188,6 +188,11 @@ pub struct System {
     /// accounting the adversary's stall objective reads.
     early_drain_per_core: Vec<u64>,
     now: Cycle,
+    /// Iterations of the [`System::run_to`] loop since this system was
+    /// built (see [`System::clock_steps`]). Deliberately outside
+    /// [`SystemStats`], the registry and snapshots: it measures the
+    /// clock's work, which differs between the two clocks by design.
+    clock_steps: u64,
     /// Fingerprint of the (config, workload) pair this system was built
     /// from; snapshots embed it and restore validates it. Hashing every
     /// instruction is linear in the trace length and most runs never
@@ -310,6 +315,7 @@ impl System {
             discarded_per_core: vec![0; cfg.cores],
             early_drain_per_core: vec![0; cfg.cores],
             now: 0,
+            clock_steps: 0,
             identity: OnceCell::new(),
             workload: workload.clone(),
             final_stats: None,
@@ -404,6 +410,16 @@ impl System {
     /// The EInject device (for tests that toggle faults mid-run).
     pub fn einject(&self) -> &Rc<EInject> {
         &self.einject
+    }
+
+    /// How many times the clock loop has stepped the system since it was
+    /// built: one per visited cycle, so over a whole run the reference
+    /// clock takes exactly [`SystemStats::cycles`] steps and the skip
+    /// clock takes only the cycles at which something can act. Not
+    /// restored by [`System::restore_from`]: it counts this system's own
+    /// work.
+    pub fn clock_steps(&self) -> u64 {
+        self.clock_steps
     }
 
     /// Whether every FSB ring has drained to head == tail — a post-run
@@ -839,6 +855,7 @@ impl System {
     pub fn run_to(&mut self, target: Cycle, skip: bool) -> bool {
         let mut completed = true;
         loop {
+            self.clock_steps += 1;
             // Timer interrupts (delivered unless an exception handler
             // currently holds the IE bit).
             if let Some(interval) = self.interrupt_interval {

@@ -5,7 +5,8 @@
 //! evaluation attributes its counters to. Tracing is config-gated:
 //! a disabled ring rejects every record through one inlined branch, so
 //! the instrumented hot paths cost nothing measurable when tracing is
-//! off (the `telemetry_overhead` bench pins this at ≤2%).
+//! off (every simbench run has tracing disabled, so its no-regression
+//! gate covers that cost).
 
 use ise_types::json::{Json, ToJson};
 use ise_types::persist::{Persist, PersistError, Reader, Writer};

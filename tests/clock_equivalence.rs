@@ -6,6 +6,8 @@
 //! Every entry point takes the clock as an explicit `skip` argument, so
 //! this suite compares the two clocks directly in-process; CI runs the
 //! pin-reading binaries under `ISE_CYCLE_SKIP={0,1}` against the goldens.
+//! It also pins the skip clock's saving as a deterministic count of loop
+//! steps ([`System::clock_steps`]), not as host time.
 
 use imprecise_store_exceptions::aso::sweep_checkpoints_clocked;
 use imprecise_store_exceptions::core_hw::{FaultPlan, FaultResolver};
@@ -29,10 +31,31 @@ const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Builds the system twice (the builder is consumed by the run) and
 /// asserts the two clocks render byte-identical `SystemStats` JSON.
-fn assert_clocks_agree(label: &str, mk: impl Fn() -> System) {
-    let reference = mk().run_clocked(MAX_CYCLES, false).to_json().render();
-    let skipped = mk().run_clocked(MAX_CYCLES, true).to_json().render();
-    assert_eq!(reference, skipped, "{label}: clocks disagree");
+/// Also pins what each clock costs: the reference loop steps through
+/// every cycle exactly once, and the skip clock never steps more.
+/// Returns the (reference, skip) step counts.
+fn assert_clocks_agree(label: &str, mk: impl Fn() -> System) -> (u64, u64) {
+    let mut reference = mk();
+    let reference_stats = reference.run_clocked(MAX_CYCLES, false);
+    let mut skipped = mk();
+    let skipped_stats = skipped.run_clocked(MAX_CYCLES, true);
+    assert_eq!(
+        reference_stats.to_json().render(),
+        skipped_stats.to_json().render(),
+        "{label}: clocks disagree"
+    );
+    assert_eq!(
+        reference.clock_steps(),
+        reference_stats.cycles,
+        "{label}: reference clock must step once per cycle"
+    );
+    assert!(
+        skipped.clock_steps() <= reference.clock_steps(),
+        "{label}: skip clock took {} steps, reference {}",
+        skipped.clock_steps(),
+        reference.clock_steps()
+    );
+    (reference.clock_steps(), skipped.clock_steps())
 }
 
 fn cfg2() -> SystemConfig {
@@ -150,6 +173,45 @@ fn clocks_agree_across_workload_mixes_and_models() {
         System::new(cfg2().with_model(ConsistencyModel::Pc), &fence_atomic_mix())
     });
     assert_clocks_agree("kv engine, WC", || System::new(cfg2(), &kv_mix()));
+}
+
+/// One core alternating a page-stride store with a full fence: every
+/// store misses the whole hierarchy and the fence parks the pipeline for
+/// the DRAM round trip, the dead-cycle-dominated regime the
+/// cycle-skipping clock collapses.
+fn dram_bound_workload(stores: u64) -> Workload {
+    let base = Addr::new(0x1000_0000);
+    Workload {
+        name: "dram-bound".into(),
+        traces: vec![(0..stores)
+            .flat_map(|i| {
+                [
+                    Instruction::store(base.offset(i * 4096), i),
+                    Instruction::fence(FenceKind::Full),
+                ]
+            })
+            .collect()],
+        einject_pages: Vec::new(),
+    }
+}
+
+/// The 2×1-mesh single-core system the DRAM-bound workload runs on.
+fn scaling_cfg() -> SystemConfig {
+    let mut cfg = SystemConfig::isca23();
+    cfg.noc.mesh_x = 2;
+    cfg.noc.mesh_y = 1;
+    cfg.cores = 1;
+    cfg
+}
+
+#[test]
+fn skip_clock_takes_at_least_five_times_fewer_steps_when_dram_bound() {
+    let workload = dram_bound_workload(2_000);
+    let (r, s) = assert_clocks_agree("DRAM-bound", || System::new(scaling_cfg(), &workload));
+    assert!(
+        r >= 5 * s,
+        "reference clock took {r} steps, skip clock {s}: below the 5x bar"
+    );
 }
 
 #[test]

@@ -2,7 +2,8 @@
 //! worker count, the parallel runs must be indistinguishable — report
 //! for report, byte for byte — from the sequential reference
 //! (`workers == 1`), and the memoized machine must be indistinguishable
-//! from its path-enumerating reference.
+//! from its path-enumerating reference while popping at least 2× fewer
+//! states.
 
 use imprecise_store_exceptions::litmus::corpus::{corpus, Family};
 use imprecise_store_exceptions::litmus::machine::{explore, MachineConfig};
@@ -67,6 +68,7 @@ fn memoized_exploration_matches_path_enumeration_on_small_tests() {
         .filter(|t| t.program.threads.len() <= 2 && t.program.len() <= 5)
         .collect();
     assert!(small.len() >= 10, "need a representative small subset");
+    let (mut memo_total, mut bare_total) = (0u64, 0u64);
     for t in small {
         for model in [ConsistencyModel::Pc, ConsistencyModel::Wc] {
             let cfg = MachineConfig::baseline(model).with_all_faulting(&t.program);
@@ -84,8 +86,23 @@ fn memoized_exploration_matches_path_enumeration_on_small_tests() {
                 "{} {model}",
                 t.name
             );
+            assert_eq!(memo.mem_values, bare.mem_values, "{} {model}", t.name);
+            // The work memoization saves: pruning can only drop pops.
+            assert!(
+                bare.expansions >= memo.expansions,
+                "{} {model}: bare {} < memoized {} expansions",
+                t.name,
+                bare.expansions,
+                memo.expansions
+            );
+            memo_total += memo.expansions;
+            bare_total += bare.expansions;
         }
     }
+    assert!(
+        bare_total >= 2 * memo_total,
+        "bare walk popped {bare_total} states, memoized {memo_total}: below the 2x bar"
+    );
 }
 
 fn campaign_workloads() -> Vec<Workload> {
