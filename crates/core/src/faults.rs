@@ -188,7 +188,7 @@ impl FaultInjector {
     /// specs are configuration — the embedder rebuilds the injector from
     /// the same [`FaultPlan`] before restoring — but they travel in the
     /// image anyway so a snapshot's content hash distinguishes plans
-    /// that fault the same pages differently (the campaign dedupe key).
+    /// that fault the same pages differently.
     pub fn save_state(&self, w: &mut ise_types::persist::Writer) {
         use ise_types::persist::Persist;
         w.section(*b"FINJ", |w| {

@@ -277,33 +277,23 @@ pub fn run_campaign(cfg: &FuzzConfig, workers: usize) -> FuzzReport {
     // The key covers everything the oracles observe. `seed` is excluded
     // — it is reporting metadata — except for overlay cases, where it
     // seeds the transient-overlay RNG and so *is* behavior.
-    let keys: Vec<u64> = cases
-        .iter()
-        .map(|(_, _, case)| {
+    let (cells, unique_cases) = ise_par::par_map_dedup(
+        &cases,
+        workers,
+        |(_, _, case)| {
             let overlay_seed = if case.overlay { case.seed } else { 0 };
             let src = format!(
                 "{:?}\u{1f}{:?}\u{1f}{:?}\u{1f}{:?}\u{1f}{overlay_seed}",
                 case.program, case.model, case.policy, case.faulting
             );
             ise_types::persist::fnv1a(src.as_bytes())
-        })
-        .collect();
-    let mut slot: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-    let mut unique: Vec<usize> = Vec::new();
-    for (i, &key) in keys.iter().enumerate() {
-        slot.entry(key).or_insert_with(|| {
-            unique.push(i);
-            unique.len() - 1
-        });
-    }
-    let unique_cells = ise_par::par_map(&unique, workers, |_, &i| {
-        let (index, seed, case) = &cases[i];
-        run_cell(cfg, *index, *seed, case)
-    });
+        },
+        |_, (index, seed, case)| run_cell(cfg, *index, *seed, case),
+    );
     let mut report = FuzzReport {
         seed: cfg.seed,
         cases: cfg.cases,
-        unique_cases: unique.len(),
+        unique_cases,
         findings: Vec::new(),
         model_cases: [0; 3],
         split_stream_cases: 0,
@@ -311,8 +301,7 @@ pub fn run_campaign(cfg: &FuzzConfig, workers: usize) -> FuzzReport {
         overlay_cases: 0,
         axiom_enumerations: 0,
     };
-    for (index, seed, _) in &cases {
-        let mut cell = unique_cells[slot[&keys[*index]]].clone();
+    for ((index, seed, _), mut cell) in cases.iter().zip(cells) {
         for f in &mut cell.findings {
             f.index = *index;
             f.seed = *seed;

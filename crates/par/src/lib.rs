@@ -23,6 +23,9 @@
 //! assert_eq!(doubled, vec![2, 4, 6, 8]);
 //! ```
 //!
+//! [`par_map_dedup`] adds content-keyed dedupe on top: items with equal
+//! keys are evaluated once, and the result is cloned into every slot.
+//!
 //! Library entry points take the worker count as an argument. Each
 //! binary and example reads it once, at the top of `main`, with
 //! [`worker_count`] (the `ISE_WORKERS` environment variable when set),
@@ -30,6 +33,8 @@
 
 #![deny(missing_docs)]
 
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::num::NonZeroUsize;
 use std::panic;
 use std::thread;
@@ -108,6 +113,38 @@ where
         .collect()
 }
 
+/// [`par_map`] that evaluates each distinct `key` once, on the first
+/// item carrying it, and clones that result into every item with the
+/// same key. Returns one result per item in input order, plus the
+/// number of distinct keys. Keys are computed on the calling thread.
+/// Equal keys must mean equal results; a caller whose results carry
+/// per-item metadata re-stamps it afterwards.
+pub fn par_map_dedup<T, K, R>(
+    items: &[T],
+    workers: usize,
+    key: impl Fn(&T) -> K,
+    f: impl Fn(usize, &T) -> R + Sync,
+) -> (Vec<R>, usize)
+where
+    T: Sync,
+    K: Eq + Hash,
+    R: Send + Clone,
+{
+    let mut slot_of = HashMap::new();
+    let mut firsts = Vec::new();
+    let slots: Vec<usize> = (0..items.len())
+        .map(|i| {
+            *slot_of.entry(key(&items[i])).or_insert_with(|| {
+                firsts.push(i);
+                firsts.len() - 1
+            })
+        })
+        .collect();
+    let results = par_map(&firsts, workers, |_, &i| f(i, &items[i]));
+    let out = slots.into_iter().map(|s| results[s].clone()).collect();
+    (out, results.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,6 +179,25 @@ mod tests {
         let none: Vec<u8> = Vec::new();
         assert!(par_map(&none, 8, |_, &x| x).is_empty());
         assert_eq!(par_map(&[7u8], 8, |_, &x| x), vec![7]);
+    }
+
+    #[test]
+    fn dedup_evaluates_each_key_once_on_its_first_item() {
+        let items = [3u32, 1, 3, 4, 1, 5, 9, 3];
+        for workers in [1, 2, 4, 16] {
+            let hits = AtomicUsize::new(0);
+            let (out, unique) = par_map_dedup(
+                &items,
+                workers,
+                |&x| x,
+                |i, _| {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                    i
+                },
+            );
+            assert_eq!(out, [0, 1, 0, 3, 1, 5, 6, 0], "workers={workers}");
+            assert_eq!((unique, hits.into_inner()), (5, 5), "workers={workers}");
+        }
     }
 
     #[test]

@@ -27,12 +27,12 @@
 //! a byte-identical JSON report.
 
 use crate::invariants;
-use crate::system::System;
+use crate::system::{system_identity, System};
 use ise_core::{FaultInjector, FaultPlan, FaultResolver};
 use ise_engine::{Cycle, SimRng};
 use ise_telemetry::{Registry, TraceEventKind};
 use ise_types::config::SystemConfig;
-use ise_types::{FaultKind, FaultSpec, Json, ToJson};
+use ise_types::{FaultKind, FaultSpec, Json, PageId, ToJson};
 use ise_workloads::stats::touched_pages;
 use ise_workloads::Workload;
 use std::collections::HashSet;
@@ -45,30 +45,11 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// Fault kinds to sweep (each with its concrete parameters).
     pub kinds: Vec<FaultKind>,
-    /// Fractions of each workload's faulting pages to inject, in `(0, 1]`.
+    /// Fractions of each workload's faulting pages to inject, in `(0, 1]`
+    /// (the campaign panics on any other value, `NaN` included).
     pub rates: Vec<f64>,
     /// Cycle budget per run.
     pub max_cycles: Cycle,
-}
-
-impl ChaosConfig {
-    /// The default sweep: all four kinds × three rates, seeded.
-    pub fn default_sweep() -> Self {
-        ChaosConfig {
-            seed: 0xC4A05,
-            kinds: vec![
-                FaultKind::Permanent,
-                FaultKind::Transient { clears_after: 2 },
-                FaultKind::Intermittent { probability: 0.5 },
-                FaultKind::Windowed {
-                    from: 0,
-                    until: 100_000,
-                },
-            ],
-            rates: vec![0.1, 0.5, 1.0],
-            max_cycles: 200_000_000,
-        }
-    }
 }
 
 /// The outcome of one sweep cell (workload × kind × rate).
@@ -155,7 +136,7 @@ impl ToJson for ChaosRun {
 pub struct ChaosReport {
     /// The master seed the campaign ran under.
     pub seed: u64,
-    /// Cells actually simulated after snapshot-hash dedupe (≤
+    /// Cells actually simulated after content-key dedupe (≤
     /// `runs.len()`; duplicate sweep entries share one evaluation).
     pub unique_cells: usize,
     /// One entry per sweep cell, in sweep order.
@@ -203,8 +184,8 @@ impl ChaosCampaign {
     /// One deterministic stream per cell, derived from the cell's
     /// *content* (workload name, fault kind, rate) rather than its sweep
     /// position: reordering or extending the sweep leaves every other
-    /// cell's stream untouched, and duplicate sweep entries become
-    /// byte-identical cells the snapshot-hash dedupe collapses.
+    /// cell's stream untouched, and duplicate sweep entries get equal
+    /// seeds, so their content keys collide and the dedupe collapses them.
     fn cell_seed(&self, workload: &Workload, kind: FaultKind, rate: f64) -> u64 {
         let key = format!("{}\u{1f}{kind:?}\u{1f}{}", workload.name, rate.to_bits());
         self.chaos.seed.wrapping_add(
@@ -212,14 +193,17 @@ impl ChaosCampaign {
         )
     }
 
-    /// Keys one cell by the FNV-1a hash of its boot snapshot: the full
-    /// serialized machine state (workload identity, armed fault plan
-    /// including specs, RNG positions) before the first cycle. Equal
-    /// keys mean equal trajectories, so the campaign evaluates each key
-    /// once.
-    fn cell_key(&self, workload: &Workload, kind: FaultKind, rate: f64, seed: u64) -> u64 {
-        let (sys, _, _) = self.build_cell(workload, kind, rate, seed);
-        ise_types::persist::fnv1a(&sys.snapshot())
+    /// Keys one cell by its content: the workload's `system_identity`
+    /// (configuration, traces, declared faulting pages), the fault kind
+    /// with its parameters, the rate's bits and the cell seed.
+    /// [`ChaosCampaign::build_cell`] is a pure function of these inputs,
+    /// so equal keys mean equal boot states and equal trajectories.
+    fn content_key(identity: u64, kind: FaultKind, rate: f64, seed: u64) -> u64 {
+        let key = format!(
+            "{identity:016x}\u{1f}{kind:?}\u{1f}{}\u{1f}{seed}",
+            rate.to_bits()
+        );
+        ise_types::persist::fnv1a(key.as_bytes())
     }
 
     /// Runs the full sweep over `workloads`, one kind × rate × workload
@@ -231,55 +215,52 @@ impl ChaosCampaign {
     /// inert and the [`FaultInjector`] is the only fault source.
     ///
     /// A cell that would exceed its cycle budget (the tighter of
-    /// [`ChaosConfig::max_cycles`] and the `ISE_CELL_BUDGET` watchdog)
-    /// degrades to a reported [`ChaosRun::timed_out`] outcome instead of
-    /// panicking out of a worker.
+    /// [`ChaosConfig::max_cycles`] and the `ISE_CELL_BUDGET` watchdog,
+    /// read once per call) degrades to a reported
+    /// [`ChaosRun::timed_out`] outcome instead of panicking out of a
+    /// worker.
     ///
     /// Every cell is fully independent — it seeds its own RNG stream and
     /// builds its own [`System`] — and results are reduced in sweep
     /// order, so the report (and its JSON rendering) is byte-identical
-    /// for every worker count. Cells whose boot snapshots hash equal
-    /// (duplicate sweep entries) are simulated once and their result
-    /// replicated into each sweep slot.
+    /// for every worker count. Cells with equal content keys (workload
+    /// content, kind, rate and seed; duplicate sweep entries) are
+    /// simulated once and their result replicated into each sweep slot.
     ///
     /// # Panics
     ///
-    /// Panics if a workload declares no faulting pages.
+    /// Panics if a rate is not in `(0, 1]` (`NaN` included), or if a
+    /// workload declares no faulting pages or never touches them.
     pub fn run_with_workers(&self, workloads: &[Workload], workers: usize) -> ChaosReport {
+        self.chaos.rates.iter().for_each(|&rate| check_rate(rate));
+        let budget = self.budget();
+        let pools: Vec<Vec<PageId>> = workloads.iter().map(fault_pool).collect();
+        let identities: Vec<u64> = workloads
+            .iter()
+            .map(|w| system_identity(&self.cfg, w))
+            .collect();
         let mut cells =
             Vec::with_capacity(workloads.len() * self.chaos.kinds.len() * self.chaos.rates.len());
         for (wi, workload) in workloads.iter().enumerate() {
-            assert!(
-                !workload.einject_pages.is_empty(),
-                "workload {} declares no faulting pages to sample from",
-                workload.name
-            );
             for &kind in &self.chaos.kinds {
                 for &rate in &self.chaos.rates {
                     cells.push((wi, kind, rate, self.cell_seed(workload, kind, rate)));
                 }
             }
         }
-        // Snapshot-hash dedupe: identical cells evaluate once.
-        let keys: Vec<u64> = cells
-            .iter()
-            .map(|&(wi, kind, rate, seed)| self.cell_key(&workloads[wi], kind, rate, seed))
-            .collect();
-        let mut slot: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-        let mut unique = Vec::new();
-        for (cell, &key) in cells.iter().zip(&keys) {
-            slot.entry(key).or_insert_with(|| {
-                unique.push(*cell);
-                unique.len() - 1
-            });
-        }
-        let unique_runs = ise_par::par_map(&unique, workers, |_, &(wi, kind, rate, cell_seed)| {
-            self.run_cell(&workloads[wi], kind, rate, cell_seed)
-        });
-        let runs = keys.iter().map(|k| unique_runs[slot[k]].clone()).collect();
+        let (runs, unique_cells) = ise_par::par_map_dedup(
+            &cells,
+            workers,
+            |&(wi, kind, rate, seed)| Self::content_key(identities[wi], kind, rate, seed),
+            |_, &(wi, kind, rate, seed)| {
+                let (w, pool) = (&workloads[wi], &pools[wi]);
+                let cell = self.build_cell(w, pool, kind, rate, seed);
+                self.run_cell(cell, w, kind, rate, budget, None).0
+            },
+        );
         ChaosReport {
             seed: self.chaos.seed,
-            unique_cells: unique.len(),
+            unique_cells,
             runs,
         }
     }
@@ -293,6 +274,11 @@ impl ChaosCampaign {
     /// [`ChaosCampaign::run_with_workers`] would use for the matching
     /// sweep cell of `workload`, so the traced run reproduces a sweep
     /// cell exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is not in `(0, 1]` (`NaN` included), or if
+    /// `workload` declares no faulting pages or never touches them.
     pub fn trace_cell(
         &self,
         workload: &Workload,
@@ -300,45 +286,27 @@ impl ChaosCampaign {
         rate: f64,
         capacity: usize,
     ) -> (ChaosRun, Json) {
-        let cell_seed = self.cell_seed(workload, kind, rate);
-        let (run, trace) = self.run_cell_traced(workload, kind, rate, cell_seed, Some(capacity));
+        check_rate(rate);
+        let seed = self.cell_seed(workload, kind, rate);
+        let cell = self.build_cell(workload, &fault_pool(workload), kind, rate, seed);
+        let (run, trace) = self.run_cell(cell, workload, kind, rate, self.budget(), Some(capacity));
         (run, trace.expect("tracing was requested"))
     }
 
-    fn run_cell(&self, workload: &Workload, kind: FaultKind, rate: f64, seed: u64) -> ChaosRun {
-        self.run_cell_traced(workload, kind, rate, seed, None).0
-    }
-
     /// Builds one sweep cell up to (but not including) its first cycle:
-    /// the quiet workload's [`System`] armed with the cell's fault plan.
-    /// Both the run path and the snapshot-hash dedupe key start here, so
-    /// the key hashes exactly the state the run evolves from.
+    /// the quiet workload's [`System`] armed with the cell's fault plan,
+    /// `rate` of `pool` (the workload's [`fault_pool`]) sampled under
+    /// `seed`. A pure function of the campaign configuration, the
+    /// workload, `kind`, `rate` and `seed` — the inputs
+    /// [`ChaosCampaign::content_key`] hashes.
     fn build_cell(
         &self,
         workload: &Workload,
+        pool: &[PageId],
         kind: FaultKind,
         rate: f64,
         seed: u64,
-    ) -> (System, Rc<FaultInjector>, Vec<ise_types::PageId>) {
-        // Sample from the declared pages the traces actually reach —
-        // regions are reserved generously, and injecting only cold pages
-        // would make the whole sweep vacuous.
-        let touched: HashSet<_> = workload
-            .traces
-            .iter()
-            .flat_map(|t| touched_pages(t))
-            .collect();
-        let pool: Vec<_> = workload
-            .einject_pages
-            .iter()
-            .copied()
-            .filter(|p| touched.contains(p))
-            .collect();
-        assert!(
-            !pool.is_empty(),
-            "workload {} never touches its declared faulting pages",
-            workload.name
-        );
+    ) -> (System, Rc<FaultInjector>, Vec<PageId>) {
         let k = ((pool.len() as f64 * rate).ceil() as usize).clamp(1, pool.len());
         let mut rng = SimRng::seed_from(seed);
         let picked: Vec<_> = rng
@@ -364,15 +332,24 @@ impl ChaosCampaign {
         (sys, injector, picked)
     }
 
-    fn run_cell_traced(
+    /// The tighter of [`ChaosConfig::max_cycles`] and `ISE_CELL_BUDGET`;
+    /// read once per campaign call, so all its cells share one budget.
+    fn budget(&self) -> Cycle {
+        let cap = ise_engine::cell_budget().unwrap_or(Cycle::MAX);
+        self.chaos.max_cycles.min(cap)
+    }
+
+    /// Runs a built cell under `budget` cycles and audits it, with the
+    /// event trace on when `trace_capacity` is set.
+    fn run_cell(
         &self,
+        (mut sys, injector, picked): (System, Rc<FaultInjector>, Vec<PageId>),
         workload: &Workload,
         kind: FaultKind,
         rate: f64,
-        seed: u64,
+        budget: Cycle,
         trace_capacity: Option<usize>,
     ) -> (ChaosRun, Option<Json>) {
-        let (mut sys, injector, picked) = self.build_cell(workload, kind, rate, seed);
         let k = picked.len();
         if let Some(cap) = trace_capacity {
             sys = sys.with_trace(cap);
@@ -380,10 +357,6 @@ impl ChaosCampaign {
                 sys.record_event(0, TraceEventKind::FaultActivated { page: page.index() });
             }
         }
-        let budget = match ise_engine::cell_budget() {
-            Some(cap) => self.chaos.max_cycles.min(cap),
-            None => self.chaos.max_cycles,
-        };
         let (stats, timed_out) = sys.run_bounded(budget, !self.cfg.reference_clock);
 
         // A timed-out cell is reported, not audited: conservation and
@@ -424,6 +397,42 @@ impl ChaosCampaign {
     }
 }
 
+/// Panics unless `rate` lies in the documented `(0, 1]` (`NaN` fails too).
+fn check_rate(rate: f64) {
+    assert!(
+        rate > 0.0 && rate <= 1.0,
+        "chaos rate {rate} is not in (0, 1]"
+    );
+}
+
+/// The pages faults are sampled from: the declared `einject_pages` the
+/// traces actually reach. Regions are reserved generously, and injecting
+/// only cold pages would make the whole sweep vacuous.
+fn fault_pool(workload: &Workload) -> Vec<PageId> {
+    assert!(
+        !workload.einject_pages.is_empty(),
+        "workload {} declares no faulting pages to sample from",
+        workload.name
+    );
+    let touched: HashSet<_> = workload
+        .traces
+        .iter()
+        .flat_map(|t| touched_pages(t))
+        .collect();
+    let pool: Vec<_> = workload
+        .einject_pages
+        .iter()
+        .copied()
+        .filter(|p| touched.contains(p))
+        .collect();
+    assert!(
+        !pool.is_empty(),
+        "workload {} never touches its declared faulting pages",
+        workload.name
+    );
+    pool
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,10 +440,16 @@ mod tests {
     use ise_workloads::kvstore::{kv_workload, KvConfig, KvEngine};
 
     fn tiny_workload() -> Workload {
-        let mut kv = KvConfig::small(2);
-        kv.preload = 200;
-        kv.ops_per_core = 40;
-        kv.in_einject = true;
+        silo(200, 40)
+    }
+
+    fn silo(preload: usize, ops_per_core: usize) -> Workload {
+        let kv = KvConfig {
+            preload,
+            ops_per_core,
+            in_einject: true,
+            ..KvConfig::small(2)
+        };
         kv_workload(KvEngine::Silo, &kv)
     }
 
@@ -536,10 +551,74 @@ mod tests {
         );
     }
 
+    fn rate_sweep(rates: Vec<f64>) -> ChaosCampaign {
+        let chaos = ChaosConfig {
+            seed: 3,
+            kinds: vec![FaultKind::Permanent],
+            rates,
+            max_cycles: 200_000_000,
+        };
+        ChaosCampaign::new(small_cfg(), chaos)
+    }
+
+    #[test]
+    #[should_panic(expected = "is not in (0, 1]")]
+    fn zero_rate_is_rejected() {
+        rate_sweep(vec![0.0]).run_with_workers(&[tiny_workload()], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not in (0, 1]")]
+    fn above_one_rate_is_rejected() {
+        rate_sweep(vec![0.5, 1.5]).run_with_workers(&[tiny_workload()], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not in (0, 1]")]
+    fn nan_rate_is_rejected() {
+        rate_sweep(vec![0.5]).trace_cell(&tiny_workload(), FaultKind::Permanent, f64::NAN, 64);
+    }
+
+    #[test]
+    fn content_keys_agree_with_boot_snapshots() {
+        // Two workloads share a name, so every cell seed, but not their
+        // traces; the sweep repeats one rate.
+        let mut other = silo(150, 30);
+        other.name = tiny_workload().name;
+        let workloads = [tiny_workload(), other];
+        assert_ne!(workloads[0].traces, workloads[1].traces);
+        let campaign = rate_sweep(vec![0.5, 0.25, 0.5]);
+        let kind = FaultKind::Permanent;
+        let mut cells = Vec::new();
+        for (wi, w) in workloads.iter().enumerate() {
+            let (identity, pool) = (system_identity(&campaign.cfg, w), fault_pool(w));
+            for &rate in &campaign.chaos.rates {
+                let seed = campaign.cell_seed(w, kind, rate);
+                let (sys, _, _) = campaign.build_cell(w, &pool, kind, rate, seed);
+                let key = ChaosCampaign::content_key(identity, kind, rate, seed);
+                cells.push((wi, key, sys.snapshot()));
+            }
+        }
+        // Equal content keys ⇔ byte-equal boot snapshots (the key the
+        // campaign used to hash); same-named workloads never collide.
+        for (wi, key, snap) in &cells {
+            for (wj, other_key, other_snap) in &cells {
+                assert_eq!(key == other_key, snap == other_snap);
+                assert!(
+                    wi == wj || key != other_key,
+                    "same-named workloads collapsed"
+                );
+            }
+        }
+        // 2 workloads × 1 kind × 2 distinct rates.
+        let report = campaign.run_with_workers(&workloads, 2);
+        assert_eq!((report.runs.len(), report.unique_cells), (6, 4));
+    }
+
     #[test]
     fn duplicate_sweep_cells_evaluate_once_and_report_identically() {
-        // A sweep with repeated (kind, rate) entries boots to identical
-        // snapshots, so the campaign must simulate one representative and
+        // A sweep with repeated (kind, rate) entries has equal content
+        // keys, so the campaign must simulate one representative and
         // replicate its result into every matching slot.
         let chaos = ChaosConfig {
             seed: 5,

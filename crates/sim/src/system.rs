@@ -25,8 +25,9 @@ const FSB_REGION_BASE: u64 = 0x2000_0000;
 /// streams and EInject page set. A snapshot carries this fingerprint and
 /// [`System::restore_from`] refuses to load state into a system built
 /// from different inputs — the trace contents and config are *not* in
-/// the snapshot, so they must match exactly for resume to be sound.
-fn system_identity(cfg: &SystemConfig, workload: &Workload) -> u64 {
+/// the snapshot, so they must match exactly for resume to be sound. The
+/// chaos campaign's content key reuses it as the workload's identity.
+pub(crate) fn system_identity(cfg: &SystemConfig, workload: &Workload) -> u64 {
     use ise_types::persist::{fnv1a, Persist, Writer};
     let mut w = Writer::container();
     format!("{cfg:?}").save(&mut w);
