@@ -15,7 +15,8 @@
 //!
 //! Every evaluation runs the full shared invariant set
 //! ([`ise_sim::invariants`]), a corruption win is auto-shrunk through the
-//! `ise-fuzz` shrinker into a litmus-dialect regression ([`regress`]), and
+//! `ise-fuzz` finding pipeline into a litmus-dialect regression
+//! ([`regress`]), and
 //! each campaign emits a deterministic JSON resilience scorecard —
 //! byte-identical at any worker count and under either clock. The
 //! CI self-check runs the same seeded search against the unhardened and
@@ -33,7 +34,7 @@ pub mod target;
 
 pub use eval::{evaluate, EvalConfig, EvalOutcome, Objective};
 pub use plan::{drain_boundary, AdvPlan, FSB_CAPACITIES, POOL_PAGES};
-pub use regress::{corruption_case, corruption_oracle, shrink_corruption, write_regression};
+pub use regress::{corruption_case, corruption_oracle, shrink_corruption};
 pub use search::{
     run_search, self_check, AdversaryReport, ObjectiveResult, SearchConfig, SelfCheck,
 };

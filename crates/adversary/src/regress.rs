@@ -5,21 +5,18 @@
 //! the fuzz harness's `SimInvariant` oracle detects, so a winning plan
 //! is recast as a [`FuzzCase`] — one store per attacked pool page, every
 //! page faulting, the stubborn transient overlay, the unhardened cost
-//! model — and pushed through the existing `ise-fuzz` shrinker. What
+//! model — and pushed through the `ise-fuzz` finding pipeline. What
 //! survives is a minimal litmus-dialect reproducer ready for
-//! `litmus/regressions/`.
+//! `litmus/regressions/` (write it with
+//! [`ise_fuzz::write_reproducers`]).
 
 use crate::plan::AdvPlan;
 use ise_consistency::program::{LitmusProgram, Loc, Stmt};
 use ise_consistency::BatchChecker;
-use ise_fuzz::{
-    check_case, shrink, to_parsed, CampaignFinding, FindingKind, FuzzCase, OracleConfig,
-};
-use ise_litmus::render_litmus;
+use ise_fuzz::{check_case, shrink_findings, CampaignFinding, FindingKind, FuzzCase, OracleConfig};
 use ise_types::config::OsCostConfig;
 use ise_types::model::{ConsistencyModel, DrainPolicy};
 use ise_types::RecoveryHardening;
-use std::path::{Path, PathBuf};
 
 /// A transient horizon that outlives the whole retry ladder, forcing
 /// every faulting store onto the exhaustion path.
@@ -59,50 +56,15 @@ pub fn corruption_oracle() -> OracleConfig {
 /// `None` when the lowered case does not reproduce the silent drop
 /// through the fuzz oracle (the win then stays a scorecard entry
 /// without a corpus artifact).
-pub fn shrink_corruption(plan: &AdvPlan, seed: u64) -> Option<CampaignFinding> {
+pub fn shrink_corruption(plan: &AdvPlan, seed: u64) -> Option<CampaignFinding<FuzzCase>> {
     let case = corruption_case(plan, seed);
     let oracle = corruption_oracle();
     let mut batch = BatchChecker::new();
-    let reproduces = check_case(&case, &oracle, &mut batch).iter().any(|f| {
+    let mut raw = check_case(&case, &oracle, &mut batch);
+    raw.retain(|f| {
         f.kind == FindingKind::SimInvariant && f.detail.contains("applied store not visible")
     });
-    if !reproduces {
-        return None;
-    }
-    let shrunk = shrink(&case, FindingKind::SimInvariant, &oracle, &mut batch);
-    // Re-derive the detail from the reproducer itself, like the fuzz
-    // campaign does.
-    let (detail, outcomes) = check_case(&shrunk.case, &oracle, &mut batch)
-        .into_iter()
-        .find(|f| f.kind == FindingKind::SimInvariant)
-        .map(|f| (f.detail, f.outcomes))
-        .unwrap_or_default();
-    Some(CampaignFinding {
-        index: 0,
-        seed,
-        kind: FindingKind::SimInvariant,
-        detail,
-        case: shrunk.case,
-        outcomes,
-        steps: shrunk.steps,
-    })
-}
-
-/// Writes `finding` into `dir` (created if missing) as
-/// `<kind>-seed<seed>.litmus`, the fuzz campaign's corpus naming.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_regression(finding: &CampaignFinding, dir: &Path) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!(
-        "{}-seed{}.litmus",
-        finding.kind.name(),
-        finding.seed
-    ));
-    std::fs::write(&path, render_litmus(&to_parsed(finding)))?;
-    Ok(path)
+    shrink_findings(&case, &raw, &oracle, &mut batch, true).pop()
 }
 
 #[cfg(test)]

@@ -11,61 +11,52 @@
 //! * `--unhardened` — attack the deliberately weak recovery config
 //!   instead of the hardened default
 //! * `--self-check` — run the seeded-weakness gate: the same search
-//!   against both configs; exit nonzero unless the unhardened kernel
+//!   against both configs; exit 1 unless the unhardened kernel
 //!   loses on corruption *and* stalls while the hardened one loses on
 //!   neither
 //! * `--write-regressions DIR` — shrink a corruption win through the
-//!   `ise-fuzz` shrinker and render it into `DIR` as a replayable
-//!   `.litmus` reproducer
+//!   `ise-fuzz` finding pipeline and render it into `DIR` as a
+//!   replayable `.litmus` reproducer
 //!
 //! Reads `ISE_WORKERS` (worker count) and `ISE_CYCLE_SKIP` (clock) once,
 //! here, and prints the resilience scorecard(s) as JSON. The scorecard
 //! is byte-identical for every worker count and under either clock —
-//! the CI `pinned-binaries` job diffs exactly that.
+//! the CI `pinned-binaries` job compares exactly that against its
+//! golden. A failed self-check exits 1, a usage error 2.
 
-use ise_adversary::{
-    self_check, shrink_corruption, write_regression, EvalConfig, Objective, SearchConfig,
-};
+use ise_adversary::{self_check, shrink_corruption, EvalConfig, Objective, SearchConfig};
+use ise_bench::cli::{write_and_list, Args};
 use ise_types::ToJson;
+
+const USAGE: &str = "usage: adversary [--seed N] [--rounds N] [--beam N] [--mutations N] \
+                     [--unhardened] [--self-check] [--write-regressions DIR]";
 
 fn main() {
     let workers = ise_par::worker_count();
     let skip = ise_engine::cycle_skip_override().unwrap_or(true);
-    let mut seed = 1u64;
-    let mut rounds = 6usize;
-    let mut beam = 3usize;
-    let mut mutations = 4usize;
-    let mut unhardened = false;
+    let mut cfg = SearchConfig::smoke(1, EvalConfig::hardened());
     let mut check = false;
     let mut out_dir: Option<std::path::PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--seed" => seed = value("--seed").parse().expect("--seed: not a u64"),
-            "--rounds" => rounds = value("--rounds").parse().expect("--rounds: not a count"),
-            "--beam" => beam = value("--beam").parse().expect("--beam: not a count"),
-            "--mutations" => {
-                mutations = value("--mutations")
-                    .parse()
-                    .expect("--mutations: not a count")
-            }
-            "--unhardened" => unhardened = true,
+    let mut args = Args::new(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--seed" => cfg.seed = args.value(),
+            "--rounds" => cfg.rounds = args.value(),
+            "--beam" => cfg.beam_width = args.value(),
+            "--mutations" => cfg.mutations_per_parent = args.value(),
+            "--unhardened" => cfg.eval = EvalConfig::unhardened(),
             "--self-check" => check = true,
-            "--write-regressions" => out_dir = Some(value("--write-regressions").into()),
-            other => panic!("unknown flag {other:?}"),
+            "--write-regressions" => out_dir = Some(args.value()),
+            _ => args.unknown(),
         }
     }
 
     if check {
-        let sc = self_check(seed, workers, skip);
+        let sc = self_check(cfg.seed, workers, skip);
         println!("{}", sc.unhardened.to_json().render());
         println!("{}", sc.hardened.to_json().render());
         if let Some(dir) = out_dir.as_deref() {
-            write_corruption(&sc.unhardened, seed, dir);
+            write_corruption(&sc.unhardened, cfg.seed, dir);
         }
         if !sc.passed() {
             eprintln!(
@@ -80,22 +71,11 @@ fn main() {
         return;
     }
 
-    let mut eval = if unhardened {
-        EvalConfig::unhardened()
-    } else {
-        EvalConfig::hardened()
-    };
-    eval.reference_clock = !skip;
-    let cfg = SearchConfig {
-        rounds,
-        beam_width: beam,
-        mutations_per_parent: mutations,
-        ..SearchConfig::smoke(seed, eval)
-    };
+    cfg.eval.reference_clock = !skip;
     let report = ise_adversary::run_search(&cfg, workers);
     println!("{}", report.to_json().render());
     if let Some(dir) = out_dir.as_deref() {
-        write_corruption(&report, seed, dir);
+        write_corruption(&report, cfg.seed, dir);
     }
 }
 
@@ -105,10 +85,7 @@ fn write_corruption(report: &ise_adversary::AdversaryReport, seed: u64, dir: &st
         return;
     };
     match shrink_corruption(plan, seed) {
-        Some(finding) => {
-            let path = write_regression(&finding, dir).expect("writing reproducer");
-            eprintln!("wrote {}", path.display());
-        }
+        Some(finding) => write_and_list(&[finding], dir),
         None => eprintln!("corruption win did not reproduce through the fuzz oracle"),
     }
 }

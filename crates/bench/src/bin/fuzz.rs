@@ -13,12 +13,16 @@
 //! * `--write-regressions DIR` — render each finding into `DIR` as a
 //!   replayable `.litmus` reproducer
 //!
-//! Prints the campaign registry as JSON and exits nonzero when any
-//! finding survived — so a CI smoke leg is just this binary with a
-//! fixed seed.
+//! Prints the campaign registry as JSON and exits 1 when any finding
+//! survived — so a CI smoke leg is just this binary with a fixed seed.
+//! A usage error exits 2.
 
-use ise_fuzz::{run_campaign, write_regressions, FuzzConfig};
+use ise_bench::cli::{finish_campaign, Args};
+use ise_fuzz::{run_campaign, FuzzConfig};
 use ise_litmus::machine::SeededBug;
+
+const USAGE: &str = "usage: fuzz [--seed N] [--cases N] [--sim] [--no-shrink] \
+                     [--seeded-bug pc-drain|fence] [--write-regressions DIR]";
 
 fn main() {
     let workers = ise_par::worker_count();
@@ -27,41 +31,24 @@ fn main() {
         ..FuzzConfig::default()
     };
     let mut out_dir: Option<std::path::PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--seed" => cfg.seed = value("--seed").parse().expect("--seed: not a u64"),
-            "--cases" => cfg.cases = value("--cases").parse().expect("--cases: not a count"),
+    let mut args = Args::new(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--seed" => cfg.seed = args.value(),
+            "--cases" => cfg.cases = args.value(),
             "--sim" => cfg.oracle.run_sim = true,
             "--no-shrink" => cfg.shrink = false,
             "--seeded-bug" => {
-                cfg.oracle.seeded_bug = Some(match value("--seeded-bug").as_str() {
-                    "pc-drain" => SeededBug::PcDrainReorder,
-                    "fence" => SeededBug::FenceIgnoresStoreBuffer,
-                    other => panic!("--seeded-bug: unknown bug {other:?} (pc-drain|fence)"),
-                })
+                cfg.oracle.seeded_bug = Some(args.value_with(|name| match name {
+                    "pc-drain" => Some(SeededBug::PcDrainReorder),
+                    "fence" => Some(SeededBug::FenceIgnoresStoreBuffer),
+                    _ => None,
+                }))
             }
-            "--write-regressions" => out_dir = Some(value("--write-regressions").into()),
-            other => panic!("unknown flag {other:?}"),
+            "--write-regressions" => out_dir = Some(args.value()),
+            _ => args.unknown(),
         }
     }
     let report = run_campaign(&cfg, workers);
-    println!("{}", report.to_registry().render());
-    if let Some(dir) = out_dir {
-        let paths = write_regressions(&report, &dir).expect("writing reproducers");
-        for p in &paths {
-            eprintln!("wrote {}", p.display());
-        }
-    }
-    if !report.clean() {
-        eprintln!(
-            "{} finding(s) — each `reproducers` entry above is a shrunk litmus program",
-            report.findings.len()
-        );
-        std::process::exit(1);
-    }
+    finish_campaign(&report.to_registry(), &report.findings, out_dir.as_deref());
 }

@@ -16,12 +16,18 @@
 //! * `--write-regressions DIR` — render each finding into `DIR` as a
 //!   replayable `.srclitmus` reproducer
 //!
-//! Prints the campaign registry as JSON and exits nonzero when any
-//! finding survived — so a CI smoke leg is just this binary with a
-//! fixed seed, and the seeded-bug legs assert the exit code is 1.
+//! Prints the campaign registry as JSON and exits 1 when any finding
+//! survived — so a CI smoke leg is just this binary with a fixed seed,
+//! and the seeded-bug legs assert the exit code is exactly 1. A usage
+//! error exits 2.
 
+use ise_bench::cli::{finish_campaign, Args};
 use ise_consistency::MappingBug;
-use ise_fuzz::{run_trisection, write_src_regressions, TrisectConfig};
+use ise_fuzz::{run_trisection, TrisectConfig};
+
+const USAGE: &str = "usage: trisection [--seed N] [--cases N] [--sim] [--no-shrink] \
+                     [--buggy-mapping wc-release-store-no-fence|acquire-load-as-relaxed] \
+                     [--write-regressions DIR]";
 
 fn main() {
     let workers = ise_par::worker_count();
@@ -30,48 +36,22 @@ fn main() {
         ..TrisectConfig::default()
     };
     let mut out_dir: Option<std::path::PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--seed" => cfg.seed = value("--seed").parse().expect("--seed: not a u64"),
-            "--cases" => cfg.cases = value("--cases").parse().expect("--cases: not a count"),
+    let mut args = Args::new(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--seed" => cfg.seed = args.value(),
+            "--cases" => cfg.cases = args.value(),
             "--sim" => cfg.oracle.run_sim = true,
             "--no-shrink" => cfg.shrink = false,
             "--buggy-mapping" => {
-                let name = value("--buggy-mapping");
                 cfg.oracle.bug = Some(
-                    MappingBug::ALL
-                        .into_iter()
-                        .find(|b| b.name() == name)
-                        .unwrap_or_else(|| {
-                            panic!(
-                                "--buggy-mapping: unknown bug {name:?} ({})",
-                                MappingBug::ALL.map(|b| b.name()).join("|")
-                            )
-                        }),
+                    args.value_with(|name| MappingBug::ALL.into_iter().find(|b| b.name() == name)),
                 )
             }
-            "--write-regressions" => out_dir = Some(value("--write-regressions").into()),
-            other => panic!("unknown flag {other:?}"),
+            "--write-regressions" => out_dir = Some(args.value()),
+            _ => args.unknown(),
         }
     }
     let report = run_trisection(&cfg, workers);
-    println!("{}", report.to_registry().render());
-    if let Some(dir) = out_dir {
-        let paths = write_src_regressions(&report, &dir).expect("writing reproducers");
-        for p in &paths {
-            eprintln!("wrote {}", p.display());
-        }
-    }
-    if !report.clean() {
-        eprintln!(
-            "{} finding(s) — each `reproducers` entry above is a shrunk source program",
-            report.findings.len()
-        );
-        std::process::exit(1);
-    }
+    finish_campaign(&report.to_registry(), &report.findings, out_dir.as_deref());
 }

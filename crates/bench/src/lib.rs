@@ -7,6 +7,8 @@
 
 #![deny(missing_docs)]
 
+pub mod cli;
+
 use ise_consistency::program::format_outcome;
 use ise_litmus::parse::{parse_litmus, ParsedLitmus};
 use ise_litmus::runner::{run_test_with_policy, FaultMode};

@@ -1,5 +1,6 @@
-//! Golden snapshot tests: freeze the Table 5 ordering-contract report
-//! and the campaign verdicts for the four checked-in `litmus/` tests.
+//! Golden snapshot tests: freeze the Table 5 ordering-contract report,
+//! the campaign verdicts for the four checked-in `litmus/` tests, and
+//! the seeded-bug fuzz and trisection campaign reports.
 //!
 //! Any drift — in the contract monitor, the recovery pipeline, the
 //! litmus parser, the operational machine, or the axiomatic model —
@@ -111,6 +112,64 @@ fn fig6_quick_registry_matches_snapshot() {
     let registry =
         ise_bench::report_sections([("rows", rows.to_json()), ("cloudsuite", ext.to_json())]);
     check_golden("fig6_quick_registry.json", &(registry.render() + "\n"));
+}
+
+#[test]
+fn seeded_bug_campaign_reports_match_snapshots() {
+    // The stdout of `fuzz --seed 47 --cases 60 --seeded-bug pc-drain`
+    // and of `trisection --seed 1 --cases 500 --buggy-mapping <bug>`
+    // for both buggy tables: every finding, shrunk, with its rendered
+    // reproducer. The `fuzz-smoke` and `trisection-smoke` CI jobs `cmp`
+    // the binaries' stdout against the same files.
+    use ise_consistency::MappingBug;
+    use ise_fuzz::{run_campaign, run_trisection, FuzzConfig, OracleConfig, TrisectConfig};
+    use ise_litmus::machine::SeededBug;
+    let fuzz = FuzzConfig {
+        seed: 47,
+        cases: 60,
+        oracle: OracleConfig {
+            seeded_bug: Some(SeededBug::PcDrainReorder),
+            ..OracleConfig::default()
+        },
+        ..FuzzConfig::default()
+    };
+    let report = run_campaign(&fuzz, 2).to_registry().render();
+    check_golden("fuzz_seed47_pc_drain.json", &(report + "\n"));
+    for bug in MappingBug::ALL {
+        let mut cfg = TrisectConfig {
+            cases: 500,
+            ..TrisectConfig::default()
+        };
+        cfg.oracle.bug = Some(bug);
+        let report = run_trisection(&cfg, 2).to_registry().render();
+        let name = format!("trisection_seed1_{}.json", bug.name().replace('-', "_"));
+        check_golden(&name, &(report + "\n"));
+    }
+}
+
+#[test]
+fn campaign_usage_errors_exit_2() {
+    // Findings exit 1, so a CI leg that demands exit 1 must not be
+    // satisfied by a mistyped flag or bug name.
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_fuzz"), &["--bogus"][..]),
+        (env!("CARGO_BIN_EXE_fuzz"), &["--seeded-bug", "nope"]),
+        (env!("CARGO_BIN_EXE_fuzz"), &["--cases"]),
+        (
+            env!("CARGO_BIN_EXE_trisection"),
+            &["--buggy-mapping", "nope"],
+        ),
+        (env!("CARGO_BIN_EXE_trisection"), &["--seed", "x"]),
+        (env!("CARGO_BIN_EXE_adversary"), &["--rounds", "-1"]),
+    ] {
+        let out = std::process::Command::new(bin)
+            .args(args)
+            .output()
+            .expect("run campaign binary");
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: "), "{bin} {args:?}: {stderr}");
+    }
 }
 
 #[test]

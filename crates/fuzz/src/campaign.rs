@@ -10,12 +10,12 @@
 
 use crate::gen::{generate, FuzzCase, GenConfig};
 use crate::oracle::{check_case, Finding, FindingKind, OracleConfig};
-use crate::shrink::{shrink, ShrinkResult};
-use ise_consistency::program::Outcome;
+use crate::shrink::{put_findings, shrink_findings, CampaignFinding, Case, Rewrite};
+use ise_consistency::program::{Loc, Stmt, StmtOp};
 use ise_consistency::BatchChecker;
 use ise_litmus::{render_litmus, Family, LitmusTest, ParsedLitmus};
 use ise_telemetry::Registry;
-use ise_types::json::Json;
+use ise_types::instr::Reg;
 use ise_types::model::{ConsistencyModel, DrainPolicy};
 
 /// Campaign shape.
@@ -54,34 +54,62 @@ pub fn case_seed(master: u64, index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One reported (and possibly shrunk) finding.
-#[derive(Debug, Clone)]
-pub struct CampaignFinding {
-    /// Campaign index of the case that found it.
-    pub index: usize,
-    /// The case's seed (regenerate with [`generate`]).
-    pub seed: u64,
-    /// Which oracle pair disagreed.
-    pub kind: FindingKind,
-    /// Explanation, re-derived from the shrunk case.
-    pub detail: String,
-    /// The minimal reproducer.
-    pub case: FuzzCase,
-    /// Forbidden-but-observed outcomes of the shrunk case (axiom
-    /// findings only) — these become `forbid:` lines.
-    pub outcomes: Vec<Outcome>,
-    /// Accepted shrink steps (0 when shrinking is off).
-    pub steps: usize,
+/// Rewrites a stored value / AMO addend to 1.
+fn value_to_one(mut s: Stmt) -> Option<Stmt> {
+    match &mut s.op {
+        StmtOp::Write { value, .. } | StmtOp::Amo { add: value, .. } if *value != 1 => *value = 1,
+        _ => return None,
+    }
+    Some(s)
 }
 
-#[derive(Clone)]
-struct Cell {
-    model: ConsistencyModel,
-    policy: DrainPolicy,
-    faulting: bool,
-    overlay: bool,
-    axiom_misses: u64,
-    findings: Vec<CampaignFinding>,
+impl Case for FuzzCase {
+    type Stmt = Stmt;
+    type Kind = FindingKind;
+    type Oracle = OracleConfig;
+    type Checkers = BatchChecker;
+    const KINDS: &'static [FindingKind] = &FindingKind::ALL;
+    const EXT: &'static str = "litmus";
+    const REWRITES: &'static [Rewrite<Stmt>] = &[value_to_one];
+
+    fn kind_name(kind: FindingKind) -> &'static str {
+        kind.name()
+    }
+
+    fn check(&self, oracle: &OracleConfig, batch: &mut BatchChecker) -> Vec<Finding<FindingKind>> {
+        check_case(self, oracle, batch)
+    }
+
+    fn render(finding: &CampaignFinding<FuzzCase>) -> String {
+        render_litmus(&to_parsed(finding))
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn threads(&mut self) -> &mut Vec<Vec<Stmt>> {
+        &mut self.program.threads
+    }
+
+    fn dep(stmt: &mut Stmt) -> &mut Option<Reg> {
+        &mut stmt.dep
+    }
+
+    fn produced(stmt: &Stmt) -> Option<Reg> {
+        match stmt.op {
+            StmtOp::Read { dst, .. } | StmtOp::Amo { dst, .. } => Some(dst),
+            _ => None,
+        }
+    }
+
+    fn locations(&self) -> Vec<Loc> {
+        self.program.locations()
+    }
+
+    fn faults(&mut self) -> (&mut Vec<Loc>, &mut bool) {
+        (&mut self.faulting, &mut self.overlay)
+    }
 }
 
 /// Campaign results.
@@ -96,7 +124,7 @@ pub struct FuzzReport {
     /// evaluation).
     pub unique_cases: usize,
     /// Every finding, in case order, shrunk when the campaign asked.
-    pub findings: Vec<CampaignFinding>,
+    pub findings: Vec<CampaignFinding<FuzzCase>>,
     /// Cases per consistency model, in [`ConsistencyModel::ALL`] order.
     pub model_cases: [u64; 3],
     /// Cases that ran the split-stream ablation.
@@ -132,27 +160,7 @@ impl FuzzReport {
         reg.add("faulting_cases", self.faulting_cases);
         reg.add("overlay_cases", self.overlay_cases);
         reg.add("axiom_enumerations", self.axiom_enumerations);
-        reg.add("findings", self.findings.len() as u64);
-        for kind in FindingKind::ALL {
-            reg.add(
-                &format!("finding.{}", kind.name()),
-                self.findings.iter().filter(|f| f.kind == kind).count() as u64,
-            );
-        }
-        reg.put("clean", Json::from(self.clean()));
-        reg.put(
-            "reproducers",
-            Json::arr(self.findings.iter().map(|f| {
-                Json::obj([
-                    ("index", Json::from(f.index)),
-                    ("seed", Json::from(f.seed)),
-                    ("kind", Json::str(f.kind.name())),
-                    ("detail", Json::str(f.detail.clone())),
-                    ("steps", Json::from(f.steps)),
-                    ("litmus", Json::str(render_litmus(&to_parsed(f)))),
-                ])
-            })),
-        );
+        put_findings(&mut reg, &self.findings);
         reg
     }
 }
@@ -165,12 +173,9 @@ impl FuzzReport {
 /// against the PC allowed set, and since `allowed(SC) ⊆ allowed(PC) ⊆
 /// allowed(WC)`, a WC-forbidden outcome is PC-forbidden too, but an
 /// SC-forbidden outcome need not be.
-pub fn to_parsed(f: &CampaignFinding) -> ParsedLitmus {
+pub fn to_parsed(f: &CampaignFinding<FuzzCase>) -> ParsedLitmus {
     let stmts = f.case.program.threads.iter().flatten();
-    let family = if stmts
-        .clone()
-        .any(|s| matches!(s.op, ise_consistency::program::StmtOp::Fence(_)))
-    {
+    let family = if stmts.clone().any(|s| matches!(s.op, StmtOp::Fence(_))) {
         Family::Barriers
     } else if stmts.clone().any(|s| s.dep.is_some()) {
         Family::Dependencies
@@ -193,72 +198,6 @@ pub fn to_parsed(f: &CampaignFinding) -> ParsedLitmus {
     }
 }
 
-/// Writes each finding's reproducer into `dir` (created if missing) as
-/// `<kind>-seed<seed>.litmus`, returning the paths written.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_regressions(
-    report: &FuzzReport,
-    dir: &std::path::Path,
-) -> std::io::Result<Vec<std::path::PathBuf>> {
-    std::fs::create_dir_all(dir)?;
-    let mut paths = Vec::new();
-    for f in &report.findings {
-        let path = dir.join(format!("{}-seed{}.litmus", f.kind.name(), f.seed));
-        std::fs::write(&path, render_litmus(&to_parsed(f)))?;
-        paths.push(path);
-    }
-    Ok(paths)
-}
-
-fn run_cell(cfg: &FuzzConfig, index: usize, seed: u64, case: &FuzzCase) -> Cell {
-    let mut batch = BatchChecker::new();
-    let raw = check_case(case, &cfg.oracle, &mut batch);
-    // One report per kind: shrinking converges per finding kind, and a
-    // single root cause often fires several outcomes at once.
-    let mut kinds: Vec<FindingKind> = raw.iter().map(|f| f.kind).collect();
-    kinds.sort_unstable();
-    kinds.dedup();
-    let mut findings = Vec::new();
-    for kind in kinds {
-        let (shrunk, steps) = if cfg.shrink {
-            let ShrinkResult { case: c, steps, .. } = shrink(case, kind, &cfg.oracle, &mut batch);
-            (c, steps)
-        } else {
-            (case.clone(), 0)
-        };
-        // Re-derive detail and outcomes from the reproducer itself.
-        let fresh: Vec<Finding> = check_case(&shrunk, &cfg.oracle, &mut batch)
-            .into_iter()
-            .filter(|f| f.kind == kind)
-            .collect();
-        let (detail, outcomes) = fresh
-            .into_iter()
-            .next()
-            .map(|f| (f.detail, f.outcomes))
-            .unwrap_or_default();
-        findings.push(CampaignFinding {
-            index,
-            seed,
-            kind,
-            detail,
-            case: shrunk,
-            outcomes,
-            steps,
-        });
-    }
-    Cell {
-        model: case.model,
-        policy: case.policy,
-        faulting: !case.faulting.is_empty(),
-        overlay: case.overlay,
-        axiom_misses: batch.misses(),
-        findings,
-    }
-}
-
 /// Runs the campaign on `workers` threads. The report is independent of
 /// `workers`: cases are split by stride and reduced in index order.
 ///
@@ -268,11 +207,8 @@ fn run_cell(cfg: &FuzzConfig, index: usize, seed: u64, case: &FuzzCase) -> Cell 
 /// the cloned findings re-stamped to each slot's own index and seed so
 /// the report is byte-identical to a dedupe-free run.
 pub fn run_campaign(cfg: &FuzzConfig, workers: usize) -> FuzzReport {
-    let cases: Vec<(usize, u64, FuzzCase)> = (0..cfg.cases)
-        .map(|i| {
-            let seed = case_seed(cfg.seed, i);
-            (i, seed, generate(seed, &cfg.gen))
-        })
+    let cases: Vec<FuzzCase> = (0..cfg.cases)
+        .map(|i| generate(case_seed(cfg.seed, i), &cfg.gen))
         .collect();
     // The key covers everything the oracles observe. `seed` is excluded
     // — it is reporting metadata — except for overlay cases, where it
@@ -280,7 +216,7 @@ pub fn run_campaign(cfg: &FuzzConfig, workers: usize) -> FuzzReport {
     let (cells, unique_cases) = ise_par::par_map_dedup(
         &cases,
         workers,
-        |(_, _, case)| {
+        |case| {
             let overlay_seed = if case.overlay { case.seed } else { 0 };
             let src = format!(
                 "{:?}\u{1f}{:?}\u{1f}{:?}\u{1f}{:?}\u{1f}{overlay_seed}",
@@ -288,7 +224,12 @@ pub fn run_campaign(cfg: &FuzzConfig, workers: usize) -> FuzzReport {
             );
             ise_types::persist::fnv1a(src.as_bytes())
         },
-        |_, (index, seed, case)| run_cell(cfg, *index, *seed, case),
+        |_, case| {
+            let mut batch = BatchChecker::new();
+            let raw = check_case(case, &cfg.oracle, &mut batch);
+            let findings = shrink_findings(case, &raw, &cfg.oracle, &mut batch, cfg.shrink);
+            (batch.misses(), findings)
+        },
     );
     let mut report = FuzzReport {
         seed: cfg.seed,
@@ -301,21 +242,18 @@ pub fn run_campaign(cfg: &FuzzConfig, workers: usize) -> FuzzReport {
         overlay_cases: 0,
         axiom_enumerations: 0,
     };
-    for ((index, seed, _), mut cell) in cases.iter().zip(cells) {
-        for f in &mut cell.findings {
-            f.index = *index;
-            f.seed = *seed;
-        }
-        let m = ConsistencyModel::ALL
-            .into_iter()
-            .position(|m| m == cell.model)
-            .expect("model is one of ALL");
-        report.model_cases[m] += 1;
-        report.split_stream_cases += u64::from(cell.policy == DrainPolicy::SplitStream);
-        report.faulting_cases += u64::from(cell.faulting);
-        report.overlay_cases += u64::from(cell.overlay);
-        report.axiom_enumerations += cell.axiom_misses;
-        report.findings.extend(cell.findings);
+    for (index, (case, (axiom_misses, findings))) in cases.iter().zip(cells).enumerate() {
+        report.model_cases[case.model.index()] += 1;
+        report.split_stream_cases += u64::from(case.policy == DrainPolicy::SplitStream);
+        report.faulting_cases += u64::from(!case.faulting.is_empty());
+        report.overlay_cases += u64::from(case.overlay);
+        report.axiom_enumerations += axiom_misses;
+        let seed = case.seed;
+        report.findings.extend(
+            findings
+                .into_iter()
+                .map(|f| CampaignFinding { index, seed, ..f }),
+        );
     }
     report
 }

@@ -78,7 +78,7 @@ pub struct FuzzCase {
     /// Locations whose pages start out faulting (sorted, deduped).
     pub faulting: Vec<Loc>,
     /// Whether the sim leg replaces EInject with the transient
-    /// [`FaultPlan`](ise_core::FaultPlan) overlay.
+    /// `ise_core::FaultPlan` overlay.
     pub overlay: bool,
 }
 

@@ -7,7 +7,7 @@
 //! each one ([`oracle`]): the exhaustive operational machine
 //! (`ise-litmus`), the axiomatic checker (`ise-consistency`) and the
 //! full timing simulator (`ise-sim`) — and any disagreement is shrunk
-//! to a minimal reproducer ([`shrink`]) that can be checked into
+//! to a minimal reproducer ([`mod@shrink`]) that can be checked into
 //! `litmus/regressions/` and replayed as an ordinary corpus test
 //! ([`campaign`]).
 //!
@@ -22,6 +22,14 @@
 //! acquire load mapped as relaxed) are the self-check: campaigns
 //! through them must end dirty, and the witnesses shrink to
 //! `.srclitmus` reproducers.
+//!
+//! Both layers — and the `ise-adversary` corruption replay — share one
+//! finding machinery in [`mod@shrink`]: the [`Case`] trait that
+//! [`FuzzCase`] and [`TrisectCase`] implement, one greedy shrinker
+//! whose per-statement passes are the case's [`Case::REWRITES`] (order
+//! weakening exists only for source cases), one pipeline
+//! ([`shrink_findings`]: a report per kind, shrunk, re-derived from the
+//! reproducer) and one reproducer writer ([`write_reproducers`]).
 //!
 //! Everything is deterministic: one master seed fixes the entire
 //! campaign, per-case seeds are derived by index (never by worker), and
@@ -38,15 +46,12 @@ pub mod shrink;
 pub mod src_gen;
 pub mod trisect;
 
-pub use campaign::{
-    case_seed, run_campaign, to_parsed, write_regressions, CampaignFinding, FuzzConfig, FuzzReport,
-};
+pub use campaign::{case_seed, run_campaign, to_parsed, FuzzConfig, FuzzReport};
 pub use gen::{generate, FuzzCase, GenConfig};
 pub use oracle::{check_case, Finding, FindingKind, OracleConfig};
-pub use shrink::{shrink, ShrinkResult};
+pub use shrink::{shrink, shrink_findings, write_reproducers, CampaignFinding, Case, ShrinkResult};
 pub use src_gen::{generate_src, SrcGenConfig, TrisectCase};
 pub use trisect::{
-    check_src_case, run_trisection, shrink_src, to_src_parsed, write_src_regressions, SrcFinding,
-    SrcShrinkResult, TrisectConfig, TrisectFinding, TrisectFindingKind, TrisectOracleConfig,
-    TrisectReport,
+    check_src_case, run_trisection, to_src_parsed, TrisectConfig, TrisectFindingKind,
+    TrisectOracleConfig, TrisectReport,
 };

@@ -78,15 +78,18 @@ impl FindingKind {
     }
 }
 
-/// One oracle disagreement on one case.
+/// One oracle disagreement on one case, of kind `K` ([`FindingKind`]
+/// here, [`TrisectFindingKind`](crate::TrisectFindingKind) for source
+/// cases).
 #[derive(Debug, Clone)]
-pub struct Finding {
+pub struct Finding<K> {
     /// Which check failed.
-    pub kind: FindingKind,
+    pub kind: K,
     /// Human-readable explanation.
     pub detail: String,
-    /// For [`FindingKind::AxiomViolation`]: the observed-but-forbidden
-    /// outcomes (these become `forbid:` lines in rendered reproducers).
+    /// For [`FindingKind::AxiomViolation`] and the trisection escape
+    /// kinds: the observed-but-forbidden outcomes (these become
+    /// `forbid:` lines in rendered reproducers).
     pub outcomes: Vec<Outcome>,
 }
 
@@ -164,7 +167,7 @@ pub fn check_case(
     case: &FuzzCase,
     oracle: &OracleConfig,
     batch: &mut BatchChecker,
-) -> Vec<Finding> {
+) -> Vec<Finding<FindingKind>> {
     let mut findings = Vec::new();
 
     // Oracle 1: the machine against itself (memoized vs bare walk),

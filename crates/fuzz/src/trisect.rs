@@ -23,15 +23,18 @@
 //!    post-run invariants must hold, exactly as in the differential
 //!    campaign ([`oracle`](crate::oracle)).
 //!
-//! Findings shrink ([`shrink_src`]) with the same greedy-with-restart
-//! delta debugging as hardware findings, plus a source-only pass:
-//! weakening a memory order (`seq_cst → release/acquire`,
-//! `release/acquire → relaxed`) — so a reproducer keeps only the
-//! annotations the bug actually needs.
+//! Findings shrink through the one [`shrink`](crate::shrink::shrink)
+//! the hardware findings use. [`TrisectCase`] adds a source-only
+//! rewrite pass ahead of value → 1: weakening a memory order
+//! (`seq_cst → release/acquire`, `release/acquire → relaxed`) — so a
+//! reproducer keeps only the annotations the bug actually needs.
 
+use crate::campaign::case_seed;
+use crate::oracle::Finding;
+use crate::shrink::{put_findings, shrink_findings, CampaignFinding, Case, Rewrite};
 use crate::src_gen::{generate_src, SrcGenConfig, TrisectCase};
-use ise_consistency::program::Outcome;
-use ise_consistency::source::{MemOrder, SrcOp, SrcProgram, SrcStmt};
+use ise_consistency::program::{Loc, Outcome};
+use ise_consistency::source::{MemOrder, SrcOp, SrcStmt};
 use ise_consistency::{
     buggy_table, correct_table, lower, BatchChecker, MappingBug, MappingTable, SrcBatchChecker,
 };
@@ -39,7 +42,6 @@ use ise_litmus::machine::{explore, MachineConfig};
 use ise_litmus::src_parse::{render_src_litmus, ParsedSrcLitmus};
 use ise_telemetry::Registry;
 use ise_types::instr::Reg;
-use ise_types::json::Json;
 use ise_types::model::{ConsistencyModel, DrainPolicy};
 
 #[allow(unused_imports)] // doc links
@@ -81,18 +83,6 @@ impl TrisectFindingKind {
     }
 }
 
-/// One trisection disagreement on one case.
-#[derive(Debug, Clone)]
-pub struct SrcFinding {
-    /// Which leg failed.
-    pub kind: TrisectFindingKind,
-    /// Human-readable explanation.
-    pub detail: String,
-    /// Language-forbidden outcomes the lowered program exhibits (escape
-    /// kinds only) — these become `forbid:` lines in reproducers.
-    pub outcomes: Vec<Outcome>,
-}
-
 /// How the trisection oracles run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TrisectOracleConfig {
@@ -121,7 +111,7 @@ pub fn check_src_case(
     oracle: &TrisectOracleConfig,
     hw: &mut BatchChecker,
     lang: &mut SrcBatchChecker,
-) -> Vec<SrcFinding> {
+) -> Vec<Finding<TrisectFindingKind>> {
     let mut findings = Vec::new();
     let table = oracle.table(case.model);
     let lowered = lower(&case.program, &table);
@@ -135,7 +125,7 @@ pub fn check_src_case(
         .cloned()
         .collect();
     if !escapes.is_empty() {
-        findings.push(SrcFinding {
+        findings.push(Finding {
             kind: TrisectFindingKind::LanguageAxiomEscape,
             detail: format!(
                 "{} hardware-allowed outcome(s) under {} are language-forbidden",
@@ -160,7 +150,7 @@ pub fn check_src_case(
         .cloned()
         .collect();
     if !machine_only.is_empty() {
-        findings.push(SrcFinding {
+        findings.push(Finding {
             kind: TrisectFindingKind::MachineForbiddenOutcome,
             detail: format!(
                 "{} machine-observed outcome(s) under {} are language-forbidden yet outside \
@@ -183,7 +173,7 @@ pub fn check_src_case(
         let fast =
             ise_sim::run_litmus_case(&lowered, &case.faulting, case.model, true, overlay, None);
         if slow.stats_json != fast.stats_json {
-            findings.push(SrcFinding {
+            findings.push(Finding {
                 kind: TrisectFindingKind::ClockDivergence,
                 detail: "naive and cycle-skipping clocks disagree on the stats registry"
                     .to_string(),
@@ -192,7 +182,7 @@ pub fn check_src_case(
         }
         for run in [&slow, &fast] {
             if !run.violations.is_empty() || run.any_killed {
-                findings.push(SrcFinding {
+                findings.push(Finding {
                     kind: TrisectFindingKind::SimInvariant,
                     detail: if run.any_killed {
                         "a process was killed on a recoverable workload".to_string()
@@ -213,217 +203,87 @@ pub fn check_src_case(
 // Shrinking.
 // ---------------------------------------------------------------------
 
-/// Upper bound on oracle re-runs during one shrink.
-const MAX_ATTEMPTS: usize = 10_000;
-
-/// A shrunk trisection reproducer.
-#[derive(Debug, Clone)]
-pub struct SrcShrinkResult {
-    /// The minimal case that still reproduces the finding kind.
-    pub case: TrisectCase,
-    /// Accepted simplification steps.
-    pub steps: usize,
-    /// Oracle re-runs spent.
-    pub attempts: usize,
-}
-
-/// Drops orphaned dependencies, faulting entries for untouched
-/// locations, and the overlay flag of a fault-free case.
-fn normalize(mut case: TrisectCase) -> TrisectCase {
-    for thread in &mut case.program.threads {
-        let mut produced: Vec<Reg> = Vec::new();
-        for stmt in thread.iter_mut() {
-            if let Some(r) = stmt.dep {
-                if !produced.contains(&r) {
-                    stmt.dep = None;
-                }
-            }
-            if let Some(dst) = stmt.produced() {
-                produced.push(dst);
-            }
-        }
-    }
-    let locs = case.program.locations();
-    case.faulting.retain(|l| locs.contains(l));
-    if case.faulting.is_empty() {
-        case.overlay = false;
-    }
-    case
-}
-
 /// One order-weakening step, or `None` if the statement is already at
 /// its weakest legal order.
-fn weakened(s: &SrcStmt) -> Option<SrcStmt> {
-    let next = |op| SrcStmt { op, dep: s.dep };
-    match s.op {
-        SrcOp::Store { loc, value, order } => match order {
-            MemOrder::SeqCst => Some(next(SrcOp::Store {
-                loc,
-                value,
-                order: MemOrder::Release,
-            })),
-            MemOrder::Release => Some(next(SrcOp::Store {
-                loc,
-                value,
-                order: MemOrder::Relaxed,
-            })),
-            _ => None,
+fn weakened(mut s: SrcStmt) -> Option<SrcStmt> {
+    use MemOrder::{Acquire, Relaxed, Release, SeqCst};
+    match &mut s.op {
+        SrcOp::Store { order, .. } => match order {
+            SeqCst => *order = Release,
+            Release => *order = Relaxed,
+            _ => return None,
         },
-        SrcOp::Load { loc, dst, order } => match order {
-            MemOrder::SeqCst => Some(next(SrcOp::Load {
-                loc,
-                dst,
-                order: MemOrder::Acquire,
-            })),
-            MemOrder::Acquire => Some(next(SrcOp::Load {
-                loc,
-                dst,
-                order: MemOrder::Relaxed,
-            })),
-            _ => None,
+        SrcOp::Load { order, .. } => match order {
+            SeqCst => *order = Acquire,
+            Acquire => *order = Relaxed,
+            _ => return None,
         },
         // An acquire/release fence is already the weakest fence; its
         // removal is the remove-statement pass's job.
         SrcOp::Fence { order } => match order {
-            MemOrder::SeqCst => Some(next(SrcOp::Fence {
-                order: MemOrder::Release,
-            })),
-            _ => None,
+            SeqCst => *order = Release,
+            _ => return None,
         },
     }
+    Some(s)
 }
 
-/// Every one-step simplification of `case`, most aggressive first.
-fn candidates(case: &TrisectCase) -> Vec<TrisectCase> {
-    let mut out = Vec::new();
-    let threads = &case.program.threads;
-    if threads.len() > 1 {
-        for t in 0..threads.len() {
-            let mut next = threads.clone();
-            next.remove(t);
-            out.push(TrisectCase {
-                program: SrcProgram { threads: next },
-                ..case.clone()
-            });
-        }
+/// Rewrites a stored value to 1.
+fn value_to_one(mut s: SrcStmt) -> Option<SrcStmt> {
+    match &mut s.op {
+        SrcOp::Store { value, .. } if *value != 1 => *value = 1,
+        _ => return None,
     }
-    for t in 0..threads.len() {
-        if threads[t].len() <= 1 && threads.len() == 1 {
-            continue; // a program needs at least one statement
-        }
-        for i in 0..threads[t].len() {
-            let mut next = threads.clone();
-            next[t].remove(i);
-            if next[t].is_empty() {
-                next.remove(t);
-            }
-            out.push(TrisectCase {
-                program: SrcProgram { threads: next },
-                ..case.clone()
-            });
-        }
-    }
-    for t in 0..threads.len() {
-        for i in 0..threads[t].len() {
-            if threads[t][i].dep.is_some() {
-                let mut next = threads.clone();
-                next[t][i].dep = None;
-                out.push(TrisectCase {
-                    program: SrcProgram { threads: next },
-                    ..case.clone()
-                });
-            }
-        }
-    }
-    for t in 0..threads.len() {
-        for i in 0..threads[t].len() {
-            if let Some(weaker) = weakened(&threads[t][i]) {
-                let mut next = threads.clone();
-                next[t][i] = weaker;
-                out.push(TrisectCase {
-                    program: SrcProgram { threads: next },
-                    ..case.clone()
-                });
-            }
-        }
-    }
-    for t in 0..threads.len() {
-        for i in 0..threads[t].len() {
-            if let SrcOp::Store { loc, value, order } = threads[t][i].op {
-                if value != 1 {
-                    let mut next = threads.clone();
-                    next[t][i].op = SrcOp::Store {
-                        loc,
-                        value: 1,
-                        order,
-                    };
-                    out.push(TrisectCase {
-                        program: SrcProgram { threads: next },
-                        ..case.clone()
-                    });
-                }
-            }
-        }
-    }
-    for f in 0..case.faulting.len() {
-        let mut next = case.faulting.clone();
-        next.remove(f);
-        out.push(TrisectCase {
-            faulting: next,
-            ..case.clone()
-        });
-    }
-    if case.overlay {
-        out.push(TrisectCase {
-            overlay: false,
-            ..case.clone()
-        });
-    }
-    out.into_iter().map(normalize).collect()
+    Some(s)
 }
 
-/// Shrinks `case` while `kind` still reproduces under `oracle`.
-///
-/// Greedy with restarts, like [`shrink`](crate::shrink::shrink): the
-/// first accepted candidate restarts the scan from the most aggressive
-/// pass (thread removal).
-pub fn shrink_src(
-    case: &TrisectCase,
-    kind: TrisectFindingKind,
-    oracle: &TrisectOracleConfig,
-    hw: &mut BatchChecker,
-    lang: &mut SrcBatchChecker,
-) -> SrcShrinkResult {
-    let reproduces = |c: &TrisectCase, hw: &mut BatchChecker, lang: &mut SrcBatchChecker| {
-        check_src_case(c, oracle, hw, lang)
-            .iter()
-            .any(|f| f.kind == kind)
-    };
-    let mut current = normalize(case.clone());
-    debug_assert!(
-        reproduces(&current, hw, lang),
-        "finding must reproduce before shrinking"
-    );
-    let mut steps = 0;
-    let mut attempts = 0;
-    'outer: loop {
-        for cand in candidates(&current) {
-            if attempts >= MAX_ATTEMPTS {
-                break 'outer;
-            }
-            attempts += 1;
-            if reproduces(&cand, hw, lang) {
-                current = cand;
-                steps += 1;
-                continue 'outer;
-            }
-        }
-        break;
+impl Case for TrisectCase {
+    type Stmt = SrcStmt;
+    type Kind = TrisectFindingKind;
+    type Oracle = TrisectOracleConfig;
+    type Checkers = (BatchChecker, SrcBatchChecker);
+    const KINDS: &'static [TrisectFindingKind] = &TrisectFindingKind::ALL;
+    const EXT: &'static str = "srclitmus";
+    const REWRITES: &'static [Rewrite<SrcStmt>] = &[weakened, value_to_one];
+
+    fn kind_name(kind: TrisectFindingKind) -> &'static str {
+        kind.name()
     }
-    SrcShrinkResult {
-        case: current,
-        steps,
-        attempts,
+
+    fn check(
+        &self,
+        oracle: &TrisectOracleConfig,
+        (hw, lang): &mut (BatchChecker, SrcBatchChecker),
+    ) -> Vec<Finding<TrisectFindingKind>> {
+        check_src_case(self, oracle, hw, lang)
+    }
+
+    fn render(finding: &CampaignFinding<TrisectCase>) -> String {
+        render_src_litmus(&to_src_parsed(finding))
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn threads(&mut self) -> &mut Vec<Vec<SrcStmt>> {
+        &mut self.program.threads
+    }
+
+    fn dep(stmt: &mut SrcStmt) -> &mut Option<Reg> {
+        &mut stmt.dep
+    }
+
+    fn produced(stmt: &SrcStmt) -> Option<Reg> {
+        stmt.produced()
+    }
+
+    fn locations(&self) -> Vec<Loc> {
+        self.program.locations()
+    }
+
+    fn faults(&mut self) -> (&mut Vec<Loc>, &mut bool) {
+        (&mut self.faulting, &mut self.overlay)
     }
 }
 
@@ -435,7 +295,7 @@ pub fn shrink_src(
 #[derive(Debug, Clone, Copy)]
 pub struct TrisectConfig {
     /// Master seed; case `i` uses
-    /// [`case_seed`](crate::campaign::case_seed)`(seed, i)`.
+    /// [`case_seed`]`(seed, i)`.
     pub seed: u64,
     /// Cases to run.
     pub cases: usize,
@@ -459,35 +319,6 @@ impl Default for TrisectConfig {
     }
 }
 
-/// One reported (and possibly shrunk) trisection finding.
-#[derive(Debug, Clone)]
-pub struct TrisectFinding {
-    /// Campaign index of the case that found it.
-    pub index: usize,
-    /// The case's seed (regenerate with [`generate_src`]).
-    pub seed: u64,
-    /// Which leg failed.
-    pub kind: TrisectFindingKind,
-    /// Explanation, re-derived from the shrunk case.
-    pub detail: String,
-    /// The minimal reproducer.
-    pub case: TrisectCase,
-    /// Language-forbidden-but-exhibited outcomes of the shrunk case
-    /// (escape kinds only) — these become `forbid:` lines.
-    pub outcomes: Vec<Outcome>,
-    /// Accepted shrink steps (0 when shrinking is off).
-    pub steps: usize,
-}
-
-struct Cell {
-    model: ConsistencyModel,
-    faulting: bool,
-    overlay: bool,
-    lang_misses: u64,
-    hw_misses: u64,
-    findings: Vec<TrisectFinding>,
-}
-
 /// Trisection campaign results.
 #[derive(Debug, Clone)]
 pub struct TrisectReport {
@@ -496,7 +327,7 @@ pub struct TrisectReport {
     /// Cases run.
     pub cases: usize,
     /// Every finding, in case order, shrunk when the campaign asked.
-    pub findings: Vec<TrisectFinding>,
+    pub findings: Vec<CampaignFinding<TrisectCase>>,
     /// Cases per hardware model, in [`ConsistencyModel::ALL`] order.
     pub model_cases: [u64; 3],
     /// Cases with at least one faulting location.
@@ -529,27 +360,7 @@ impl TrisectReport {
         reg.add("overlay_cases", self.overlay_cases);
         reg.add("lang_enumerations", self.lang_enumerations);
         reg.add("hw_enumerations", self.hw_enumerations);
-        reg.add("findings", self.findings.len() as u64);
-        for kind in TrisectFindingKind::ALL {
-            reg.add(
-                &format!("finding.{}", kind.name()),
-                self.findings.iter().filter(|f| f.kind == kind).count() as u64,
-            );
-        }
-        reg.put("clean", Json::from(self.clean()));
-        reg.put(
-            "reproducers",
-            Json::arr(self.findings.iter().map(|f| {
-                Json::obj([
-                    ("index", Json::from(f.index)),
-                    ("seed", Json::from(f.seed)),
-                    ("kind", Json::str(f.kind.name())),
-                    ("detail", Json::str(f.detail.clone())),
-                    ("steps", Json::from(f.steps)),
-                    ("srclitmus", Json::str(render_src_litmus(&to_src_parsed(f)))),
-                ])
-            })),
-        );
+        put_findings(&mut reg, &self.findings);
         reg
     }
 }
@@ -557,7 +368,7 @@ impl TrisectReport {
 /// Renders a trisection finding as a source-dialect test: the source
 /// program, the hardware model it was lowered to, and the
 /// language-forbidden outcomes it exhibited as `forbid:` lines.
-pub fn to_src_parsed(f: &TrisectFinding) -> ParsedSrcLitmus {
+pub fn to_src_parsed(f: &CampaignFinding<TrisectCase>) -> ParsedSrcLitmus {
     ParsedSrcLitmus {
         name: format!("trisect/{}-seed{}", f.kind.name(), f.seed),
         model: f.case.model,
@@ -566,82 +377,20 @@ pub fn to_src_parsed(f: &TrisectFinding) -> ParsedSrcLitmus {
     }
 }
 
-/// Writes each finding's reproducer into `dir` (created if missing) as
-/// `<kind>-seed<seed>.srclitmus`, returning the paths written.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_src_regressions(
-    report: &TrisectReport,
-    dir: &std::path::Path,
-) -> std::io::Result<Vec<std::path::PathBuf>> {
-    std::fs::create_dir_all(dir)?;
-    let mut paths = Vec::new();
-    for f in &report.findings {
-        let path = dir.join(format!("{}-seed{}.srclitmus", f.kind.name(), f.seed));
-        std::fs::write(&path, render_src_litmus(&to_src_parsed(f)))?;
-        paths.push(path);
-    }
-    Ok(paths)
-}
-
-fn run_cell(cfg: &TrisectConfig, index: usize) -> Cell {
-    let seed = crate::campaign::case_seed(cfg.seed, index);
-    let case = generate_src(seed, &cfg.gen);
-    let mut hw = BatchChecker::new();
-    let mut lang = SrcBatchChecker::new();
-    let raw = check_src_case(&case, &cfg.oracle, &mut hw, &mut lang);
-    // One report per kind: a single root cause often fires several
-    // outcomes at once and shrinking converges per kind.
-    let mut kinds: Vec<TrisectFindingKind> = raw.iter().map(|f| f.kind).collect();
-    kinds.sort_unstable();
-    kinds.dedup();
-    let mut findings = Vec::new();
-    for kind in kinds {
-        let (shrunk, steps) = if cfg.shrink {
-            let SrcShrinkResult { case: c, steps, .. } =
-                shrink_src(&case, kind, &cfg.oracle, &mut hw, &mut lang);
-            (c, steps)
-        } else {
-            (case.clone(), 0)
-        };
-        // Re-derive detail and outcomes from the reproducer itself.
-        let fresh: Vec<SrcFinding> = check_src_case(&shrunk, &cfg.oracle, &mut hw, &mut lang)
-            .into_iter()
-            .filter(|f| f.kind == kind)
-            .collect();
-        let (detail, outcomes) = fresh
-            .into_iter()
-            .next()
-            .map(|f| (f.detail, f.outcomes))
-            .unwrap_or_default();
-        findings.push(TrisectFinding {
-            index,
-            seed,
-            kind,
-            detail,
-            case: shrunk,
-            outcomes,
-            steps,
-        });
-    }
-    Cell {
-        model: case.model,
-        faulting: !case.faulting.is_empty(),
-        overlay: case.overlay,
-        lang_misses: lang.misses(),
-        hw_misses: hw.misses(),
-        findings,
-    }
-}
-
 /// Runs the trisection campaign on `workers` threads. The report is
 /// independent of `workers`: cases are split by stride and reduced in
 /// index order.
 pub fn run_trisection(cfg: &TrisectConfig, workers: usize) -> TrisectReport {
-    let indices: Vec<usize> = (0..cfg.cases).collect();
-    let cells = ise_par::par_map(&indices, workers, |_, &i| run_cell(cfg, i));
+    let cases: Vec<TrisectCase> = (0..cfg.cases)
+        .map(|i| generate_src(case_seed(cfg.seed, i), &cfg.gen))
+        .collect();
+    let cells = ise_par::par_map(&cases, workers, |_, case| {
+        let mut checkers = Default::default();
+        let raw = case.check(&cfg.oracle, &mut checkers);
+        let findings = shrink_findings(case, &raw, &cfg.oracle, &mut checkers, cfg.shrink);
+        let (hw, lang) = checkers;
+        (lang.misses(), hw.misses(), findings)
+    });
     let mut report = TrisectReport {
         seed: cfg.seed,
         cases: cfg.cases,
@@ -652,17 +401,14 @@ pub fn run_trisection(cfg: &TrisectConfig, workers: usize) -> TrisectReport {
         lang_enumerations: 0,
         hw_enumerations: 0,
     };
-    for cell in cells {
-        let m = ConsistencyModel::ALL
-            .into_iter()
-            .position(|m| m == cell.model)
-            .expect("model is one of ALL");
-        report.model_cases[m] += 1;
-        report.faulting_cases += u64::from(cell.faulting);
-        report.overlay_cases += u64::from(cell.overlay);
-        report.lang_enumerations += cell.lang_misses;
-        report.hw_enumerations += cell.hw_misses;
-        report.findings.extend(cell.findings);
+    for (index, (case, (lang_misses, hw_misses, findings))) in cases.iter().zip(cells).enumerate() {
+        report.model_cases[case.model.index()] += 1;
+        report.faulting_cases += u64::from(!case.faulting.is_empty());
+        report.overlay_cases += u64::from(case.overlay);
+        report.lang_enumerations += lang_misses;
+        report.hw_enumerations += hw_misses;
+        let findings = findings.into_iter().map(|f| CampaignFinding { index, ..f });
+        report.findings.extend(findings);
     }
     report
 }
@@ -670,7 +416,7 @@ pub fn run_trisection(cfg: &TrisectConfig, workers: usize) -> TrisectReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ise_consistency::program::Loc;
+    use ise_consistency::source::SrcProgram;
     use ise_litmus::parse_src_litmus;
 
     const A: Loc = Loc(0);
@@ -752,22 +498,18 @@ mod tests {
             bug: Some(MappingBug::WcReleaseStoreNoFence),
             run_sim: false,
         };
-        let mut hw = BatchChecker::new();
-        let mut lang = SrcBatchChecker::new();
         let case = mp_case(ConsistencyModel::Wc);
-        let shrunk = shrink_src(
-            &case,
-            TrisectFindingKind::LanguageAxiomEscape,
-            &oracle,
-            &mut hw,
-            &mut lang,
-        );
+        let mut checkers = Default::default();
+        let kind = TrisectFindingKind::LanguageAxiomEscape;
+        let shrunk = crate::shrink(&case, kind, &oracle, &mut checkers);
         assert!(shrunk.case.program.threads.len() <= 2);
         assert!(shrunk.case.program.len() <= 4, "{:?}", shrunk.case.program);
         // Still reproduces.
-        assert!(check_src_case(&shrunk.case, &oracle, &mut hw, &mut lang)
+        assert!(shrunk
+            .case
+            .check(&oracle, &mut checkers)
             .iter()
-            .any(|f| f.kind == TrisectFindingKind::LanguageAxiomEscape));
+            .any(|f| f.kind == kind));
     }
 
     #[test]
@@ -780,7 +522,7 @@ mod tests {
         let mut lang = SrcBatchChecker::new();
         let case = mp_case(ConsistencyModel::Wc);
         let raw = check_src_case(&case, &oracle, &mut hw, &mut lang);
-        let f = TrisectFinding {
+        let f = CampaignFinding {
             index: 0,
             seed: case.seed,
             kind: raw[0].kind,

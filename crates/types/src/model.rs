@@ -38,6 +38,11 @@ impl ConsistencyModel {
         ConsistencyModel::Pc,
         ConsistencyModel::Wc,
     ];
+
+    /// This model's position in [`Self::ALL`] (declaration order).
+    pub fn index(self) -> usize {
+        self as usize
+    }
 }
 
 impl fmt::Display for ConsistencyModel {
@@ -139,5 +144,8 @@ mod tests {
     #[test]
     fn all_covers_every_model() {
         assert_eq!(ConsistencyModel::ALL.len(), 3);
+        for (i, model) in ConsistencyModel::ALL.into_iter().enumerate() {
+            assert_eq!(model.index(), i);
+        }
     }
 }

@@ -4,9 +4,10 @@
 //! pipeline.
 
 use imprecise_store_exceptions::adversary::{
-    evaluate, run_search, self_check, shrink_corruption, write_regression, AdvPlan, EvalConfig,
-    Objective, SearchConfig,
+    evaluate, run_search, self_check, shrink_corruption, AdvPlan, EvalConfig, Objective,
+    SearchConfig,
 };
+use imprecise_store_exceptions::fuzz::write_reproducers;
 use imprecise_store_exceptions::litmus::parse_litmus;
 use imprecise_store_exceptions::types::{ExceptionKind, FaultKind};
 
@@ -87,8 +88,8 @@ fn a_corruption_win_becomes_a_replayable_regression() {
 
     let dir =
         std::env::temp_dir().join(format!("ise-adversary-regress-test-{}", std::process::id()));
-    let path = write_regression(&finding, &dir).expect("regression writes");
-    let text = std::fs::read_to_string(&path).expect("regression reads back");
+    let paths = write_reproducers(std::slice::from_ref(&finding), &dir).expect("regression writes");
+    let text = std::fs::read_to_string(&paths[0]).expect("regression reads back");
     let parsed = parse_litmus(&text).expect("regression reparses");
     assert_eq!(parsed.test.program, finding.case.program);
     assert!(

@@ -104,3 +104,72 @@ fn every_source_regression_reproducer_stays_fixed() {
         }
     }
 }
+
+#[test]
+fn the_reproducer_writer_regenerates_the_checked_in_corpus() {
+    // The two hardware reproducers were written by the campaigns
+    // themselves: the seed-47 `pc-drain` fuzz self-check and the
+    // adversary self-check's corruption win. Re-running both through
+    // the one reproducer writer must give the checked-in bytes.
+    use imprecise_store_exceptions::adversary::{self_check, shrink_corruption, Objective};
+    use imprecise_store_exceptions::consistency::MappingBug;
+    use imprecise_store_exceptions::fuzz::{
+        run_campaign, run_trisection, write_reproducers, FuzzConfig, OracleConfig, TrisectConfig,
+        TrisectOracleConfig,
+    };
+    use imprecise_store_exceptions::litmus::machine::SeededBug;
+    use imprecise_store_exceptions::litmus::parse_src_litmus;
+
+    let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("litmus/regressions");
+    let out = std::env::temp_dir().join(format!("ise-writer-corpus-{}", std::process::id()));
+    let same_as_corpus = |paths: Vec<std::path::PathBuf>| {
+        assert_eq!(paths.len(), 1, "{paths:?}");
+        let name = paths[0].file_name().expect("file name");
+        let written = std::fs::read(&paths[0]).expect("reproducer reads back");
+        let checked_in = std::fs::read(corpus.join(name))
+            .unwrap_or_else(|e| panic!("{name:?} is not in the corpus: {e}"));
+        assert_eq!(written, checked_in, "{name:?} drifted from the corpus");
+    };
+
+    let fuzz = run_campaign(
+        &FuzzConfig {
+            seed: 47,
+            cases: 60,
+            oracle: OracleConfig {
+                seeded_bug: Some(SeededBug::PcDrainReorder),
+                ..OracleConfig::default()
+            },
+            ..FuzzConfig::default()
+        },
+        2,
+    );
+    same_as_corpus(write_reproducers(&fuzz.findings, &out).expect("fuzz reproducer writes"));
+
+    let sc = self_check(1, 2, true);
+    let plan = sc
+        .unhardened
+        .winning_genome(Objective::Corrupt)
+        .expect("the unhardened kernel loses on corruption");
+    let win = shrink_corruption(plan, 1).expect("the win reproduces through the fuzz oracle");
+    same_as_corpus(write_reproducers(&[win], &out).expect("adversary reproducer writes"));
+
+    // A trisection finding goes through the same writer and re-parses.
+    let tri = run_trisection(
+        &TrisectConfig {
+            cases: 40,
+            oracle: TrisectOracleConfig {
+                bug: Some(MappingBug::AcquireLoadAsRelaxed),
+                run_sim: false,
+            },
+            ..TrisectConfig::default()
+        },
+        2,
+    );
+    let paths = write_reproducers(&tri.findings[..1], &out).expect("source reproducer writes");
+    assert!(paths[0].extension().is_some_and(|x| x == "srclitmus"));
+    let text = std::fs::read_to_string(&paths[0]).expect("source reproducer reads back");
+    let back = parse_src_litmus(&text).expect("source reproducer reparses");
+    assert_eq!(back.program, tri.findings[0].case.program);
+    assert_eq!(back.forbidden, tri.findings[0].outcomes);
+    std::fs::remove_dir_all(&out).ok();
+}

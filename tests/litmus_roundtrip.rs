@@ -9,7 +9,7 @@ use imprecise_store_exceptions::consistency::program::{Outcome, StmtOp};
 use imprecise_store_exceptions::consistency::source::{MemOrder, SrcOp};
 use imprecise_store_exceptions::fuzz::{
     case_seed, generate, generate_src, to_parsed, to_src_parsed, CampaignFinding, GenConfig,
-    SrcGenConfig, TrisectFinding, TrisectFindingKind,
+    SrcGenConfig, TrisectFindingKind,
 };
 use imprecise_store_exceptions::fuzz::{FindingKind, FuzzCase, TrisectCase};
 use imprecise_store_exceptions::litmus::parse::{parse_litmus, render_litmus};
@@ -57,7 +57,7 @@ fn every_checked_in_test_round_trips() {
 
 /// Wraps a generated case the way the campaign wraps findings, so the
 /// rendering path under test is the production one.
-fn as_finding(case: FuzzCase) -> CampaignFinding {
+fn as_finding(case: FuzzCase) -> CampaignFinding<FuzzCase> {
     CampaignFinding {
         index: 0,
         seed: case.seed,
@@ -113,7 +113,7 @@ fn generated_programs_round_trip_through_the_text_dialect() {
 /// findings, so the source-dialect rendering path under test is the
 /// production one. The forbidden outcome (when the program has a load)
 /// exercises the `forbid:` line round trip.
-fn as_src_finding(case: TrisectCase) -> TrisectFinding {
+fn as_src_finding(case: TrisectCase) -> CampaignFinding<TrisectCase> {
     let mut outcomes = Vec::new();
     let first_load = case.program.threads.iter().enumerate().find_map(|(t, st)| {
         st.iter().find_map(|s| match s.op {
@@ -126,7 +126,7 @@ fn as_src_finding(case: TrisectCase) -> TrisectFinding {
         o.insert(key, 1);
         outcomes.push(o);
     }
-    TrisectFinding {
+    CampaignFinding {
         index: 0,
         seed: case.seed,
         kind: TrisectFindingKind::LanguageAxiomEscape,
