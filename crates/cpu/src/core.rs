@@ -9,7 +9,7 @@
 //! (ise-sim) routes them through the FSBC/FSB and the OS model and then
 //! calls [`Core::resume_at`]. The core itself never blocks on software.
 
-use crate::rob::{ReplayRing, RobEntry, RobRing};
+use crate::rob::{ReplayRing, RobRing};
 use crate::store_buffer::{DrainFault, StoreBuffer};
 use crate::trace::{PersistTrace, TraceSource};
 use ise_engine::Cycle;
@@ -425,8 +425,8 @@ impl<T: TraceSource> Core<T> {
             let Some(instr) = self.next_instruction() else {
                 break;
             };
-            let entry = self.dispatch(instr, now, hier);
-            self.rob.push_back(entry);
+            let (complete_at, fault) = self.dispatch(&instr, now, hier);
+            self.rob.push_back(instr, complete_at, fault);
             dispatched += 1;
         }
 
@@ -602,9 +602,15 @@ impl<T: TraceSource> Core<T> {
         self.rob.forwards_store(addr.raw() >> 3)
     }
 
-    fn dispatch(&mut self, instr: Instruction, now: Cycle, hier: &mut MemoryHierarchy) -> RobEntry {
+    /// Issues a fetched instruction: returns when it completes and the
+    /// fault its (load) access raised, if any.
+    fn dispatch(
+        &mut self,
+        instr: &Instruction,
+        now: Cycle,
+        hier: &mut MemoryHierarchy,
+    ) -> (Cycle, Option<ExceptionKind>) {
         let mut fault = None;
-        let mut issued = false;
         let complete_at = match instr.kind {
             InstrKind::Other { latency } => now + latency as u64,
             InstrKind::Fence(_) => now,
@@ -629,18 +635,10 @@ impl<T: TraceSource> Core<T> {
                 // head (see the retirement stage).
                 now + 1
             }
-            InstrKind::Atomic { .. } => {
-                issued = false;
-                now + 1
-            }
+            // Atomics issue their access at the ROB head.
+            InstrKind::Atomic { .. } => now + 1,
         };
-        let _ = issued;
-        RobEntry {
-            instr,
-            complete_at,
-            fault,
-            issued: false,
-        }
+        (complete_at, fault)
     }
 }
 

@@ -10,13 +10,22 @@
 //! 8-byte words targeted by in-ROB stores, so the store-to-load
 //! forwarding probe ([`RobRing::forwards_store`]) is a hash lookup
 //! instead of a scan over every ROB entry per dispatched load.
+//!
+//! The per-instruction operations (`push_back`, `front`, `pop_front`)
+//! are `#[inline]`, and `push_back` takes the instruction and its
+//! outcome as separate arguments, so an `Instruction` moves from the
+//! trace into its ring slot with no stack temporary in between. A
+//! temporary copied across an out-of-line call is reloaded with
+//! narrower loads than it was stored with: a store-forwarding stall on
+//! every dispatch.
 
 use ise_engine::Cycle;
 use ise_types::exception::ExceptionKind;
 use ise_types::instr::InstrKind;
 use ise_types::Instruction;
 
-/// One in-flight instruction, as the retirement stage sees it.
+/// One in-flight instruction, as the retirement stage sees it
+/// ([`RobRing::front`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RobEntry {
     pub instr: Instruction,
@@ -27,6 +36,7 @@ pub(crate) struct RobEntry {
     pub issued: bool,
 }
 
+#[inline]
 fn store_word(instr: &Instruction) -> Option<u64> {
     match instr.kind {
         InstrKind::Store { addr, .. } => Some(addr.raw() >> 3),
@@ -79,10 +89,12 @@ impl RobRing {
         self.len == 0
     }
 
+    #[inline]
     fn slot(&self, i: usize) -> usize {
         (self.head + i) & self.ring_mask
     }
 
+    #[inline]
     fn entry_at(&self, s: usize) -> RobEntry {
         RobEntry {
             instr: self.instrs[s],
@@ -93,6 +105,7 @@ impl RobRing {
     }
 
     /// The oldest entry, by value.
+    #[inline]
     pub fn front(&self) -> Option<RobEntry> {
         (self.len > 0).then(|| self.entry_at(self.head))
     }
@@ -110,25 +123,34 @@ impl RobRing {
         self.faults[self.head] = fault;
     }
 
-    /// Appends a dispatched entry.
+    /// Appends a dispatched instruction with its completion cycle and
+    /// access outcome. It enters unissued: only the head is ever issued
+    /// ([`RobRing::head_mark_issued`]).
     ///
     /// # Panics
     ///
     /// Panics if the ring is full (callers gate on `rob_entries`).
-    pub fn push_back(&mut self, e: RobEntry) {
+    #[inline]
+    pub fn push_back(
+        &mut self,
+        instr: Instruction,
+        complete_at: Cycle,
+        fault: Option<ExceptionKind>,
+    ) {
         assert!(self.len <= self.ring_mask, "ROB ring overflow");
         let s = self.slot(self.len);
-        self.instrs[s] = e.instr;
-        self.complete_at[s] = e.complete_at;
-        self.faults[s] = e.fault;
-        self.issued[s] = e.issued;
+        self.instrs[s] = instr;
+        self.complete_at[s] = complete_at;
+        self.faults[s] = fault;
+        self.issued[s] = false;
         self.len += 1;
-        if let Some(w) = store_word(&e.instr) {
+        if let Some(w) = store_word(&instr) {
             self.word_insert(w);
         }
     }
 
     /// Retires the oldest entry.
+    #[inline]
     pub fn pop_front(&mut self) -> Option<Instruction> {
         if self.len == 0 {
             return None;
@@ -227,7 +249,8 @@ impl RobRing {
     }
 
     /// Rebuilds a ring of `capacity` entries by replaying the saved
-    /// entries through [`RobRing::push_back`].
+    /// entries through [`RobRing::push_back`] (then restoring each
+    /// entry's issued flag).
     pub fn restore_state(
         r: &mut ise_types::persist::Reader,
         capacity: usize,
@@ -243,13 +266,9 @@ impl RobRing {
                 let instr = Persist::restore(r)?;
                 let complete_at = r.u64()?;
                 let fault = Persist::restore(r)?;
-                let issued = r.bool()?;
-                ring.push_back(RobEntry {
-                    instr,
-                    complete_at,
-                    fault,
-                    issued,
-                });
+                ring.push_back(instr, complete_at, fault);
+                let s = ring.slot(ring.len - 1);
+                ring.issued[s] = r.bool()?;
             }
             Ok(ring)
         })
@@ -404,7 +423,7 @@ mod tests {
                             fault: None,
                             issued: false,
                         };
-                        ring.push_back(e);
+                        ring.push_back(e.instr, e.complete_at, e.fault);
                         naive.push_back(e);
                     }
                 }
@@ -475,21 +494,17 @@ mod tests {
         let mut ring = RobRing::new(8);
         // Wrap the head so saved logical order differs from slot order.
         for i in 0..5u64 {
-            ring.push_back(RobEntry {
-                instr: Instruction::store(Addr::new(i * 8), i),
-                complete_at: 10 + i,
-                fault: None,
-                issued: false,
-            });
+            ring.push_back(Instruction::store(Addr::new(i * 8), i), 10 + i, None);
         }
         ring.pop_front();
         ring.pop_front();
-        ring.push_back(RobEntry {
-            instr: Instruction::load(Addr::new(0x40), Reg(1)),
-            complete_at: 99,
-            fault: Some(ise_types::exception::ExceptionKind::BusError),
-            issued: true,
-        });
+        ring.push_back(
+            Instruction::load(Addr::new(0x40), Reg(1)),
+            99,
+            Some(ise_types::exception::ExceptionKind::BusError),
+        );
+        // The issued flag and access outcome round-trip at the head.
+        ring.head_mark_issued(77, Some(ise_types::exception::ExceptionKind::PageFault));
         let mut w = Writer::container();
         ring.save_state(&mut w);
         let bytes = w.finish();
@@ -516,12 +531,7 @@ mod tests {
         use ise_types::persist::{PersistError, Reader, Writer};
         let mut ring = RobRing::new(8);
         for i in 0..6u64 {
-            ring.push_back(RobEntry {
-                instr: Instruction::store(Addr::new(i * 8), i),
-                complete_at: 0,
-                fault: None,
-                issued: false,
-            });
+            ring.push_back(Instruction::store(Addr::new(i * 8), i), 0, None);
         }
         let mut w = Writer::container();
         ring.save_state(&mut w);
@@ -563,12 +573,7 @@ mod tests {
         // word index must stay exact throughout.
         let mut ring = RobRing::new(4);
         for i in 0..1000u64 {
-            ring.push_back(RobEntry {
-                instr: Instruction::store(Addr::new((i % 7) * 8), i),
-                complete_at: 0,
-                fault: None,
-                issued: false,
-            });
+            ring.push_back(Instruction::store(Addr::new((i % 7) * 8), i), 0, None);
             assert!(ring.forwards_store(i % 7));
             if i % 3 == 0 {
                 ring.pop_back();

@@ -14,6 +14,10 @@
 //! persisted `CACH` section keeps the dense encoding of a flat array:
 //! missing chunks are written as zeros, and restore creates only the
 //! chunks that hold a nonzero byte.
+//!
+//! Splitting a line into set and tag divides its block number by the
+//! set count, which need not be a power of two. `BlockDivisor` does
+//! that with one multiply and a shift, for every set count.
 
 use ise_types::addr::{Addr, LINE_SIZE};
 use ise_types::config::CacheConfig;
@@ -26,6 +30,56 @@ const FLAG_DIRTY: u8 = 1 << 1;
 /// touched set; eight keeps a chunk of an `l2_isca23` tile near 2 KiB
 /// and its chunk table at 128 entries (DESIGN.md §15 on why not 16).
 const CHUNK_SETS: usize = 8;
+
+/// Division-free `block / d` and `block % d` for any divisor `d >= 1`,
+/// where `block` is the block number of a line address
+/// (`addr / LINE_SIZE`, so below `2^BLOCK_BITS`).
+///
+/// The quotient is `(block * magic) >> shift` with
+/// `magic = ceil(2^shift / d)` and `shift = BLOCK_BITS + ceil(log2 d)`.
+/// That is exact: `block * magic / 2^shift = block / d + ε` with
+/// `0 <= ε < 2^BLOCK_BITS / 2^shift <= 1 / d`, too small to carry
+/// `block / d` past the next integer. `magic` fits 64 bits
+/// (`2^58 <= magic <= 2^59`) and the product 128. A power of two takes
+/// the same path (`magic` is then exactly `2^shift / d`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BlockDivisor {
+    d: u64,
+    magic: u64,
+    shift: u32,
+}
+
+impl BlockDivisor {
+    /// Bits in the block number of a 64-bit line address.
+    const BLOCK_BITS: u32 = u64::BITS - LINE_SIZE.trailing_zeros();
+
+    /// # Panics
+    ///
+    /// Panics if `d` is zero.
+    pub(crate) fn new(d: u64) -> Self {
+        assert!(d > 0, "division by zero");
+        let shift = Self::BLOCK_BITS + (u64::BITS - (d - 1).leading_zeros());
+        let magic = (1u128 << shift).div_ceil(u128::from(d));
+        BlockDivisor {
+            d,
+            magic: u64::try_from(magic).expect("magic fits 64 bits"),
+            shift,
+        }
+    }
+
+    /// The divisor.
+    pub(crate) fn get(self) -> u64 {
+        self.d
+    }
+
+    /// `(block / d, block % d)` of the line at `line`.
+    #[inline]
+    pub(crate) fn split(self, line: Addr) -> (u64, u64) {
+        let block = line.raw() / LINE_SIZE;
+        let q = ((u128::from(block) * u128::from(self.magic)) >> self.shift) as u64;
+        (q, block - q * self.d)
+    }
+}
 
 /// The slots of up to `CHUNK_SETS` consecutive sets in one allocation:
 /// the `slots` tags, then the `slots` LRU stamps, then the `slots` flag
@@ -72,9 +126,17 @@ impl Chunk {
         self.set_flags(i, flags);
     }
 
-    /// Slot of the way holding `tag` in the `ways` slots from `base`.
+    /// Slot of the valid way holding `tag` in the `ways` slots from
+    /// `base`: one pass over the set's tags, checking the valid flag
+    /// only on a tag match (an invalidated way keeps its stale tag).
+    #[inline]
     fn find(&self, base: usize, ways: usize, tag: u64) -> Option<usize> {
-        (base..base + ways).find(|&i| self.tag(i) == tag && self.flags(i) & FLAG_VALID != 0)
+        self.words[base..base + ways]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &t)| t == tag)
+            .map(|(way, _)| base + way)
+            .find(|&i| self.flags(i) & FLAG_VALID != 0)
     }
 }
 
@@ -88,7 +150,8 @@ pub struct CacheArray {
     /// into one of them.
     chunks: Box<[Option<Chunk>]>,
     ways: usize,
-    set_count: usize,
+    /// The set count, as the divisor that splits a line into tag and set.
+    sets: BlockDivisor,
     tick: u64,
 }
 
@@ -120,7 +183,7 @@ impl CacheArray {
         CacheArray {
             chunks: vec![None; set_count.div_ceil(CHUNK_SETS)].into_boxed_slice(),
             ways,
-            set_count,
+            sets: BlockDivisor::new(set_count as u64),
             tick,
         }
     }
@@ -128,20 +191,20 @@ impl CacheArray {
     /// Slots of chunk `c` (the last chunk holds fewer sets when
     /// `CHUNK_SETS` does not divide the set count).
     fn chunk_len(&self, c: usize) -> usize {
-        (self.set_count - c * CHUNK_SETS).min(CHUNK_SETS) * self.ways
+        (self.set_count() - c * CHUNK_SETS).min(CHUNK_SETS) * self.ways
+    }
+
+    fn set_count(&self) -> usize {
+        self.sets.get() as usize
     }
 
     /// The set of `line`, its chunk, the set's first slot in that chunk,
     /// and the line's tag.
+    #[inline]
     fn locate(&self, line: Addr) -> (usize, usize, usize, u64) {
-        let block = line.raw() / LINE_SIZE;
-        let set = (block % self.set_count as u64) as usize;
-        (
-            set,
-            set / CHUNK_SETS,
-            set % CHUNK_SETS * self.ways,
-            block / self.set_count as u64,
-        )
+        let (tag, set) = self.sets.split(line);
+        let set = set as usize;
+        (set, set / CHUNK_SETS, set % CHUNK_SETS * self.ways, tag)
     }
 
     /// The chunk and slot holding `line`, if resident.
@@ -187,7 +250,7 @@ impl CacheArray {
         let (set, c, base, tag) = self.locate(line);
         self.tick += 1;
         let tick = self.tick;
-        let (ways, set_count) = (self.ways, self.set_count);
+        let (ways, set_count) = (self.ways, self.sets.get());
         let slots = self.chunk_len(c);
         let chunk = self.chunks[c].get_or_insert_with(|| Chunk::zeroed(slots));
         let flags = FLAG_VALID | if dirty { FLAG_DIRTY } else { 0 };
@@ -211,7 +274,7 @@ impl CacheArray {
                 victim = i;
             }
         }
-        let victim_block = chunk.tag(victim) * set_count as u64 + set as u64;
+        let victim_block = chunk.tag(victim) * set_count + set as u64;
         let evicted = Addr::new(victim_block * LINE_SIZE);
         let was_dirty = chunk.flags(victim) & FLAG_DIRTY != 0;
         chunk.fill(victim, tag, tick, flags);
@@ -245,7 +308,7 @@ impl CacheArray {
 
     /// Total capacity in lines.
     pub fn capacity_lines(&self) -> usize {
-        self.set_count * self.ways
+        self.set_count() * self.ways
     }
 
     /// Writes one dense per-slot array, length-prefixed, in slot order:
@@ -279,7 +342,7 @@ impl Persist for CacheArray {
     fn save(&self, w: &mut Writer) {
         w.section(*b"CACH", |w| {
             w.usize(self.ways);
-            w.usize(self.set_count);
+            w.usize(self.set_count());
             w.u64(self.tick);
             self.save_dense(w, 8, |chunk, i, w| w.u64(chunk.tag(i)));
             self.save_dense(w, 8, |chunk, i, w| w.u64(chunk.lru(i)));
@@ -324,8 +387,80 @@ impl Persist for CacheArray {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Line addresses for the geometry tests: the extremes (0 through
+    /// `u64::MAX & !63`, and the lines around powers of two and around
+    /// multiples of the tested divisors) plus pseudo-random lines.
+    pub(crate) fn geometry_lines() -> Vec<Addr> {
+        // The block of the top line, `u64::MAX & !63`.
+        let top = u64::MAX / LINE_SIZE;
+        let mut blocks = vec![0, 1, 2, 3, top, top - 1, top - 2, top / 2, top / 2 + 1];
+        for bit in 0..58 {
+            blocks.extend([(1 << bit) - 1, 1 << bit, (1 << bit) + 1]);
+        }
+        for d in [3u64, 16, 37, 256, 1024] {
+            let last = top / d * d;
+            blocks.extend([
+                d - 1,
+                d,
+                d + 1,
+                last - 1,
+                last,
+                last.saturating_add(1).min(top),
+            ]);
+        }
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..4096 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            blocks.push(x >> 6);
+        }
+        blocks.into_iter().map(line).collect()
+    }
+
+    #[test]
+    fn block_divisor_matches_division_on_every_geometry() {
+        // Set counts, then tile counts.
+        for d in [1u64, 2, 37, 256, 1024, 3, 16] {
+            let div = BlockDivisor::new(d);
+            for l in geometry_lines() {
+                let block = l.raw() / LINE_SIZE;
+                assert_eq!(div.split(l), (block / d, block % d), "{block} / {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn evicting_insert_returns_the_victims_line_address() {
+        for sets in [1u64, 2, 37, 256, 1024] {
+            let cfg = CacheConfig {
+                capacity_bytes: sets as usize * 2 * 64,
+                ways: 2,
+                latency: 1,
+                mshrs: 4,
+            };
+            for victim in geometry_lines().into_iter().step_by(7) {
+                let mut c = CacheArray::new(&cfg);
+                let (tag, set) = (
+                    victim.raw() / LINE_SIZE / sets,
+                    victim.raw() / LINE_SIZE % sets,
+                );
+                // Two other lines of the same set fill it; a third evicts
+                // the oldest, the victim.
+                let mut rivals = (0..4).filter(|&t| t != tag).map(|t| line(t * sets + set));
+                c.insert(victim, true);
+                c.insert(rivals.next().unwrap(), false);
+                assert_eq!(
+                    c.insert(rivals.next().unwrap(), false),
+                    Eviction::Dirty(victim),
+                    "{sets} sets"
+                );
+            }
+        }
+    }
 
     fn tiny() -> CacheArray {
         // 2 sets x 2 ways of 64B lines = 256B.

@@ -8,7 +8,7 @@
 //! response backtracks to the store buffer (paper §5.1).
 
 use crate::backend::{Dram, FaultOracle, MemBackend, MemRequest, NoFaults};
-use crate::cache::{CacheArray, Eviction};
+use crate::cache::{BlockDivisor, CacheArray, Eviction};
 use crate::mesi::{Directory, ReadAction};
 use crate::mshr::MshrFile;
 use crate::tlb::Tlb;
@@ -129,6 +129,8 @@ impl ise_types::persist::Persist for HierarchyStats {
 pub struct MemoryHierarchy {
     cfg: SystemConfig,
     mesh: Mesh,
+    /// The tile count, as the divisor that interleaves lines over tiles.
+    tiles: BlockDivisor,
     traffic: TrafficMeter,
     l1d: Vec<CacheArray>,
     tlbs: Vec<Tlb>,
@@ -169,6 +171,7 @@ impl MemoryHierarchy {
         );
         let traffic = TrafficMeter::new(&mesh, TRAFFIC_WINDOW, cfg.noc.link_bytes as u64);
         MemoryHierarchy {
+            tiles: BlockDivisor::new(mesh.nodes() as u64),
             mesh,
             traffic,
             l1d: (0..cfg.cores).map(|_| CacheArray::new(&cfg.l1d)).collect(),
@@ -229,7 +232,7 @@ impl MemoryHierarchy {
 
     /// The home L2 tile of a line (address-interleaved).
     pub fn home_of(&self, line: Addr) -> NodeId {
-        NodeId(((line.raw() / LINE_SIZE) % self.mesh.nodes() as u64) as usize)
+        NodeId(self.tiles.split(line).1 as usize)
     }
 
     /// The mesh tile a core sits on (core *i* on tile *i*).
@@ -721,6 +724,25 @@ mod tests {
             .map(|i| h.home_of(Addr::new(i * 64)).index())
             .collect();
         assert_eq!(homes, vec![0, 1, 2, 3, 0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn home_mapping_matches_modulo_on_every_tile_count() {
+        for (mesh_x, mesh_y) in [(1, 1), (2, 1), (3, 1), (4, 4)] {
+            let mut cfg = SystemConfig::isca23();
+            cfg.cores = 1;
+            cfg.noc.mesh_x = mesh_x;
+            cfg.noc.mesh_y = mesh_y;
+            let h = MemoryHierarchy::new(cfg);
+            let tiles = (mesh_x * mesh_y) as u64;
+            for line in crate::cache::tests::geometry_lines() {
+                assert_eq!(
+                    h.home_of(line).index() as u64,
+                    line.raw() / LINE_SIZE % tiles,
+                    "{line:?} over {tiles} tiles"
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,9 +22,21 @@ impl fmt::Display for NodeId {
 }
 
 /// A 2D mesh with XY (dimension-ordered) routing.
+///
+/// Every (src, dst) route is walked once, at construction, into a route
+/// table: the dense link slots ([`Mesh::link_index`]) of each route,
+/// stored back to back. Pricing a message ([`Mesh::hops`],
+/// [`Mesh::latency`], [`TrafficMeter::record`](crate::TrafficMeter::record))
+/// reads one table slice instead of re-deriving coordinates per hop.
+/// The table holds `nodes² + 1` offsets plus one slot per hop of every
+/// route: about 3.5 KiB for the 4×4 mesh.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mesh {
     cfg: NocConfig,
+    /// Route of pair `p = src * nodes + dst` is
+    /// `route_links[route_start[p]..route_start[p + 1]]`.
+    route_start: Box<[u32]>,
+    route_links: Box<[u32]>,
 }
 
 impl Mesh {
@@ -39,7 +51,27 @@ impl Mesh {
             "mesh dimensions must be positive"
         );
         assert!(cfg.link_bytes > 0, "link width must be positive");
-        Mesh { cfg }
+        let mut mesh = Mesh {
+            cfg,
+            route_start: Box::default(),
+            route_links: Box::default(),
+        };
+        let n = mesh.nodes();
+        let mut start = Vec::with_capacity(n * n + 1);
+        let mut links = Vec::new();
+        start.push(0);
+        for src in (0..n).map(NodeId) {
+            for dst in (0..n).map(NodeId) {
+                let route = mesh.route_iter(src, dst);
+                links.extend(route.clone().zip(route.skip(1)).map(|(from, to)| {
+                    u32::try_from(mesh.link_index(from, to)).expect("link slot fits u32")
+                }));
+                start.push(u32::try_from(links.len()).expect("route table fits u32"));
+            }
+        }
+        mesh.route_start = start.into_boxed_slice();
+        mesh.route_links = links.into_boxed_slice();
+        mesh
     }
 
     /// The configuration this mesh was built from.
@@ -75,23 +107,41 @@ impl Mesh {
         NodeId(y * self.cfg.mesh_x + x)
     }
 
+    /// The dense link slots ([`Mesh::link_index`]) crossed by the XY
+    /// route from `src` to `dst`, in route order: one table read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is out of range.
+    #[inline]
+    pub(crate) fn route_links(&self, src: NodeId, dst: NodeId) -> &[u32] {
+        let n = self.nodes();
+        assert!(
+            src.0 < n && dst.0 < n,
+            "route {src} -> {dst} out of range of the {n}-node mesh"
+        );
+        let pair = src.0 * n + dst.0;
+        &self.route_links[self.route_start[pair] as usize..self.route_start[pair + 1] as usize]
+    }
+
     /// Manhattan hop count between two nodes (XY routing is minimal).
+    #[inline]
     pub fn hops(&self, src: NodeId, dst: NodeId) -> u64 {
-        let (sx, sy) = self.coords(src);
-        let (dx, dy) = self.coords(dst);
-        (sx.abs_diff(dx) + sy.abs_diff(dy)) as u64
+        self.route_links(src, dst).len() as u64
     }
 
     /// The XY route from `src` to `dst`, inclusive of both endpoints.
     /// X is routed first, then Y — the deadlock-free dimension order.
     ///
-    /// Allocates; the hot path uses [`Mesh::route_iter`] instead.
+    /// Allocates; message pricing reads the precomputed route table
+    /// instead.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Vec<NodeId> {
         self.route_iter(src, dst).collect()
     }
 
     /// Allocation-free iterator over the XY route from `src` to `dst`,
     /// inclusive of both endpoints. Yields exactly `hops + 1` nodes.
+    /// The reference walk [`Mesh::new`] builds the route table from.
     pub fn route_iter(&self, src: NodeId, dst: NodeId) -> RouteIter {
         let (x, y) = self.coords(src);
         let (dx, dy) = self.coords(dst);
@@ -138,6 +188,7 @@ impl Mesh {
     /// Serialization delay for a `bytes`-sized payload over the link width
     /// (header flit rides for free; zero-byte control messages take one
     /// flit).
+    #[inline]
     pub fn serialization(&self, bytes: usize) -> u64 {
         (bytes as u64).div_ceil(self.cfg.link_bytes as u64).max(1)
     }
@@ -145,6 +196,7 @@ impl Mesh {
     /// End-to-end uncontended latency of one message: per-hop router cost
     /// plus payload serialization. A self-message (src == dst) costs only
     /// serialization.
+    #[inline]
     pub fn latency(&self, src: NodeId, dst: NodeId, bytes: usize) -> u64 {
         self.hops(src, dst) * self.cfg.hop_latency + self.serialization(bytes)
     }
@@ -249,6 +301,44 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn route_table_matches_the_reference_walk_on_every_shape() {
+        for (mesh_x, mesh_y) in [(1, 1), (1, 5), (5, 1), (3, 5), (4, 4)] {
+            let m = Mesh::new(NocConfig {
+                mesh_x,
+                mesh_y,
+                ..NocConfig::isca23()
+            });
+            for a in (0..m.nodes()).map(NodeId) {
+                for b in (0..m.nodes()).map(NodeId) {
+                    let walked: Vec<u32> = m
+                        .route(a, b)
+                        .windows(2)
+                        .map(|w| m.link_index(w[0], w[1]) as u32)
+                        .collect();
+                    assert_eq!(
+                        m.route_links(a, b),
+                        walked,
+                        "{mesh_x}x{mesh_y} route {a} -> {b}"
+                    );
+                    let ((ax, ay), (bx, by)) = (m.coords(a), m.coords(b));
+                    assert_eq!(
+                        m.hops(a, b),
+                        (ax.abs_diff(bx) + ay.abs_diff(by)) as u64,
+                        "{mesh_x}x{mesh_y} hops {a} -> {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn route_to_a_node_past_the_mesh_panics() {
+        // Pair (0, 16) would index a valid slot of the 16x16 pair table.
+        mesh4().hops(NodeId(0), NodeId(16));
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! stores slower than loads under invalidation-heavy sharing.
 //!
 //! Counters live in two fixed dense arrays indexed by [`Mesh::link_index`]
-//! (current window / previous window), so the hot path is an array walk
-//! along the route with no hashing and no allocation; a whole message is
-//! priced and recorded in one pass.
+//! (current window / previous window), so the hot path walks the route's
+//! precomputed link slots (the mesh's route table) with no hashing, no
+//! coordinate arithmetic and no allocation; a whole message is priced
+//! and recorded in one pass.
 
 use crate::mesh::{Mesh, NodeId};
 
@@ -93,25 +94,22 @@ impl TrafficMeter {
 
     /// Records a `bytes`-sized message traversing the XY route from `src`
     /// to `dst` at time `now` and returns the congestion surcharge it
-    /// experiences (cycles). Routing, pricing, and accounting happen in
-    /// one allocation-free pass over the links.
+    /// experiences (cycles). Pricing and accounting happen in one
+    /// allocation-free pass over the route's precomputed link slots
+    /// (the mesh's route table).
     pub fn record(&mut self, mesh: &Mesh, src: NodeId, dst: NodeId, bytes: u64, now: u64) -> u64 {
         self.roll(now);
         self.total_bytes += bytes;
         self.total_messages += 1;
         let ser = mesh.serialization(bytes as usize) as f64;
         let mut surcharge = 0u64;
-        let mut prev_node: Option<NodeId> = None;
-        for node in mesh.route_iter(src, dst) {
-            if let Some(from) = prev_node {
-                let li = mesh.link_index(from, node);
-                let f = self.factor[li];
-                if f > 0.0 {
-                    surcharge += ((f * ser) as u64).min(MAX_SURCHARGE);
-                }
-                self.current[li] += bytes;
+        for &li in mesh.route_links(src, dst) {
+            let li = li as usize;
+            let f = self.factor[li];
+            if f > 0.0 {
+                surcharge += ((f * ser) as u64).min(MAX_SURCHARGE);
             }
-            prev_node = Some(node);
+            self.current[li] += bytes;
         }
         surcharge
     }
@@ -264,31 +262,48 @@ mod tests {
                 surcharge
             }
         }
-        let m = mesh();
-        let mut dense = TrafficMeter::new(&m, 100, 16);
-        let mut naive = Naive {
-            window: 100,
-            link_bytes: 16,
-            epoch_start: 0,
-            current: HashMap::new(),
-            previous: HashMap::new(),
-        };
-        // Deterministic pseudo-random message schedule with idle gaps.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut now = 0u64;
-        for _ in 0..4000 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let src = NodeId((state >> 33) as usize % 16);
-            let dst = NodeId((state >> 12) as usize % 16);
-            let bytes = if state & 1 == 0 { 72 } else { 8 };
-            now += state % 37;
-            let route = m.route(src, dst);
+        // The 4x4 Table 2 mesh and a non-square 3x5 one, each under a
+        // sparse schedule (idle gaps up to 36 cycles, never congested) and
+        // a dense one (gaps up to 2 cycles, which drives surcharges).
+        for (mesh_x, mesh_y, gap) in [(4, 4, 37), (3, 5, 37), (4, 4, 3), (3, 5, 3)] {
+            let m = Mesh::new(NocConfig {
+                mesh_x,
+                mesh_y,
+                ..NocConfig::isca23()
+            });
+            let mut dense = TrafficMeter::new(&m, 100, 16);
+            let mut naive = Naive {
+                window: 100,
+                link_bytes: 16,
+                epoch_start: 0,
+                current: HashMap::new(),
+                previous: HashMap::new(),
+            };
+            // Deterministic pseudo-random message schedule with idle gaps.
+            let mut state = 0x9e3779b97f4a7c15u64;
+            let mut now = 0u64;
+            let mut surcharged = 0;
+            for _ in 0..4000 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let src = NodeId((state >> 33) as usize % m.nodes());
+                let dst = NodeId((state >> 12) as usize % m.nodes());
+                let bytes = if state & 1 == 0 { 72 } else { 8 };
+                now += state % gap;
+                let route = m.route(src, dst);
+                let s = dense.record(&m, src, dst, bytes, now);
+                assert_eq!(
+                    s,
+                    naive.record(&m, &route, bytes, now),
+                    "{mesh_x}x{mesh_y}: surcharge diverged at now={now} src={src} dst={dst}"
+                );
+                surcharged += usize::from(s > 0);
+            }
             assert_eq!(
-                dense.record(&m, src, dst, bytes, now),
-                naive.record(&m, &route, bytes, now),
-                "surcharge diverged at now={now} src={src} dst={dst}"
+                surcharged > 0,
+                gap == 3,
+                "{mesh_x}x{mesh_y}: only the dense schedule congests"
             );
         }
     }
