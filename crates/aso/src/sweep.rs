@@ -18,7 +18,7 @@ use crate::account::SpeculationAccounting;
 use ise_cpu::{run_cores, Core, VecTrace};
 use ise_engine::Cycle;
 use ise_mem::MemoryHierarchy;
-use ise_types::config::SystemConfig;
+use ise_types::config::{CoreConfig, SystemConfig};
 use ise_types::model::ConsistencyModel;
 use ise_types::{CoreId, Instruction};
 
@@ -61,6 +61,21 @@ pub struct SweepResult {
 }
 
 impl SweepResult {
+    /// Picks the required point out of `points`.
+    fn new(sc_ipc: f64, wc_ipc: f64, points: Vec<SweepPoint>) -> Self {
+        let required = points
+            .iter()
+            .filter(|p| p.ipc >= WC_TOLERANCE * wc_ipc)
+            .min_by_key(|p| p.state_bytes)
+            .copied();
+        SweepResult {
+            sc_ipc,
+            wc_ipc,
+            points,
+            required,
+        }
+    }
+
     /// WC speedup over SC (Table 3's "WC speedup" column).
     pub fn wc_speedup(&self) -> f64 {
         if self.sc_ipc == 0.0 {
@@ -77,17 +92,22 @@ impl SweepResult {
     }
 }
 
+/// One core per trace; `budget` caps each core's concurrently
+/// outstanding store drains.
 fn make_cores(
-    cfg: &SystemConfig,
+    core_cfg: CoreConfig,
     traces: &[std::sync::Arc<[Instruction]>],
-    model: ConsistencyModel,
+    budget: Option<usize>,
 ) -> Vec<Core<VecTrace>> {
     traces
         .iter()
         .enumerate()
         .map(|(i, t)| {
-            let core_cfg = cfg.core.with_model(model);
-            Core::new(CoreId(i), core_cfg, VecTrace::shared(t.clone()))
+            let mut core = Core::new(CoreId(i), core_cfg, VecTrace::shared(t.clone()));
+            if let Some(b) = budget {
+                core.set_sb_max_in_flight(b);
+            }
+            core
         })
         .collect()
 }
@@ -105,12 +125,20 @@ fn aggregate_ipc(cores: &[Core<VecTrace>]) -> f64 {
 /// Sweeps checkpoint budgets for one workload on the clock `skip`
 /// selects (the cycle-skipping one when `true`; both give identical
 /// results). `traces` supplies one instruction stream per core; the
-/// system configuration's core count must be at least `traces.len()`.
+/// system is widened to `traces.len()` cores if it has fewer.
+///
+/// Every machine runs on one hierarchy, [`MemoryHierarchy::reset`]
+/// between runs. Budgets run largest first: once a run's budget is at
+/// least its own peak store-buffer occupancy, the cap never refused a
+/// drain, so every smaller budget still at or above that peak would
+/// replay it step for step and takes its result instead of running
+/// (DESIGN.md §15). Points come back in `budgets` order.
 ///
 /// # Panics
 ///
-/// Panics if `traces` is empty, a workload raises an exception (the
-/// Table 3 study is exception-free), or `max_cycles` elapses.
+/// Panics if `traces` is empty, a budget is zero, a workload raises an
+/// exception (the Table 3 study is exception-free), or `max_cycles`
+/// elapses.
 pub fn sweep_checkpoints_clocked(
     cfg: &SystemConfig,
     traces: &[std::sync::Arc<[Instruction]>],
@@ -119,54 +147,63 @@ pub fn sweep_checkpoints_clocked(
     skip: bool,
 ) -> SweepResult {
     assert!(!traces.is_empty(), "need at least one trace");
+    assert!(
+        budgets.iter().all(|&b| b > 0),
+        "in-flight cap must be positive"
+    );
     let mut run_cfg = *cfg;
     run_cfg.cores = run_cfg.cores.max(traces.len());
 
-    // Runs one machine to completion on a fresh hierarchy, returning its
-    // aggregate IPC and peak store-buffer occupancy; `budget` caps each
-    // core's concurrently outstanding store drains.
-    let run = |cfg: &SystemConfig, model, budget: Option<usize>| {
-        let mut cores = make_cores(cfg, traces, model);
-        if let Some(b) = budget {
-            for c in cores.iter_mut() {
-                c.set_sb_max_in_flight(b);
-            }
-        }
-        let mut hier = MemoryHierarchy::new(*cfg);
+    // The hierarchy never reads `cfg.core`, so the SC, WC and ASO
+    // machines share it. `run` resets it, runs one machine to
+    // completion and returns its aggregate IPC and peak store-buffer
+    // occupancy.
+    let mut hier = MemoryHierarchy::new(run_cfg);
+    let mut run = |core_cfg: CoreConfig, budget: Option<usize>| {
+        let mut cores = make_cores(core_cfg, traces, budget);
+        hier.reset();
         let peak = run_cores(&mut cores, &mut hier, max_cycles, skip);
         (aggregate_ipc(&cores), peak)
     };
-    let (sc_ipc, _) = run(&run_cfg, ConsistencyModel::Sc, None);
-    let (wc_ipc, _) = run(&run_cfg, ConsistencyModel::Wc, None);
+    let (sc_ipc, _) = run(run_cfg.core.with_model(ConsistencyModel::Sc), None);
+    let (wc_ipc, _) = run(run_cfg.core.with_model(ConsistencyModel::Wc), None);
 
     let acc = SpeculationAccounting::for_system(&run_cfg);
-    let mut aso_cfg = run_cfg;
-    aso_cfg.core.sb_entries = SCALABLE_SB_CAP;
-    let points: Vec<SweepPoint> = budgets
-        .iter()
-        .map(|&budget| {
-            let (ipc, peak_sb) = run(&aso_cfg, ConsistencyModel::Wc, Some(budget));
-            SweepPoint {
+    let aso_core = CoreConfig {
+        sb_entries: SCALABLE_SB_CAP,
+        ..run_cfg.core.with_model(ConsistencyModel::Wc)
+    };
+    let mut order: Vec<usize> = (0..budgets.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(budgets[i]));
+    // The result of a run whose cap never bound: the uncapped machine.
+    let mut uncapped: Option<(f64, usize)> = None;
+    let mut points: Vec<(usize, SweepPoint)> = order
+        .into_iter()
+        .map(|i| {
+            let budget = budgets[i];
+            let (ipc, peak_sb) = match uncapped {
+                Some((ipc, peak_sb)) if budget >= peak_sb => (ipc, peak_sb),
+                _ => {
+                    let r = run(aso_core, Some(budget));
+                    if budget >= r.1 {
+                        uncapped = Some(r);
+                    }
+                    r
+                }
+            };
+            let point = SweepPoint {
                 checkpoints: budget,
                 ipc,
                 peak_sb,
                 state_bytes: acc.state_bytes(budget, peak_sb),
-            }
+            };
+            (i, point)
         })
         .collect();
+    points.sort_by_key(|&(i, _)| i);
+    let points: Vec<SweepPoint> = points.into_iter().map(|(_, p)| p).collect();
 
-    let required = points
-        .iter()
-        .filter(|p| p.ipc >= WC_TOLERANCE * wc_ipc)
-        .min_by_key(|p| p.state_bytes)
-        .copied();
-
-    SweepResult {
-        sc_ipc,
-        wc_ipc,
-        points,
-        required,
-    }
+    SweepResult::new(sc_ipc, wc_ipc, points)
 }
 
 #[cfg(test)]
@@ -234,6 +271,97 @@ mod tests {
     #[should_panic(expected = "at least one trace")]
     fn empty_traces_rejected() {
         sweep_checkpoints_clocked(&small_cfg(), &[], &[1], 1000, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "in-flight cap must be positive")]
+    fn zero_budget_rejected() {
+        // Store-free, so the memo would otherwise answer budget 0.
+        let traces = vec![vec![Instruction::other(); 4].into()];
+        sweep_checkpoints_clocked(&small_cfg(), &traces, &[8, 0], 10_000, true);
+    }
+
+    /// The sweep without hierarchy reuse or the budget memo: a new
+    /// hierarchy for every machine, and one run per budget in input
+    /// order.
+    fn reference_sweep(
+        cfg: &SystemConfig,
+        traces: &[std::sync::Arc<[Instruction]>],
+        budgets: &[usize],
+        skip: bool,
+    ) -> SweepResult {
+        let mut run_cfg = *cfg;
+        run_cfg.cores = run_cfg.cores.max(traces.len());
+        let run = |core_cfg: CoreConfig, budget: Option<usize>| {
+            let mut cores = make_cores(core_cfg, traces, budget);
+            let mut hier = MemoryHierarchy::new(run_cfg);
+            let peak = run_cores(&mut cores, &mut hier, 10_000_000, skip);
+            (aggregate_ipc(&cores), peak)
+        };
+        let (sc_ipc, _) = run(run_cfg.core.with_model(ConsistencyModel::Sc), None);
+        let (wc_ipc, _) = run(run_cfg.core.with_model(ConsistencyModel::Wc), None);
+        let acc = SpeculationAccounting::for_system(&run_cfg);
+        let mut aso_core = run_cfg.core.with_model(ConsistencyModel::Wc);
+        aso_core.sb_entries = SCALABLE_SB_CAP;
+        let points = budgets
+            .iter()
+            .map(|&budget| {
+                let (ipc, peak_sb) = run(aso_core, Some(budget));
+                SweepPoint {
+                    checkpoints: budget,
+                    ipc,
+                    peak_sb,
+                    state_bytes: acc.state_bytes(budget, peak_sb),
+                }
+            })
+            .collect();
+        SweepResult::new(sc_ipc, wc_ipc, points)
+    }
+
+    #[test]
+    fn sweep_matches_the_fresh_hierarchy_reference_on_every_table3_mix() {
+        use ise_workloads::mixes::{synthesize, table3_mixes};
+        let mut base = SystemConfig::isca23();
+        base.cores = 2;
+        let systems = [
+            base,
+            base.with_double_memory_latency(),
+            base.with_store_skew(4),
+        ];
+        // Unsorted, repeated, single, and far above any peak.
+        let lists: [&[usize]; 4] = [
+            &[16, 1, 64, 4, 8192, 2, 32],
+            &[4, 32, 4, 1, 32],
+            &[1],
+            &[8192],
+        ];
+        let (mut binding, mut memoized) = (0, 0);
+        for spec in table3_mixes() {
+            let w = synthesize(&spec, 1_000, 2, 0x7a31);
+            for cfg in &systems {
+                for skip in [false, true] {
+                    for budgets in lists {
+                        let r =
+                            sweep_checkpoints_clocked(cfg, &w.traces, budgets, 10_000_000, skip);
+                        let want = reference_sweep(cfg, &w.traces, budgets, skip);
+                        assert_eq!(r, want, "{} {budgets:?} skip={skip}", spec.name);
+                        let above = r.points.iter().filter(|p| p.checkpoints >= p.peak_sb);
+                        binding += r
+                            .points
+                            .iter()
+                            .filter(|p| p.checkpoints < p.peak_sb)
+                            .count();
+                        memoized += above.count().saturating_sub(1);
+                    }
+                }
+            }
+        }
+        // Both sides of every list's peak were exercised: budgets whose
+        // cap bound, and budgets the memo answered.
+        assert!(
+            binding > 0 && memoized > 0,
+            "{binding} bound, {memoized} memoized"
+        );
     }
 
     #[test]

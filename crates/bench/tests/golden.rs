@@ -1,6 +1,7 @@
 //! Golden snapshot tests: freeze the Table 5 ordering-contract report,
-//! the campaign verdicts for the four checked-in `litmus/` tests, and
-//! the seeded-bug fuzz and trisection campaign reports.
+//! the Table 3 reports, the campaign verdicts for the four checked-in
+//! `litmus/` tests, and the seeded-bug fuzz and trisection campaign
+//! reports.
 //!
 //! Any drift — in the contract monitor, the recovery pipeline, the
 //! litmus parser, the operational machine, or the axiomatic model —
@@ -112,6 +113,26 @@ fn fig6_quick_registry_matches_snapshot() {
     let registry =
         ise_bench::report_sections([("rows", rows.to_json()), ("cloudsuite", ext.to_json())]);
     check_golden("fig6_quick_registry.json", &(registry.render() + "\n"));
+}
+
+#[test]
+fn table3_reports_match_snapshots() {
+    // The `JSON table3:` line of `table3 --quick` and of full-scale
+    // `table3`, under both clocks. The `pinned-binaries` CI job `cmp`s
+    // the release binary's line against the same files at both clock
+    // pins and worker counts 1 and 4.
+    use ise_sim::experiments::{table3, Table3Scale};
+    use ise_types::ToJson;
+    for (scale, name) in [
+        (Table3Scale::quick(), "table3_quick_report.json"),
+        (Table3Scale::full(), "table3_full_report.json"),
+    ] {
+        for skip in [false, true] {
+            let rows = table3(&scale, 4, skip);
+            let report = ise_bench::report_sections([("rows", rows.to_json())]).render();
+            check_golden(name, &(report + "\n"));
+        }
+    }
 }
 
 #[test]

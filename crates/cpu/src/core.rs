@@ -73,8 +73,6 @@ pub struct Core<T> {
     /// completion/issue, no retirement, no dispatch) lets the
     /// cycle-skipping clock jump ahead; see [`Core::next_event`].
     step_activity: bool,
-    /// Set when a precise fault was reported and the OS has resolved it:
-    /// the faulting instruction's next access must succeed-or-re-fault.
     stats: CoreStats,
 }
 

@@ -58,6 +58,12 @@ impl Dram {
         }
     }
 
+    /// Returns DRAM to the state [`Dram::new`] builds.
+    pub(crate) fn reset(&mut self) {
+        self.reads = 0;
+        self.writes = 0;
+    }
+
     /// Read accesses served.
     pub fn reads(&self) -> u64 {
         self.reads

@@ -215,6 +215,16 @@ impl CacheArray {
         Some((chunk, i))
     }
 
+    /// Returns the array to the state [`CacheArray::new`] builds. The
+    /// chunks it has created are zeroed in place, not freed: a zero
+    /// chunk behaves, and saves, exactly like a missing one.
+    pub(crate) fn reset(&mut self) {
+        for chunk in self.chunks.iter_mut().flatten() {
+            chunk.words.fill(0);
+        }
+        self.tick = 0;
+    }
+
     /// Probes for `line` (line-aligned address), refreshing LRU on hit.
     pub fn lookup(&mut self, line: Addr) -> bool {
         debug_assert_eq!(line, line.line(), "lookup requires a line-aligned address");

@@ -190,6 +190,22 @@ impl MemoryHierarchy {
         }
     }
 
+    /// Returns the hierarchy to the state [`MemoryHierarchy::new`] builds
+    /// from its configuration, reusing its allocations: caches, TLBs,
+    /// MSHR files, directory, traffic meter, DRAM counters and stats all
+    /// restart, and `save_state` then writes the bytes a new hierarchy
+    /// writes. The fault oracle is the owner's and is left as it is.
+    pub fn reset(&mut self) {
+        self.traffic.reset();
+        self.l1d.iter_mut().for_each(CacheArray::reset);
+        self.tlbs.iter_mut().for_each(Tlb::reset);
+        self.mshrs.iter_mut().for_each(MshrFile::reset);
+        self.l2.iter_mut().for_each(CacheArray::reset);
+        self.dir.reset();
+        self.dram.reset();
+        self.stats = HierarchyStats::default();
+    }
+
     /// The system configuration.
     pub fn config(&self) -> &SystemConfig {
         &self.cfg
@@ -797,6 +813,92 @@ mod tests {
         }
         assert_eq!(back.stats(), h.stats());
         assert_eq!(back.invalidations(), h.invalidations());
+    }
+
+    fn saved(h: &MemoryHierarchy) -> Vec<u8> {
+        let mut w = ise_types::persist::Writer::container();
+        h.save_state(&mut w);
+        w.finish()
+    }
+
+    /// `n` pseudo-random accesses by 4 cores, a few cycles apart. Half
+    /// go to 32 lines every core shares; the rest spread over 8 MiB.
+    fn random_accesses(seed: u64, n: usize) -> Vec<(Access, Cycle)> {
+        let mut state = seed;
+        let mut now = 0;
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let core = CoreId((state >> 17) as usize % 4);
+                let addr = if state >> 63 == 0 {
+                    (state >> 33) % 32 * LINE_SIZE
+                } else {
+                    (state >> 24) % (8 << 20)
+                };
+                now += state % 7;
+                let addr = Addr::new(addr);
+                let acc = if (state >> 40).is_multiple_of(3) {
+                    Access::store(core, addr)
+                } else {
+                    Access::load(core, addr)
+                };
+                (acc, now)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reset_leaves_the_state_new_builds() {
+        // Small caches and MSHR files, so a few thousand accesses evict
+        // from both cache levels and find the MSHR files full.
+        let mut cfg = SystemConfig::isca23();
+        cfg.cores = 4;
+        cfg.noc.mesh_x = 2;
+        cfg.noc.mesh_y = 2;
+        cfg.l1d.capacity_bytes = 2 * 1024;
+        cfg.l1d.mshrs = 2;
+        cfg.l2.capacity_bytes = 16 * 1024;
+        let mut h = MemoryHierarchy::new(cfg);
+        let warm = random_accesses(0x5eed, 6_000);
+        let mut upgrades = 0;
+        let mut lines = std::collections::HashSet::new();
+        let mut pages = std::collections::HashSet::new();
+        for &(acc, at) in &warm {
+            let line = acc.addr.line();
+            upgrades += usize::from(
+                acc.is_store
+                    && h.l1d[acc.core.index()].contains(line)
+                    && h.dir.entry(line).sharer_count() > 1,
+            );
+            lines.insert(line);
+            pages.insert(acc.addr.page());
+            h.access(acc, at);
+        }
+        // What the warm-up covered: forwards, upgrades, full L1s, lines
+        // fetched from memory twice (so evicted from L2), pages walked
+        // twice (so evicted from the L2 TLB), full MSHR files, many
+        // traffic windows and a directory table grown past its start.
+        let mut reg = ise_telemetry::Registry::new();
+        h.export_telemetry(&mut reg);
+        assert!(h.stats().peer_forwards > 0);
+        assert!(upgrades > 0);
+        assert!(h.l1d.iter().all(|c| c.occupancy() == c.capacity_lines()));
+        assert!(h.stats().mem_accesses > lines.len() as u64);
+        assert!(reg.counter("tlb.walks") > pages.len() as u64);
+        assert!(h.mshrs.iter().map(MshrFile::full_stalls).sum::<u64>() > 0);
+        assert!(warm.last().unwrap().1 > 8 * TRAFFIC_WINDOW);
+        assert!(h.dir.table_slots() > 1024);
+
+        h.reset();
+        let mut fresh = MemoryHierarchy::new(cfg);
+        assert_eq!(saved(&h), saved(&fresh));
+        assert!(h.dir.table_slots() > 1024, "reset keeps the grown table");
+        for (i, &(acc, at)) in random_accesses(0xfeed, 6_000).iter().enumerate() {
+            assert_eq!(h.access(acc, at), fresh.access(acc, at), "access {i}");
+        }
+        assert_eq!(saved(&h), saved(&fresh));
     }
 
     #[test]

@@ -286,6 +286,19 @@ impl Directory {
         }
     }
 
+    /// Returns the directory to the state [`Directory::new`] builds,
+    /// except that its table keeps the size it has grown to. Only probe
+    /// chain lengths depend on that size; no entry, counter or saved
+    /// byte does.
+    pub(crate) fn reset(&mut self) {
+        self.table.keys.fill(0);
+        self.table.states.fill(MesiState::Invalid);
+        self.table.sharers.fill(0);
+        self.table.len = 0;
+        self.invalidations = 0;
+        self.forwards = 0;
+    }
+
     fn key(line: Addr) -> u64 {
         debug_assert_eq!(line, line.line());
         line.raw()
@@ -403,6 +416,12 @@ impl Directory {
     /// Total owner-forwards the directory has ordered.
     pub fn forwards_ordered(&self) -> u64 {
         self.forwards
+    }
+
+    /// Slots in the line table (it starts at 1 024 and doubles).
+    #[cfg(test)]
+    pub(crate) fn table_slots(&self) -> usize {
+        self.table.keys.len()
     }
 
     /// Number of tracked (non-invalid) lines.

@@ -63,6 +63,12 @@ impl MshrFile {
         self.completions.len()
     }
 
+    /// Returns the file to the state [`MshrFile::new`] builds.
+    pub(crate) fn reset(&mut self) {
+        self.completions.clear();
+        self.full_stalls = 0;
+    }
+
     /// Times the file was found full.
     pub fn full_stalls(&self) -> u64 {
         self.full_stalls

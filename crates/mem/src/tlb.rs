@@ -350,6 +350,15 @@ impl Tlb {
         self.l2.flush();
     }
 
+    /// Returns the TLB to the state [`Tlb::new`] builds: both levels
+    /// flushed, the miss and walk counters zeroed, refill logging off.
+    pub(crate) fn reset(&mut self) {
+        self.flush();
+        self.l1_misses = 0;
+        self.walks = 0;
+        self.refill_log = None;
+    }
+
     /// L1 TLB misses observed.
     pub fn l1_misses(&self) -> u64 {
         self.l1_misses

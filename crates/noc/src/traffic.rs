@@ -68,6 +68,17 @@ impl TrafficMeter {
         }
     }
 
+    /// Returns the meter to the state [`TrafficMeter::new`] builds,
+    /// reusing its counter arrays.
+    pub fn reset(&mut self) {
+        self.epoch_start = 0;
+        self.current.fill(0);
+        self.previous.fill(0);
+        self.factor.fill(0.0);
+        self.total_bytes = 0;
+        self.total_messages = 0;
+    }
+
     /// Rolls the accounting epoch forward if `now` has left the current
     /// window.
     fn roll(&mut self, now: u64) {

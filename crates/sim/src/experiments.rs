@@ -85,12 +85,6 @@ impl Table3Scale {
     }
 }
 
-/// Runs one workload's sweep on one system configuration.
-fn sweep_for(cfg: &SystemConfig, spec: &MixSpec, scale: &Table3Scale, skip: bool) -> SweepResult {
-    let w = synthesize(spec, scale.instrs_per_core, scale.cores, 0x7a31);
-    sweep_checkpoints_clocked(cfg, &w.traces, scale.budgets, MAX_CYCLES, skip)
-}
-
 /// Regenerates Table 3: per workload, the measured mix, WC speedup, and
 /// the speculation state required on the baseline / 2× memory latency /
 /// 4× store-skew systems, on the clock `skip` selects.
@@ -110,9 +104,12 @@ pub fn table3(scale: &Table3Scale, workers: usize, skip: bool) -> Vec<Table3Row>
     ise_par::par_map(&mixes, workers, |_, spec| {
         let w = synthesize(spec, scale.instrs_per_core, 1, 7);
         let measured_mix = InstructionMix::measure(w.traces[0].iter());
+        let sweep = synthesize(spec, scale.instrs_per_core, scale.cores, 0x7a31);
         let sweeps: Vec<SweepResult> = systems
             .iter()
-            .map(|cfg| sweep_for(cfg, spec, scale, skip))
+            .map(|cfg| {
+                sweep_checkpoints_clocked(cfg, &sweep.traces, scale.budgets, MAX_CYCLES, skip)
+            })
             .collect();
         Table3Row {
             measured_mix,
