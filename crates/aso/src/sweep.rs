@@ -20,7 +20,7 @@ use ise_engine::Cycle;
 use ise_mem::MemoryHierarchy;
 use ise_types::config::{CoreConfig, SystemConfig};
 use ise_types::model::ConsistencyModel;
-use ise_types::{CoreId, Instruction};
+use ise_types::{CoreId, Trace};
 
 /// Fraction of WC IPC that counts as "achieving the full WC performance
 /// benefits".
@@ -96,7 +96,7 @@ impl SweepResult {
 /// outstanding store drains.
 fn make_cores(
     core_cfg: CoreConfig,
-    traces: &[std::sync::Arc<[Instruction]>],
+    traces: &[Trace],
     budget: Option<usize>,
 ) -> Vec<Core<VecTrace>> {
     traces
@@ -141,7 +141,7 @@ fn aggregate_ipc(cores: &[Core<VecTrace>]) -> f64 {
 /// elapses.
 pub fn sweep_checkpoints_clocked(
     cfg: &SystemConfig,
-    traces: &[std::sync::Arc<[Instruction]>],
+    traces: &[Trace],
     budgets: &[usize],
     max_cycles: Cycle,
     skip: bool,
@@ -210,6 +210,7 @@ pub fn sweep_checkpoints_clocked(
 mod tests {
     use super::*;
     use ise_types::addr::Addr;
+    use ise_types::Instruction;
 
     fn small_cfg() -> SystemConfig {
         let mut cfg = SystemConfig::isca23();
@@ -220,7 +221,7 @@ mod tests {
     }
 
     /// A store-miss-heavy trace: the case WC/ASO accelerate.
-    fn store_trace(seed: u64, n: u64) -> std::sync::Arc<[Instruction]> {
+    fn store_trace(seed: u64, n: u64) -> Trace {
         let mut v = Vec::new();
         for i in 0..n {
             v.push(Instruction::store(Addr::new((seed + i) * 4096), i));
@@ -286,7 +287,7 @@ mod tests {
     /// order.
     fn reference_sweep(
         cfg: &SystemConfig,
-        traces: &[std::sync::Arc<[Instruction]>],
+        traces: &[Trace],
         budgets: &[usize],
         skip: bool,
     ) -> SweepResult {

@@ -796,6 +796,85 @@ mod tests {
         ));
     }
 
+    /// Denies every drain to an address at or above `0x10_0000`.
+    struct DenyHigh;
+    impl ise_mem::backend::FaultOracle for DenyHigh {
+        fn check(&self, addr: Addr, _is_store: bool) -> Option<ExceptionKind> {
+            (addr.raw() >= 0x10_0000).then_some(ExceptionKind::BusError)
+        }
+    }
+
+    /// Idle entries form the FIFO suffix, and `idle` counts them.
+    fn assert_idle_suffix(b: &StoreBuffer, ctx: &str) {
+        let first_idle = b.len - b.idle;
+        for i in 0..b.len {
+            let idle = b.states[b.slot(i)] == DrainState::Idle;
+            assert_eq!(idle, i >= first_idle, "entry {i} of {} {ctx}", b.len);
+        }
+    }
+
+    #[test]
+    fn idle_entries_are_always_a_fifo_suffix() {
+        // Issue takes the oldest idle entries and every other operation
+        // appends an idle entry, keeps states, or removes entries, so the
+        // in-flight entries are a FIFO prefix. Scans that start at
+        // `len - idle` (issue, WC coalescing) depend on this.
+        let mut cfg = SystemConfig::isca23();
+        cfg.cores = 2;
+        cfg.noc.mesh_x = 2;
+        cfg.noc.mesh_y = 1;
+        for model in [ConsistencyModel::Pc, ConsistencyModel::Wc] {
+            for cap in [None, Some(1), Some(3)] {
+                for split in [false, true] {
+                    let ctx = format!("({model:?}, cap {cap:?}, split {split})");
+                    let mut b = StoreBuffer::new(CoreId(0), 8, model);
+                    if let Some(c) = cap {
+                        b.set_max_in_flight(c);
+                    }
+                    let mut h = MemoryHierarchy::with_oracle(cfg, std::rc::Rc::new(DenyHigh));
+                    let mut x = 0x5eed_f1d1_u64;
+                    let mut lcg = move || {
+                        x = x
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        x >> 33
+                    };
+                    let (mut faults, mut mixed) = (0, 0);
+                    for now in 0..6000u64 {
+                        // Up to three stores a cycle outpace the two issue
+                        // ports, so idle entries queue behind in-flight ones.
+                        for _ in 0..lcg() % 4 {
+                            if b.has_space() {
+                                let word = lcg() % 24;
+                                let base = if lcg() % 60 == 0 { 0x10_0000 } else { 0 };
+                                b.push(Addr::new(base + word * 8), now, ByteMask::FULL);
+                                assert_idle_suffix(&b, &format!("after push at {now} {ctx}"));
+                            }
+                        }
+                        if let Some(fault) = b.pump(now, &mut h) {
+                            assert_idle_suffix(&b, &format!("at fault {now} {ctx}"));
+                            faults += 1;
+                            if split {
+                                b.extract_faulting(fault).unwrap();
+                            } else {
+                                b.drain_to_fsb(fault);
+                            }
+                        }
+                        assert_idle_suffix(&b, &format!("after pump at {now} {ctx}"));
+                        if b.idle > 0 && b.in_flight > 0 {
+                            mixed += 1;
+                        }
+                    }
+                    assert!(faults > 0, "no drain faulted {ctx}");
+                    assert!(mixed > 0, "never idle and in flight together {ctx}");
+                    if model == ConsistencyModel::Wc {
+                        assert!(b.coalesced() > 0, "nothing coalesced {ctx}");
+                    }
+                }
+            }
+        }
+    }
+
     /// The pre-rework layout, verbatim: a `VecDeque` of entries with all
     /// derived quantities recomputed by scanning. The differential below
     /// drives it and the SoA ring through the same op sequence.

@@ -1,8 +1,7 @@
 //! Instruction trace sources.
 
 use ise_types::persist::{PersistError, Reader, Writer};
-use ise_types::Instruction;
-use std::sync::Arc;
+use ise_types::{Instruction, Trace};
 
 /// A pull-based source of instructions for one core.
 ///
@@ -34,28 +33,26 @@ pub trait PersistTrace: TraceSource {
     fn restore_cursor(&mut self, r: &mut Reader) -> Result<(), PersistError>;
 }
 
-/// A trace backed by an immutable, shareable instruction sequence.
+/// A trace source reading a shared [`Trace`] through a cursor.
 ///
-/// The backing storage is reference-counted so one synthesized trace can
-/// feed many cores or many systems (baseline vs. injected runs) without
-/// copying the instruction array per consumer.
+/// The source holds the trace by refcount, so it fetches from the very
+/// buffer the workload generator recorded into: building a core from a
+/// trace copies nothing, and many cores or systems (baseline vs.
+/// injected runs) can read one trace at once.
 #[derive(Debug, Clone)]
 pub struct VecTrace {
-    instrs: Arc<[Instruction]>,
+    instrs: Trace,
     pos: usize,
 }
 
 impl VecTrace {
-    /// Wraps a complete instruction sequence.
+    /// Wraps a complete instruction sequence, keeping its buffer.
     pub fn new(instrs: Vec<Instruction>) -> Self {
-        VecTrace {
-            instrs: instrs.into(),
-            pos: 0,
-        }
+        VecTrace::shared(instrs.into())
     }
 
-    /// Wraps an already-shared instruction sequence without copying it.
-    pub fn shared(instrs: Arc<[Instruction]>) -> Self {
+    /// Reads an already-shared trace without copying it.
+    pub fn shared(instrs: Trace) -> Self {
         VecTrace { instrs, pos: 0 }
     }
 
@@ -192,6 +189,25 @@ mod tests {
             t.restore_cursor(&mut r),
             Err(PersistError::Corrupt("trace cursor beyond end"))
         ));
+    }
+
+    #[test]
+    fn cursors_read_the_buffer_they_were_given() {
+        let v = vec![Instruction::other(); 1000];
+        let p = v.as_ptr();
+        let t = VecTrace::new(v);
+        assert_eq!(t.instrs.as_ptr(), p, "VecTrace::new copied the buffer");
+        let shared = VecTrace::shared(t.instrs.clone());
+        assert_eq!(
+            shared.instrs.as_ptr(),
+            p,
+            "VecTrace::shared copied the trace"
+        );
+        assert_eq!(
+            t.clone().instrs.as_ptr(),
+            p,
+            "a cursor clone copied the trace"
+        );
     }
 
     #[test]

@@ -13,12 +13,11 @@ use crate::bus::DeviceBus;
 use crate::hart::{Hart, MmioAccess, Step};
 use crate::programs::GuestProgram;
 use ise_types::addr::PageId;
-use ise_types::instr::Instruction;
+use ise_types::instr::Trace;
 use ise_types::persist::{Persist, PersistError, Reader, Writer};
 use ise_types::trap::Trap;
 use ise_workloads::Workload;
 use std::fmt;
-use std::sync::Arc;
 
 /// Safety valve for runaway guests (spin loops that never exit).
 pub const DEFAULT_STEP_BUDGET: u64 = 1_000_000;
@@ -76,7 +75,8 @@ pub struct GuestMachine {
     /// RAM + devices.
     pub bus: DeviceBus,
     /// Per-hart lowered trace streams (what the timing cores will run).
-    pub traces: Vec<Vec<Instruction>>,
+    /// [`GuestMachine::to_workload`] shares them with the timing model.
+    pub traces: Vec<Trace>,
     /// Trap/halt/MMIO event log, in interleave order.
     pub events: Vec<GuestEvent>,
     /// Interleave rounds completed.
@@ -90,7 +90,7 @@ impl GuestMachine {
         GuestMachine {
             harts: (0..harts).map(|i| Hart::new(i as u64, entry)).collect(),
             bus: DeviceBus::new(harts),
-            traces: vec![Vec::new(); harts],
+            traces: vec![Trace::default(); harts],
             events: Vec::new(),
             steps: 0,
         }
@@ -116,7 +116,7 @@ impl GuestMachine {
             hart.csrs.mip = self.bus.clint.mip_bits(i);
             match hart.step(&mut self.bus) {
                 Step::Retired { lowered, mmio } => {
-                    self.traces[i].push(lowered);
+                    self.traces[i].make_mut().push(lowered);
                     if let Some(m) = mmio {
                         self.events.push(GuestEvent {
                             step: self.steps,
@@ -165,16 +165,13 @@ impl GuestMachine {
     }
 
     /// Packages the emitted traces as a [`Workload`] for the timing
-    /// model, with the given EInject page arming.
+    /// model, with the given EInject page arming. The workload shares
+    /// each hart's trace buffer; nothing is copied.
     pub fn to_workload(&self, name: &str, einject_pages: Vec<PageId>) -> Workload {
         assert!(self.halted(), "package the workload after the guest halts");
         Workload {
             name: name.to_string(),
-            traces: self
-                .traces
-                .iter()
-                .map(|t| Arc::from(t.as_slice()))
-                .collect(),
+            traces: self.traces.clone(),
             einject_pages,
         }
     }

@@ -32,13 +32,7 @@ pub(crate) fn system_identity(cfg: &SystemConfig, workload: &Workload) -> u64 {
     let mut w = Writer::container();
     format!("{cfg:?}").save(&mut w);
     workload.name.save(&mut w);
-    w.usize(workload.traces.len());
-    for t in &workload.traces {
-        w.usize(t.len());
-        for i in t.iter() {
-            i.save(&mut w);
-        }
-    }
+    workload.traces.save(&mut w);
     workload.einject_pages.save(&mut w);
     fnv1a(&w.finish())
 }

@@ -46,7 +46,7 @@ pub use error::SimError;
 pub use exception::{ExceptionClass, ExceptionKind};
 pub use faulting::FaultingStoreEntry;
 pub use faults::{FaultKind, FaultSpec};
-pub use instr::{InstrKind, Instruction};
+pub use instr::{InstrKind, Instruction, Trace};
 pub use json::{Json, ToJson};
 pub use model::{ConsistencyModel, DrainPolicy};
 pub use trap::Trap;

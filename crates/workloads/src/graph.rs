@@ -169,13 +169,15 @@ pub fn bfs(g: &CsrGraph, source: u32, arrays: &GraphArrays, rec: &mut TraceRecor
 }
 
 /// Bellman-Ford-style SSSP with an active set; returns weighted
-/// distances.
+/// distances. A node joins the next round's active set once, at its
+/// first relaxation in the round.
 pub fn sssp(g: &CsrGraph, source: u32, arrays: &GraphArrays, rec: &mut TraceRecorder) -> Vec<u64> {
     let n = g.nodes();
     let mut dist = vec![INF; n];
     dist[source as usize] = 0;
     rec.store_elem(arrays.dist, source as u64, 0);
     let mut active = vec![source];
+    let mut queued = vec![false; n];
     while !active.is_empty() {
         let mut next = Vec::new();
         for &u in &active {
@@ -195,11 +197,14 @@ pub fn sssp(g: &CsrGraph, source: u32, arrays: &GraphArrays, rec: &mut TraceReco
                 if du.saturating_add(w) < dist[v as usize] {
                     dist[v as usize] = du + w;
                     rec.store_elem(arrays.dist, v as u64, du + w);
-                    if !next.contains(&v) {
+                    if !std::mem::replace(&mut queued[v as usize], true) {
                         next.push(v);
                     }
                 }
             }
+        }
+        for &v in &next {
+            queued[v as usize] = false;
         }
         active = next;
     }
@@ -419,6 +424,60 @@ mod tests {
         let mut rec = TraceRecorder::new();
         let d = sssp(&g, 0, &a, &mut rec);
         assert_eq!(d, vec![0, 2, 4, 6]);
+    }
+
+    /// [`sssp`] with the active-set dedup as a linear scan of the set.
+    fn sssp_scan(
+        g: &CsrGraph,
+        source: u32,
+        arrays: &GraphArrays,
+        rec: &mut TraceRecorder,
+    ) -> Vec<u64> {
+        let mut dist = vec![INF; g.nodes()];
+        dist[source as usize] = 0;
+        rec.store_elem(arrays.dist, source as u64, 0);
+        let mut active = vec![source];
+        while !active.is_empty() {
+            let mut next = Vec::new();
+            for &u in &active {
+                rec.load_elem(arrays.row_ptr, u as u64);
+                rec.load_elem(arrays.row_ptr, u as u64 + 1);
+                rec.load_elem(arrays.dist, u as u64);
+                rec.alu(4);
+                let du = dist[u as usize];
+                for e in g.row_ptr[u as usize]..g.row_ptr[u as usize + 1] {
+                    rec.load_elem(arrays.col_idx, e as u64);
+                    rec.load_elem(arrays.weights, e as u64);
+                    let v = g.col_idx[e as usize];
+                    let w = g.weights[e as usize] as u64;
+                    rec.load_elem(arrays.dist, v as u64);
+                    rec.alu(3);
+                    if du.saturating_add(w) < dist[v as usize] {
+                        dist[v as usize] = du + w;
+                        rec.store_elem(arrays.dist, v as u64, du + w);
+                        if !next.contains(&v) {
+                            next.push(v);
+                        }
+                    }
+                }
+            }
+            active = next;
+        }
+        dist
+    }
+
+    #[test]
+    fn sssp_queued_bitmap_matches_the_scan() {
+        for (seed, nodes, degree) in [(1, 50, 2), (2, 300, 4), (3, 1000, 8), (4, 2000, 16)] {
+            let g = CsrGraph::uniform(nodes, degree, &mut SimRng::seed_from(seed));
+            let a = arrays_for(&g);
+            for source in [0, nodes as u32 / 2] {
+                let (mut fast, mut scan) = (TraceRecorder::new(), TraceRecorder::new());
+                let d = sssp(&g, source, &a, &mut fast);
+                assert_eq!(d, sssp_scan(&g, source, &a, &mut scan), "seed {seed}");
+                assert_eq!(fast.into_trace(), scan.into_trace(), "seed {seed}");
+            }
+        }
     }
 
     #[test]

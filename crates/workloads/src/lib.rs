@@ -40,18 +40,9 @@ pub use layout::MemoryLayout;
 pub use mixes::{table3_mixes, MixSpec};
 pub use recorder::TraceRecorder;
 
-use ise_types::{Instruction, PageId};
-use std::sync::Arc;
+pub use ise_types::Trace;
 
-/// An immutable, reference-counted instruction stream for one core.
-///
-/// Traces are synthesized once and then consumed by several simulations
-/// (baseline and injected runs of the same workload, sweep points, the
-/// paired systems of an equivalence check). Sharing the backing storage
-/// makes every such reuse a refcount bump instead of a memcpy of a
-/// multi-megabyte instruction vector — construction cost that used to
-/// rival the simulation itself on the larger figures.
-pub type Trace = Arc<[Instruction]>;
+use ise_types::PageId;
 
 /// A generated workload: a per-core trace plus the pages that must be
 /// marked faulting in EInject before the run (empty for baseline runs).

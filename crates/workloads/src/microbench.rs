@@ -92,7 +92,8 @@ pub fn microbench(cfg: &MicrobenchConfig) -> Microbench {
             .into_iter()
             .map(|p| Addr::new(base.raw() + p as u64 * PAGE_SIZE).page())
             .collect();
-        let mut rec = TraceRecorder::new();
+        // One store and three ALU instructions per loop iteration.
+        let mut rec = TraceRecorder::with_capacity(cfg.stores_per_iter * 4);
         for i in 0..cfg.stores_per_iter {
             // Random 8-byte slot in the array; light loop overhead.
             let slot = rng.range(0, cfg.array_bytes / 8);

@@ -174,7 +174,8 @@ pub fn synthesize(spec: &MixSpec, instrs_per_core: usize, cores: usize, seed: u6
     for core in 0..cores {
         let base = layout.alloc(spec.working_set);
         let mut rng = SimRng::seed_from(seed ^ (core as u64).wrapping_mul(0x9e37_79b9));
-        let mut rec = TraceRecorder::new();
+        // Every step of the loop below records exactly one instruction.
+        let mut rec = TraceRecorder::with_capacity(instrs_per_core);
         let mut hot: Vec<u64> = (0..16).collect();
         let mut cold_cursor: u64 = 16;
         let mut burst_left: usize = 0;

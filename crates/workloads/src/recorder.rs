@@ -20,15 +20,19 @@ impl TraceRecorder {
         Self::default()
     }
 
-    /// The recorded trace, frozen into shareable form.
-    pub fn into_trace(self) -> crate::Trace {
-        self.trace.into()
+    /// An empty recorder with room for `n` instructions, for generators
+    /// that know their trace length: the buffer is then allocated once,
+    /// at its final size.
+    pub fn with_capacity(n: usize) -> Self {
+        TraceRecorder {
+            trace: Vec::with_capacity(n),
+        }
     }
 
-    /// The recorded trace as a plain vector, for callers that keep
-    /// appending or splicing after recording.
-    pub fn into_vec(self) -> Vec<Instruction> {
-        self.trace
+    /// The recorded trace, frozen in place: the recording buffer becomes
+    /// the shared trace without a copy.
+    pub fn into_trace(self) -> crate::Trace {
+        self.trace.into()
     }
 
     /// Instructions recorded so far.
@@ -91,6 +95,28 @@ mod tests {
         assert_eq!(t[1].kind.addr(), Some(Addr::new(0x1020)));
         assert!(matches!(t[2].kind, InstrKind::Other { .. }));
         assert!(matches!(t[4].kind, InstrKind::Fence(_)));
+    }
+
+    #[test]
+    fn freezing_and_sharing_keep_the_recorded_buffer() {
+        let mut r = TraceRecorder::new();
+        for i in 0..1000 {
+            r.store_elem(Addr::new(0x1000), i, i);
+        }
+        let recorded = r.trace.as_ptr();
+        let t = r.into_trace();
+        assert_eq!(t.as_ptr(), recorded, "into_trace copied the buffer");
+        assert_eq!(t.clone().as_ptr(), recorded, "a clone copied the buffer");
+
+        let v: Vec<Instruction> = t.iter().copied().collect();
+        let p = v.as_ptr();
+        let from: crate::Trace = v.into();
+        assert_eq!(from.as_ptr(), p, "Trace::from copied the buffer");
+        let v = from.to_vec();
+        let p = v.as_ptr();
+        let collected: crate::Trace = v.into_iter().collect();
+        assert_eq!(collected.as_ptr(), p, "collect copied the buffer");
+        assert_eq!(collected, t);
     }
 
     #[test]

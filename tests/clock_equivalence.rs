@@ -19,6 +19,7 @@ use imprecise_store_exceptions::types::addr::Addr;
 use imprecise_store_exceptions::types::instr::FenceKind;
 use imprecise_store_exceptions::types::{
     ConsistencyModel, DrainPolicy, FaultKind, FaultSpec, Instruction, Json, SystemConfig, ToJson,
+    Trace,
 };
 use imprecise_store_exceptions::workloads::kvstore::{kv_workload, KvConfig, KvEngine};
 use imprecise_store_exceptions::workloads::layout::EINJECT_BASE;
@@ -77,7 +78,7 @@ fn store_mix(faulting: bool) -> Workload {
         }
         t
     };
-    let traces: Vec<std::sync::Arc<[Instruction]>> = vec![mk(0).into(), mk(1).into()];
+    let traces: Vec<Trace> = vec![mk(0).into(), mk(1).into()];
     let einject_pages = if faulting {
         let mut pages = Vec::new();
         for t in &traces {
@@ -128,7 +129,7 @@ fn fence_atomic_mix() -> Workload {
         }
         t
     };
-    let traces: Vec<std::sync::Arc<[Instruction]>> = vec![mk(0).into(), mk(1).into()];
+    let traces: Vec<Trace> = vec![mk(0).into(), mk(1).into()];
     let mut pages = Vec::new();
     for t in &traces {
         for p in touched_pages(t) {
@@ -307,7 +308,7 @@ fn aso_sweep_identical_across_clocks_multicore() {
             })
             .collect::<Vec<_>>()
     };
-    let traces: Vec<std::sync::Arc<[Instruction]>> = vec![mk(0).into(), mk(1).into()];
+    let traces: Vec<Trace> = vec![mk(0).into(), mk(1).into()];
     let reference = sweep_checkpoints_clocked(&cfg2(), &traces, &[1, 8, 32], MAX_CYCLES, false);
     let skipped = sweep_checkpoints_clocked(&cfg2(), &traces, &[1, 8, 32], MAX_CYCLES, true);
     assert_eq!(reference, skipped, "ASO sweep: clocks disagree");
