@@ -1,5 +1,6 @@
 //! Golden snapshot tests: freeze the Table 5 ordering-contract report,
-//! the Table 3 reports, the campaign verdicts for the four checked-in
+//! the Table 3 reports, the Fig. 5 (quick and full) and Fig. 6 (quick)
+//! registries, the campaign verdicts for the four checked-in
 //! `litmus/` tests, and the seeded-bug fuzz and trisection campaign
 //! reports.
 //!
@@ -97,6 +98,29 @@ fn fig5_quick_registry_matches_snapshot() {
         ]);
         check_golden("fig5_quick_registry.json", &(registry.render() + "\n"));
     }
+}
+
+#[test]
+fn fig5_full_registry_matches_snapshot() {
+    // The full-scale `fig5` registry: more faulting-page cells and the
+    // largest demand-paging cell, the regime the store-buffer drain and
+    // the skip clock's per-core wakes work hardest in. Full-scale `fig6`
+    // is too slow for the suite; the `pinned-binaries` CI job `cmp`s it
+    // under every pin.
+    use ise_sim::experiments::{fig5, fig5_demand_paging};
+    use ise_types::ToJson;
+    let rows = fig5(ise_bench::FIG5_PAGES_FULL, 4, true);
+    let io_rows = fig5_demand_paging(
+        ise_bench::FIG5_IO_PAGES_FULL,
+        ise_bench::FIG5_IO_LATENCY,
+        4,
+        true,
+    );
+    let registry = ise_bench::report_sections([
+        ("rows", rows.to_json()),
+        ("demand_paging", io_rows.to_json()),
+    ]);
+    check_golden("fig5_full_registry.json", &(registry.render() + "\n"));
 }
 
 #[test]

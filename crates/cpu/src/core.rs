@@ -701,20 +701,22 @@ impl<T: PersistTrace> Core<T> {
 /// through [`Core::stats`].
 ///
 /// `skip = false` runs the reference `now += 1` loop. `skip = true`
-/// jumps the clock to the minimum of every core's [`Core::next_event`]
-/// — a global window in which *no* core acts, so no core's view of the
-/// shared hierarchy can diverge from the reference schedule — and
-/// bulk-charges each core for the window via [`Core::charge_idle`].
-/// Both clocks produce identical stats and peaks: store-buffer
-/// occupancy only changes inside [`Core::step`], and the skipping clock
-/// steps at exactly the cycles the reference would.
+/// gives each core its own wake time, [`Core::next_event`], bulk-charges
+/// the dead cycles up to it via [`Core::charge_idle`], and jumps the
+/// clock to the earliest wake. A sleeping core is not stepped while a
+/// sibling acts: its skipped steps would be dead, and a dead step makes
+/// no hierarchy access, so no core's view of the shared hierarchy can
+/// diverge from the reference schedule. Both clocks produce identical
+/// stats and peaks: store-buffer occupancy only changes inside
+/// [`Core::step`], and every core is stepped at each cycle where the
+/// reference would see it act.
 ///
 /// # Panics
 ///
 /// Panics if any core reports an exception (callers wanting exception
 /// handling must embed the cores in a system) or if `max_cycles`
 /// elapses; the budget trips at the same cycle under either clock
-/// (jumps clamp to `max_cycles`).
+/// (wakes clamp to `max_cycles`).
 pub fn run_cores<T: TraceSource>(
     cores: &mut [Core<T>],
     hier: &mut MemoryHierarchy,
@@ -723,35 +725,31 @@ pub fn run_cores<T: TraceSource>(
 ) -> usize {
     let mut peak = 0;
     let mut now = 0;
+    let mut wake = vec![0; cores.len()];
     loop {
-        let mut all_done = true;
-        for core in cores.iter_mut() {
+        for (core, wake) in cores.iter_mut().zip(wake.iter_mut()) {
+            if *wake != now {
+                continue;
+            }
             match core.step(now, hier) {
-                StepOutcome::Finished => {}
-                StepOutcome::Progress | StepOutcome::Waiting => all_done = false,
+                StepOutcome::Finished => {
+                    *wake = Cycle::MAX;
+                    continue;
+                }
+                StepOutcome::Progress | StepOutcome::Waiting => {}
                 StepOutcome::Imprecise(_) | StepOutcome::Precise { .. } => {
                     panic!("unexpected exception in run_cores")
                 }
             }
             peak = peak.max(core.sb_len());
+            let next = if skip { core.next_event(now) } else { now + 1 };
+            *wake = next.clamp(now + 1, max_cycles);
+            core.charge_idle(now, *wake - now - 1);
         }
-        if all_done {
+        now = wake.iter().copied().min().unwrap_or(Cycle::MAX);
+        if now == Cycle::MAX {
             return peak;
         }
-        let next = if skip {
-            cores
-                .iter()
-                .map(|c| c.next_event(now))
-                .min()
-                .unwrap_or(Cycle::MAX)
-                .clamp(now + 1, max_cycles)
-        } else {
-            now + 1
-        };
-        for core in cores.iter_mut() {
-            core.charge_idle(now, next - now - 1);
-        }
-        now = next;
         assert!(now < max_cycles, "exceeded cycle budget");
     }
 }

@@ -11,10 +11,16 @@
 //! the core takes over (stop fetch, drain everything to the FSB, flush).
 //!
 //! Entries live in a struct-of-arrays ring (no per-entry allocation on
-//! push or drain), and the buffer maintains incremental idle/in-flight
-//! counts plus the exact earliest in-flight completion time, so a pump
-//! on a cycle where nothing completes and nothing can issue is O(1) —
-//! the dominant case under the per-cycle reference clock.
+//! push or drain). Drain state is positional: issue always takes the
+//! oldest idle entries, so the in-flight entries are the FIFO prefix
+//! `[0, len − idle)` and the idle ones the suffix. Each in-flight entry
+//! also keeps the minimum completion time from it to the end of the
+//! prefix, so the head holds the exact earliest completion and the
+//! matured drains all sit before the first entry whose suffix minimum
+//! lies in the future. Completion, issue and coalescing therefore touch
+//! only the entries they concern, and a pump on a cycle where nothing
+//! completes and nothing can issue is O(1) — the dominant case under the
+//! per-cycle reference clock.
 
 use ise_engine::Cycle;
 use ise_mem::hierarchy::{Access, MemoryHierarchy};
@@ -23,7 +29,8 @@ use ise_types::exception::ExceptionKind;
 use ise_types::model::ConsistencyModel;
 use ise_types::{CoreId, FaultingStoreEntry, SimError};
 
-/// Drain status of one store-buffer entry.
+/// Drain status of one store-buffer entry (a by-value view: the buffer
+/// stores it positionally, and snapshots write it per entry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DrainState {
     /// Not yet issued to the hierarchy.
@@ -67,17 +74,21 @@ pub struct StoreBuffer {
     addrs: Box<[Addr]>,
     values: Box<[u64]>,
     masks: Box<[ByteMask]>,
-    states: Box<[DrainState]>,
+    /// Completion time of each in-flight entry (meaningless for idle
+    /// entries).
+    complete_at: Box<[Cycle]>,
+    /// Minimum `complete_at` over the in-flight entries from this one to
+    /// the end of the prefix: non-decreasing along the prefix, and the
+    /// head's value is the earliest completion.
+    suffix_min: Box<[Cycle]>,
+    /// Fault embedded in each in-flight entry's response.
+    faults: Box<[Option<ExceptionKind>]>,
     head: usize,
     len: usize,
     ring_mask: usize,
-    /// Entries in [`DrainState::Idle`] (candidates for issue).
+    /// Idle entries: the FIFO suffix `[len − idle, len)`. Everything
+    /// before it is in flight.
     idle: usize,
-    /// Entries in [`DrainState::InFlight`].
-    in_flight: usize,
-    /// Exact minimum `complete_at` over in-flight entries
-    /// (`Cycle::MAX` when none are in flight).
-    earliest: Cycle,
     /// Per-cycle issue ports for WC drains.
     drain_width: usize,
     /// Cap on concurrently in-flight drains (ASO checkpoint budget).
@@ -105,13 +116,13 @@ impl StoreBuffer {
             addrs: vec![Addr::new(0); ring].into_boxed_slice(),
             values: vec![0; ring].into_boxed_slice(),
             masks: vec![ByteMask::FULL; ring].into_boxed_slice(),
-            states: vec![DrainState::Idle; ring].into_boxed_slice(),
+            complete_at: vec![0; ring].into_boxed_slice(),
+            suffix_min: vec![0; ring].into_boxed_slice(),
+            faults: vec![None; ring].into_boxed_slice(),
             head: 0,
             len: 0,
             ring_mask: ring - 1,
             idle: 0,
-            in_flight: 0,
-            earliest: Cycle::MAX,
             drain_width: 2,
             max_in_flight: usize::MAX,
             coalesced: 0,
@@ -150,7 +161,7 @@ impl StoreBuffer {
     /// Entries whose drain is currently in flight (the quantity ASO maps
     /// to checkpoints).
     pub fn in_flight(&self) -> usize {
-        self.in_flight
+        self.len - self.idle
     }
 
     /// Total stores coalesced away (WC only).
@@ -166,7 +177,7 @@ impl StoreBuffer {
     /// the buffer), so waking at it merely re-evaluates and charges the
     /// same stall the reference clock would have charged cycle by cycle.
     pub fn next_completion(&self) -> Option<Cycle> {
-        (self.in_flight > 0).then_some(self.earliest)
+        (self.in_flight() > 0).then(|| self.suffix_min[self.head])
     }
 
     /// Total stores drained to the hierarchy.
@@ -197,38 +208,43 @@ impl StoreBuffer {
         }
     }
 
-    /// Re-derives `earliest` by scanning; called only when an in-flight
-    /// entry left the buffer (completion, extraction), never on dead
-    /// cycles.
-    fn recompute_earliest(&mut self) {
-        let mut min = Cycle::MAX;
-        for i in 0..self.len {
-            if let DrainState::InFlight { complete_at, .. } = self.states[self.slot(i)] {
-                min = min.min(complete_at);
-            }
+    /// The drain state of the entry at FIFO index `i`.
+    fn state(&self, i: usize) -> DrainState {
+        if i >= self.in_flight() {
+            return DrainState::Idle;
         }
-        self.earliest = min;
+        let s = self.slot(i);
+        DrainState::InFlight {
+            complete_at: self.complete_at[s],
+            fault: self.faults[s],
+        }
     }
 
-    /// Removes the entry at FIFO index `i`, preserving the order of the
-    /// rest (shifts the tail side of the ring down by one).
-    fn remove_at(&mut self, i: usize) {
-        match self.states[self.slot(i)] {
-            DrainState::Idle => self.idle -= 1,
-            DrainState::InFlight { .. } => self.in_flight -= 1,
-        }
-        if i == 0 {
-            self.head = (self.head + 1) & self.ring_mask;
+    /// Re-derives the suffix minima of the in-flight entries before FIFO
+    /// index `end`; the ones from `end` on are still exact. Called after
+    /// a removal that moved older in-flight entries (WC completion,
+    /// split-stream extraction) and on restore, never on dead cycles.
+    fn refresh_suffix_min(&mut self, end: usize) {
+        let mut min = if end < self.in_flight() {
+            self.suffix_min[self.slot(end)]
         } else {
-            for j in i..self.len - 1 {
-                let (dst, src) = (self.slot(j), self.slot(j + 1));
-                self.addrs[dst] = self.addrs[src];
-                self.values[dst] = self.values[src];
-                self.masks[dst] = self.masks[src];
-                self.states[dst] = self.states[src];
-            }
+            Cycle::MAX
+        };
+        for i in (0..end).rev() {
+            let s = self.slot(i);
+            min = min.min(self.complete_at[s]);
+            self.suffix_min[s] = min;
         }
-        self.len -= 1;
+    }
+
+    /// Copies the entry in ring slot `src` to ring slot `dst`.
+    #[inline]
+    fn move_slot(&mut self, src: usize, dst: usize) {
+        self.addrs[dst] = self.addrs[src];
+        self.values[dst] = self.values[src];
+        self.masks[dst] = self.masks[src];
+        self.complete_at[dst] = self.complete_at[src];
+        self.faults[dst] = self.faults[src];
     }
 
     /// Doubles the ring (only reached when `capacity` exceeds the initial
@@ -239,18 +255,24 @@ impl StoreBuffer {
         let mut addrs = vec![Addr::new(0); new].into_boxed_slice();
         let mut values = vec![0u64; new].into_boxed_slice();
         let mut masks = vec![ByteMask::FULL; new].into_boxed_slice();
-        let mut states = vec![DrainState::Idle; new].into_boxed_slice();
+        let mut complete_at = vec![0; new].into_boxed_slice();
+        let mut suffix_min = vec![0; new].into_boxed_slice();
+        let mut faults = vec![None; new].into_boxed_slice();
         for i in 0..self.len {
             let s = self.slot(i);
             addrs[i] = self.addrs[s];
             values[i] = self.values[s];
             masks[i] = self.masks[s];
-            states[i] = self.states[s];
+            complete_at[i] = self.complete_at[s];
+            suffix_min[i] = self.suffix_min[s];
+            faults[i] = self.faults[s];
         }
         self.addrs = addrs;
         self.values = values;
         self.masks = masks;
-        self.states = states;
+        self.complete_at = complete_at;
+        self.suffix_min = suffix_min;
+        self.faults = faults;
         self.head = 0;
         self.ring_mask = new - 1;
     }
@@ -268,10 +290,12 @@ impl StoreBuffer {
     pub fn push(&mut self, addr: Addr, value: u64, mask: ByteMask) {
         self.retired += 1;
         if self.model == ConsistencyModel::Wc {
+            // Only idle entries coalesce: scan the idle suffix, youngest
+            // first.
             let word = addr.raw() >> 3;
-            for i in (0..self.len).rev() {
+            for i in (self.in_flight()..self.len).rev() {
                 let s = self.slot(i);
-                if self.addrs[s].raw() >> 3 == word && self.states[s] == DrainState::Idle {
+                if self.addrs[s].raw() >> 3 == word {
                     self.values[s] = mask.merge(self.values[s], value);
                     self.masks[s] = self.masks[s] | mask;
                     self.coalesced += 1;
@@ -287,7 +311,6 @@ impl StoreBuffer {
         self.addrs[s] = addr;
         self.values[s] = value;
         self.masks[s] = mask;
-        self.states[s] = DrainState::Idle;
         self.len += 1;
         self.idle += 1;
     }
@@ -302,91 +325,117 @@ impl StoreBuffer {
     /// fault if one came back denied, and issues new drains according to
     /// the model's ordering rules.
     pub fn pump(&mut self, now: Cycle, hier: &mut MemoryHierarchy) -> Option<DrainFault> {
-        // Complete finished drains. `earliest` gates the scan: on cycles
-        // where no in-flight drain has matured there is nothing to do.
-        if self.earliest <= now {
-            match self.model {
-                ConsistencyModel::Sc => {}
-                ConsistencyModel::Pc => {
-                    // Ownership requests pipeline, but stores become
-                    // globally visible strictly in FIFO order: only the
-                    // front entry may leave the buffer.
-                    let mut removed = false;
-                    while self.len > 0 {
-                        match self.states[self.head] {
-                            DrainState::InFlight { complete_at, fault } if complete_at <= now => {
-                                if let Some(kind) = fault {
-                                    return Some(DrainFault { index: 0, kind });
-                                }
-                                self.remove_at(0);
-                                self.drained += 1;
-                                removed = true;
-                            }
-                            _ => break,
-                        }
-                    }
-                    if removed {
-                        self.recompute_earliest();
-                    }
-                }
-                ConsistencyModel::Wc => {
-                    let mut removed = false;
-                    'outer: loop {
-                        for i in 0..self.len {
-                            if let DrainState::InFlight { complete_at, fault } =
-                                self.states[self.slot(i)]
-                            {
-                                if complete_at <= now {
-                                    if let Some(kind) = fault {
-                                        if removed {
-                                            self.recompute_earliest();
-                                        }
-                                        return Some(DrainFault { index: i, kind });
-                                    }
-                                    self.remove_at(i);
-                                    self.drained += 1;
-                                    removed = true;
-                                    continue 'outer;
-                                }
-                            }
-                        }
-                        break;
-                    }
-                    if removed {
-                        self.recompute_earliest();
-                    }
-                }
+        // Complete finished drains. The earliest completion gates the
+        // scan: on cycles where no in-flight drain has matured there is
+        // nothing to do.
+        if self.in_flight() > 0 && self.suffix_min[self.head] <= now {
+            let fault = match self.model {
+                ConsistencyModel::Sc => None,
+                ConsistencyModel::Pc => self.complete_front(now),
+                ConsistencyModel::Wc => self.complete_matured(now),
+            };
+            if fault.is_some() {
+                return fault;
             }
         }
 
-        // Issue new drains; skipped outright when nothing is idle or the
-        // in-flight cap is already met.
-        if self.model != ConsistencyModel::Sc
-            && self.idle > 0
-            && self.in_flight < self.max_in_flight
-        {
-            let mut issued = 0;
-            for i in 0..self.len {
-                if issued >= self.drain_width || self.in_flight >= self.max_in_flight {
-                    break;
-                }
-                let s = self.slot(i);
-                if self.states[s] == DrainState::Idle {
-                    let acc = Access::store(self.core, self.addrs[s]);
-                    let r = hier.access(acc, now);
-                    let complete_at = now + r.latency;
-                    self.states[s] = DrainState::InFlight {
-                        complete_at,
-                        fault: r.fault,
-                    };
-                    self.idle -= 1;
-                    self.in_flight += 1;
-                    self.earliest = self.earliest.min(complete_at);
-                    issued += 1;
+        // Issue new drains: the oldest idle entries, which start at
+        // index `len − idle`. Skipped outright when nothing is idle or
+        // the in-flight cap is already met.
+        if self.model != ConsistencyModel::Sc {
+            let room = self.max_in_flight.saturating_sub(self.in_flight());
+            for _ in 0..self.drain_width.min(room).min(self.idle) {
+                let end = self.in_flight();
+                let s = self.slot(end);
+                let r = hier.access(Access::store(self.core, self.addrs[s]), now);
+                let complete_at = now + r.latency;
+                self.complete_at[s] = complete_at;
+                self.suffix_min[s] = complete_at;
+                self.faults[s] = r.fault;
+                self.idle -= 1;
+                // Lower the older suffix minima this completion undercuts;
+                // drains mostly complete in issue order, so this stops at
+                // once.
+                for i in (0..end).rev() {
+                    let t = self.slot(i);
+                    if self.suffix_min[t] <= complete_at {
+                        break;
+                    }
+                    self.suffix_min[t] = complete_at;
                 }
             }
         }
         None
+    }
+
+    /// PC completion: stores become globally visible strictly in FIFO
+    /// order (ownership requests pipeline, but only the front entry may
+    /// leave the buffer), so matured drains leave by advancing the head.
+    fn complete_front(&mut self, now: Cycle) -> Option<DrainFault> {
+        while self.in_flight() > 0 && self.complete_at[self.head] <= now {
+            if let Some(kind) = self.faults[self.head] {
+                return Some(DrainFault { index: 0, kind });
+            }
+            self.head = (self.head + 1) & self.ring_mask;
+            self.len -= 1;
+            self.drained += 1;
+        }
+        None
+    }
+
+    /// WC completion: every matured drain leaves, in one forward pass
+    /// that stops at the first matured faulting drain (reported at its
+    /// index after the removals). The pass ends at the last matured entry
+    /// at the latest: after it, every suffix minimum is in the future.
+    /// The holes are closed by moving the older survivors toward the tail
+    /// and advancing the head, so the idle suffix and every entry after
+    /// the last hole stay put — WC drains complete almost in order, so
+    /// the older side holds few survivors, and only their suffix minima
+    /// need recomputing.
+    fn complete_matured(&mut self, now: Cycle) -> Option<DrainFault> {
+        let mut fault = None;
+        let mut removed = 0;
+        let mut last_hole = 0;
+        for i in 0..self.in_flight() {
+            let s = self.slot(i);
+            if self.suffix_min[s] > now {
+                break;
+            }
+            if self.complete_at[s] <= now {
+                if let Some(kind) = self.faults[s] {
+                    fault = Some(DrainFault {
+                        index: i - removed,
+                        kind,
+                    });
+                    break;
+                }
+                removed += 1;
+                last_hole = i;
+            }
+        }
+        if removed > 0 {
+            // Survivors older than the last hole all have
+            // `complete_at > now` (every matured one before the stop is a
+            // hole); move them up against it, youngest first.
+            let survivors = last_hole + 1 - removed;
+            let mut to_move = survivors;
+            let mut dst = last_hole;
+            let mut src = last_hole;
+            while to_move > 0 {
+                src -= 1;
+                let s = self.slot(src);
+                if self.complete_at[s] > now {
+                    self.move_slot(s, self.slot(dst));
+                    dst -= 1;
+                    to_move -= 1;
+                }
+            }
+            self.head = (self.head + removed) & self.ring_mask;
+            self.len -= removed;
+            self.drained += removed as u64;
+            self.refresh_suffix_min(survivors);
+        }
+        fault
     }
 
     /// Drains the entire buffer into FSB records in buffer (FIFO) order —
@@ -437,13 +486,17 @@ impl StoreBuffer {
             });
         }
         let e = self.entry(fault.index);
-        let was_in_flight = matches!(
-            self.states[self.slot(fault.index)],
-            DrainState::InFlight { .. }
-        );
-        self.remove_at(fault.index);
+        let was_in_flight = fault.index < self.in_flight();
+        // Close the hole from the older side, as completion does.
+        for i in (0..fault.index).rev() {
+            self.move_slot(self.slot(i), self.slot(i + 1));
+        }
+        self.head = (self.head + 1) & self.ring_mask;
+        self.len -= 1;
         if was_in_flight {
-            self.recompute_earliest();
+            self.refresh_suffix_min(fault.index);
+        } else {
+            self.idle -= 1;
         }
         Ok(vec![FaultingStoreEntry::new(
             e.addr,
@@ -458,14 +511,12 @@ impl StoreBuffer {
         self.head = 0;
         self.len = 0;
         self.idle = 0;
-        self.in_flight = 0;
-        self.earliest = Cycle::MAX;
     }
 
     /// Saves the buffer's dynamic state: identity fields for validation,
     /// then the logical FIFO contents (entry fields plus per-entry drain
     /// state, oldest → youngest) and the lifetime counters. The ring
-    /// layout and the derived `idle`/`in_flight`/`earliest` counts are
+    /// layout and the derived `idle` count and suffix minima are
     /// recomputed on restore and are not part of the audited contract.
     pub fn save_state(&self, w: &mut ise_types::persist::Writer) {
         use ise_types::persist::Persist;
@@ -476,11 +527,11 @@ impl StoreBuffer {
             w.usize(self.max_in_flight);
             w.usize(self.len);
             for i in 0..self.len {
-                let s = self.slot(i);
-                self.addrs[s].save(w);
-                w.u64(self.values[s]);
-                self.masks[s].save(w);
-                match self.states[s] {
+                let e = self.entry(i);
+                e.addr.save(w);
+                w.u64(e.value);
+                e.mask.save(w);
+                match self.state(i) {
                     DrainState::Idle => w.u8(0),
                     DrainState::InFlight { complete_at, fault } => {
                         w.u8(1);
@@ -496,7 +547,9 @@ impl StoreBuffer {
     }
 
     /// Restores the buffer in place. `core`, `capacity` and `model` come
-    /// from construction; the saved identity fields must match.
+    /// from construction; the saved identity fields must match, and the
+    /// in-flight entries must form a FIFO prefix (the buffer stores drain
+    /// state by position).
     pub fn restore_state(
         &mut self,
         r: &mut ise_types::persist::Reader,
@@ -524,39 +577,36 @@ impl StoreBuffer {
             let mut addrs = vec![Addr::new(0); ring].into_boxed_slice();
             let mut values = vec![0u64; ring].into_boxed_slice();
             let mut masks = vec![ByteMask::FULL; ring].into_boxed_slice();
-            let mut states = vec![DrainState::Idle; ring].into_boxed_slice();
+            let mut complete_at = vec![0; ring].into_boxed_slice();
+            let mut faults = vec![None; ring].into_boxed_slice();
             let mut idle = 0;
-            let mut in_flight = 0;
-            let mut earliest = Cycle::MAX;
-            for (i, state_slot) in states.iter_mut().enumerate().take(len) {
+            for i in 0..len {
                 addrs[i] = Persist::restore(r)?;
                 values[i] = r.u64()?;
                 masks[i] = Persist::restore(r)?;
-                *state_slot = match r.u8()? {
-                    0 => {
-                        idle += 1;
-                        DrainState::Idle
+                match r.u8()? {
+                    0 => idle += 1,
+                    1 if idle > 0 => {
+                        return Err(PersistError::Corrupt("in-flight store after an idle one"))
                     }
                     1 => {
-                        let complete_at = r.u64()?;
-                        let fault = Persist::restore(r)?;
-                        in_flight += 1;
-                        earliest = earliest.min(complete_at);
-                        DrainState::InFlight { complete_at, fault }
+                        complete_at[i] = r.u64()?;
+                        faults[i] = Persist::restore(r)?;
                     }
                     _ => return Err(PersistError::Corrupt("DrainState discriminant")),
-                };
+                }
             }
             self.addrs = addrs;
             self.values = values;
             self.masks = masks;
-            self.states = states;
+            self.complete_at = complete_at;
+            self.suffix_min = vec![0; ring].into_boxed_slice();
+            self.faults = faults;
             self.head = 0;
             self.len = len;
             self.ring_mask = ring - 1;
             self.idle = idle;
-            self.in_flight = in_flight;
-            self.earliest = earliest;
+            self.refresh_suffix_min(len - idle);
             self.coalesced = r.u64()?;
             self.drained = r.u64()?;
             self.retired = r.u64()?;
@@ -796,6 +846,40 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn persist_restore_rejects_in_flight_after_idle() {
+        // The buffer stores drain state by position (in-flight prefix,
+        // idle suffix), so a snapshot listing an in-flight entry after an
+        // idle one has no faithful restore and must be refused.
+        use ise_types::persist::{Persist, PersistError, Reader, Writer};
+        let mut w = Writer::container();
+        w.section(*b"SBUF", |w| {
+            w.usize(8);
+            ConsistencyModel::Wc.save(w);
+            w.usize(2);
+            w.usize(usize::MAX);
+            w.usize(2);
+            for (i, state) in [0u8, 1].into_iter().enumerate() {
+                Addr::new(i as u64 * 64).save(w);
+                w.u64(i as u64);
+                ByteMask::FULL.save(w);
+                w.u8(state);
+            }
+            w.u64(40);
+            None::<ExceptionKind>.save(w);
+            w.u64(0);
+            w.u64(0);
+            w.u64(2);
+        });
+        let bytes = w.finish();
+        let mut b = StoreBuffer::new(CoreId(0), 8, ConsistencyModel::Wc);
+        let mut r = Reader::container(&bytes).unwrap();
+        assert!(matches!(
+            b.restore_state(&mut r),
+            Err(PersistError::Corrupt("in-flight store after an idle one"))
+        ));
+    }
+
     /// Denies every drain to an address at or above `0x10_0000`.
     struct DenyHigh;
     impl ise_mem::backend::FaultOracle for DenyHigh {
@@ -804,80 +888,11 @@ mod tests {
         }
     }
 
-    /// Idle entries form the FIFO suffix, and `idle` counts them.
-    fn assert_idle_suffix(b: &StoreBuffer, ctx: &str) {
-        let first_idle = b.len - b.idle;
-        for i in 0..b.len {
-            let idle = b.states[b.slot(i)] == DrainState::Idle;
-            assert_eq!(idle, i >= first_idle, "entry {i} of {} {ctx}", b.len);
-        }
-    }
-
-    #[test]
-    fn idle_entries_are_always_a_fifo_suffix() {
-        // Issue takes the oldest idle entries and every other operation
-        // appends an idle entry, keeps states, or removes entries, so the
-        // in-flight entries are a FIFO prefix. Scans that start at
-        // `len - idle` (issue, WC coalescing) depend on this.
-        let mut cfg = SystemConfig::isca23();
-        cfg.cores = 2;
-        cfg.noc.mesh_x = 2;
-        cfg.noc.mesh_y = 1;
-        for model in [ConsistencyModel::Pc, ConsistencyModel::Wc] {
-            for cap in [None, Some(1), Some(3)] {
-                for split in [false, true] {
-                    let ctx = format!("({model:?}, cap {cap:?}, split {split})");
-                    let mut b = StoreBuffer::new(CoreId(0), 8, model);
-                    if let Some(c) = cap {
-                        b.set_max_in_flight(c);
-                    }
-                    let mut h = MemoryHierarchy::with_oracle(cfg, std::rc::Rc::new(DenyHigh));
-                    let mut x = 0x5eed_f1d1_u64;
-                    let mut lcg = move || {
-                        x = x
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        x >> 33
-                    };
-                    let (mut faults, mut mixed) = (0, 0);
-                    for now in 0..6000u64 {
-                        // Up to three stores a cycle outpace the two issue
-                        // ports, so idle entries queue behind in-flight ones.
-                        for _ in 0..lcg() % 4 {
-                            if b.has_space() {
-                                let word = lcg() % 24;
-                                let base = if lcg() % 60 == 0 { 0x10_0000 } else { 0 };
-                                b.push(Addr::new(base + word * 8), now, ByteMask::FULL);
-                                assert_idle_suffix(&b, &format!("after push at {now} {ctx}"));
-                            }
-                        }
-                        if let Some(fault) = b.pump(now, &mut h) {
-                            assert_idle_suffix(&b, &format!("at fault {now} {ctx}"));
-                            faults += 1;
-                            if split {
-                                b.extract_faulting(fault).unwrap();
-                            } else {
-                                b.drain_to_fsb(fault);
-                            }
-                        }
-                        assert_idle_suffix(&b, &format!("after pump at {now} {ctx}"));
-                        if b.idle > 0 && b.in_flight > 0 {
-                            mixed += 1;
-                        }
-                    }
-                    assert!(faults > 0, "no drain faulted {ctx}");
-                    assert!(mixed > 0, "never idle and in flight together {ctx}");
-                    if model == ConsistencyModel::Wc {
-                        assert!(b.coalesced() > 0, "nothing coalesced {ctx}");
-                    }
-                }
-            }
-        }
-    }
-
-    /// The pre-rework layout, verbatim: a `VecDeque` of entries with all
-    /// derived quantities recomputed by scanning. The differential below
-    /// drives it and the SoA ring through the same op sequence.
+    /// The pre-rework layout: a `VecDeque` of entries, each carrying its
+    /// own drain state, with every derived quantity recomputed by
+    /// scanning and every completion removed by a restart-from-the-front
+    /// scan. The differential below drives it and the positional ring
+    /// through the same op sequence.
     mod naive {
         use super::*;
         use std::collections::VecDeque;
@@ -886,6 +901,7 @@ mod tests {
             pub entries: VecDeque<(Addr, u64, ByteMask, DrainState)>,
             capacity: usize,
             model: ConsistencyModel,
+            pub max_in_flight: usize,
             pub drained: u64,
             pub coalesced: u64,
         }
@@ -896,6 +912,7 @@ mod tests {
                     entries: VecDeque::new(),
                     capacity,
                     model,
+                    max_in_flight: usize::MAX,
                     drained: 0,
                     coalesced: 0,
                 }
@@ -995,7 +1012,7 @@ mod tests {
                 if self.model != ConsistencyModel::Sc {
                     let mut issued = 0;
                     for i in 0..self.entries.len() {
-                        if issued >= drain_width {
+                        if issued >= drain_width || self.in_flight() >= self.max_in_flight {
                             break;
                         }
                         if self.entries[i].3 == DrainState::Idle {
@@ -1010,6 +1027,35 @@ mod tests {
                 }
                 None
             }
+
+            fn record(
+                e: &(Addr, u64, ByteMask, DrainState),
+                code: Option<ExceptionKind>,
+            ) -> FaultingStoreEntry {
+                match code {
+                    Some(kind) => FaultingStoreEntry::new(e.0, e.1, e.2, kind.error_code()),
+                    None => FaultingStoreEntry::non_faulting(e.0, e.1, e.2),
+                }
+            }
+
+            pub fn drain_to_fsb(&mut self, fault: DrainFault) -> Vec<FaultingStoreEntry> {
+                let out = self
+                    .entries
+                    .iter()
+                    .enumerate()
+                    .map(|(i, e)| Self::record(e, (i == fault.index).then_some(fault.kind)))
+                    .collect();
+                self.entries.clear();
+                out
+            }
+
+            pub fn extract_faulting(&mut self, fault: DrainFault) -> Vec<FaultingStoreEntry> {
+                let e = self
+                    .entries
+                    .remove(fault.index)
+                    .expect("fault names an entry");
+                vec![Self::record(&e, Some(fault.kind))]
+            }
         }
     }
 
@@ -1019,45 +1065,131 @@ mod tests {
         // the same op stream, each issuing into its own (identical,
         // deterministic) hierarchy, so as long as they issue the same
         // addresses in the same order they receive the same latencies —
-        // and every derived quantity must agree each step.
+        // and every fault report, FSB record, entry and derived quantity
+        // must agree each cycle. The naive buffer stores each entry's
+        // drain state, so the per-entry comparison also checks that the
+        // positional layout (in-flight prefix, idle suffix) describes it.
+        // Up to three stores a cycle outpace the two issue ports; words
+        // repeat, so WC coalesces; a denying oracle makes drains fault,
+        // and each fault goes through both FSB drain policies.
+        let mut cfg = SystemConfig::isca23();
+        cfg.cores = 2;
+        cfg.noc.mesh_x = 2;
+        cfg.noc.mesh_y = 1;
+        let mut fault_after_removal = 0;
         for model in [ConsistencyModel::Pc, ConsistencyModel::Wc] {
-            let mut real = StoreBuffer::new(CoreId(0), 8, model);
-            let mut naive = naive::NaiveBuffer::new(8, model);
-            let mut h_real = hier();
-            let mut h_naive = hier();
-            let mut x = 0x00d1_5ea5_ed0d_dba1u64;
-            let mut lcg = move || {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                x >> 33
-            };
-            for now in 0..4000u64 {
-                if lcg() % 3 == 0 && real.has_space() {
-                    let addr = Addr::new((lcg() % 64) * 64);
-                    let value = lcg();
-                    real.push(addr, value, ByteMask::FULL);
-                    naive.push(addr, value, ByteMask::FULL);
+            for cap in [None, Some(1), Some(3)] {
+                for split in [false, true] {
+                    let ctx = format!("({model:?}, cap {cap:?}, split {split})");
+                    let mut real = StoreBuffer::new(CoreId(0), 8, model);
+                    let mut naive = naive::NaiveBuffer::new(8, model);
+                    if let Some(c) = cap {
+                        real.set_max_in_flight(c);
+                        naive.max_in_flight = c;
+                    }
+                    let deny = || std::rc::Rc::new(DenyHigh);
+                    let mut h_real = MemoryHierarchy::with_oracle(cfg, deny());
+                    let mut h_naive = MemoryHierarchy::with_oracle(cfg, deny());
+                    let mut x = 0x00d1_5ea5_ed0d_dba1u64;
+                    let mut lcg = move || {
+                        x = x
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        x >> 33
+                    };
+                    let (mut faults, mut mixed) = (0, 0);
+                    for now in 0..6000u64 {
+                        for _ in 0..lcg() % 4 {
+                            if real.has_space() {
+                                // Denied, cold (a DRAM miss, like a denial) or
+                                // one of 24 hot words.
+                                let word = match lcg() % 60 {
+                                    0 => 0x2_0000 + lcg() % 24,
+                                    1..=20 => 0x1000 + (lcg() % 2048) * 8,
+                                    _ => lcg() % 24,
+                                };
+                                let addr = Addr::new(word * 8 + lcg() % 8);
+                                let mask = ByteMask::span((addr.raw() % 8) as u8, 1);
+                                let value = lcg();
+                                real.push(addr, value, mask);
+                                naive.push(addr, value, mask);
+                            }
+                        }
+                        let drained_before = real.drained();
+                        let rf = real.pump(now, &mut h_real);
+                        let nf = naive.pump(now, 2, |addr| {
+                            let r = h_naive.access(Access::store(CoreId(0), addr), now);
+                            (r.latency, r.fault)
+                        });
+                        assert_eq!(rf, nf, "fault report at {now} {ctx}");
+                        assert_eq!(
+                            real.next_completion(),
+                            naive.next_completion(),
+                            "next_completion at fault {now} {ctx}"
+                        );
+                        if let Some(fault) = rf {
+                            faults += 1;
+                            if model == ConsistencyModel::Wc && real.drained() > drained_before {
+                                fault_after_removal += 1;
+                            }
+                            let (r, n) = if split {
+                                (
+                                    real.extract_faulting(fault).unwrap(),
+                                    naive.extract_faulting(fault),
+                                )
+                            } else {
+                                (real.drain_to_fsb(fault), naive.drain_to_fsb(fault))
+                            };
+                            assert_eq!(r, n, "FSB records at {now} {ctx}");
+                        }
+                        assert_eq!(real.len(), naive.entries.len(), "len at {now} {ctx}");
+                        for (i, e) in naive.entries.iter().enumerate() {
+                            let got = real.entry(i);
+                            assert_eq!(
+                                (got.addr, got.value, got.mask),
+                                (e.0, e.1, e.2),
+                                "entry {i} at {now} {ctx}"
+                            );
+                            assert_eq!(
+                                real.state(i),
+                                e.3,
+                                "drain state of entry {i} at {now} {ctx}"
+                            );
+                        }
+                        assert_eq!(real.drained(), naive.drained, "drained at {now} {ctx}");
+                        assert_eq!(
+                            real.coalesced(),
+                            naive.coalesced,
+                            "coalesced at {now} {ctx}"
+                        );
+                        assert_eq!(
+                            real.in_flight(),
+                            naive.in_flight(),
+                            "in_flight at {now} {ctx}"
+                        );
+                        assert_eq!(real.has_space(), naive.has_space());
+                        assert_eq!(
+                            real.next_completion(),
+                            naive.next_completion(),
+                            "next_completion at {now} {ctx}"
+                        );
+                        let probe = Addr::new((now % 24) * 8);
+                        assert_eq!(real.forwards(probe), naive.forwards(probe));
+                        if real.idle > 0 && real.in_flight() > 0 {
+                            mixed += 1;
+                        }
+                    }
+                    assert!(faults > 0, "no drain faulted {ctx}");
+                    assert!(mixed > 0, "never idle and in flight together {ctx}");
+                    if model == ConsistencyModel::Wc {
+                        assert!(real.coalesced() > 0, "nothing coalesced {ctx}");
+                    }
                 }
-                assert!(real.pump(now, &mut h_real).is_none(), "fault-free run");
-                let nf = naive.pump(now, 2, |addr| {
-                    let r = h_naive.access(Access::store(CoreId(0), addr), now);
-                    (r.latency, r.fault)
-                });
-                assert!(nf.is_none());
-                // Cross-check every derived quantity.
-                assert_eq!(real.len(), naive.entries.len(), "len at {now} ({model:?})");
-                assert_eq!(real.drained(), naive.drained, "drained at {now}");
-                assert_eq!(real.coalesced(), naive.coalesced, "coalesced at {now}");
-                assert_eq!(real.in_flight(), naive.in_flight(), "in_flight at {now}");
-                assert_eq!(real.has_space(), naive.has_space());
-                assert_eq!(real.next_completion(), naive.next_completion());
-                for i in 0..real.len() {
-                    assert_eq!(real.entry(i).addr, naive.entries[i].0, "order at {now}");
-                }
-                let probe = Addr::new((now % 64) * 64);
-                assert_eq!(real.forwards(probe), naive.forwards(probe));
             }
         }
+        assert!(
+            fault_after_removal > 0,
+            "no fault reported after a same-cycle completion"
+        );
     }
 }

@@ -188,6 +188,14 @@ pub struct System {
     /// [`SystemStats`], the registry and snapshots: it measures the
     /// clock's work, which differs between the two clocks by design.
     clock_steps: u64,
+    /// Core steps taken by the [`System::run_to`] loop since this system
+    /// was built (see [`System::core_steps`]); outside the stats, the
+    /// registry and snapshots for the same reason as `clock_steps`.
+    core_steps: u64,
+    /// Per-core wake times of the [`System::run_to`] loop: scratch that
+    /// every call overwrites before use, kept so the loop allocates
+    /// nothing. Not part of the snapshot.
+    wake: Vec<Cycle>,
     /// Fingerprint of the (config, workload) pair this system was built
     /// from; snapshots embed it and restore validates it. Hashing every
     /// instruction is linear in the trace length and most runs never
@@ -311,6 +319,8 @@ impl System {
             early_drain_per_core: vec![0; cfg.cores],
             now: 0,
             clock_steps: 0,
+            core_steps: 0,
+            wake: vec![0; workload.traces.len()],
             identity: OnceCell::new(),
             workload: workload.clone(),
             final_stats: None,
@@ -415,6 +425,15 @@ impl System {
     /// work.
     pub fn clock_steps(&self) -> u64 {
         self.clock_steps
+    }
+
+    /// How many [`Core::step`] calls the clock loop has made since this
+    /// system was built. The reference clock steps every live core on
+    /// every visited cycle; the skip clock steps a core only at its own
+    /// wake time, so a core parked on a DRAM round trip costs nothing
+    /// while a sibling runs. Not restored by [`System::restore_from`].
+    pub fn core_steps(&self) -> u64 {
+        self.core_steps
     }
 
     /// Whether every FSB ring has drained to head == tail — a post-run
@@ -621,31 +640,6 @@ impl System {
         self.ictl[i].exit_handler();
     }
 
-    /// The earliest cycle after `self.now` at which anything in the
-    /// system can act: the minimum of every live core's
-    /// [`Core::next_event`] (which folds in OS resume deadlines, since
-    /// the handler sets them via `resume_at`/`stall_until`), clamped to
-    /// the next timer-interrupt multiple so every delivery/deferral
-    /// decision point is visited exactly as the reference clock would.
-    ///
-    /// `handler_busy_until` needs no candidate of its own: it is only
-    /// *read* at interrupt multiples (the IE-bit check), and those are
-    /// all visited via the clamp.
-    fn next_wake(&self, max_cycles: Cycle) -> Cycle {
-        let mut next = self
-            .cores
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.processes[*i].state != ProcessState::Killed)
-            .map(|(_, c)| c.next_event(self.now))
-            .min()
-            .unwrap_or(Cycle::MAX);
-        if let Some(interval) = self.interrupt_interval {
-            next = next.min((self.now / interval + 1) * interval);
-        }
-        next.clamp(self.now + 1, max_cycles)
-    }
-
     /// The identity fingerprint of this system's (configuration,
     /// workload) pair, hashed on first call.
     fn identity(&self) -> u64 {
@@ -848,8 +842,20 @@ impl System {
     /// resumed trajectory is byte-identical to an uninterrupted run
     /// under either clock.
     pub fn run_to(&mut self, target: Cycle, skip: bool) -> bool {
-        let mut completed = true;
-        loop {
+        // Each live core's next step. A core sleeps until its own wake
+        // (charged for the dead cycles in between), not the minimum over
+        // the system: a dead step makes no hierarchy access, so a
+        // sibling's activity cannot change what it would have done.
+        // Every live core wakes at the first cycle here, at each timer
+        // interrupt multiple and at `target`.
+        let mut wake = std::mem::take(&mut self.wake);
+        for (i, w) in wake.iter_mut().enumerate() {
+            *w = match self.processes[i].state {
+                ProcessState::Killed => Cycle::MAX,
+                _ => self.now,
+            };
+        }
+        let completed = loop {
             self.clock_steps += 1;
             // Timer interrupts (delivered unless an exception handler
             // currently holds the IE bit).
@@ -872,11 +878,11 @@ impl System {
                     }
                 }
             }
-            let mut all_done = true;
-            for i in 0..self.cores.len() {
-                if self.processes[i].state == ProcessState::Killed {
+            for (i, wake) in wake.iter_mut().enumerate() {
+                if *wake != self.now {
                     continue;
                 }
+                self.core_steps += 1;
                 let outcome = self.cores[i].step(self.now, &mut self.hier);
                 if self.tel.trace.enabled() {
                     for (page, walked) in self.hier.drain_tlb_refills(i) {
@@ -888,48 +894,43 @@ impl System {
                         self.tel.event(self.now, i as u32, kind);
                     }
                 }
+                let finished = matches!(outcome, StepOutcome::Finished);
                 match outcome {
-                    StepOutcome::Finished => {}
-                    StepOutcome::Progress | StepOutcome::Waiting => all_done = false,
-                    StepOutcome::Imprecise(entries) => {
-                        self.handle_imprecise(i, entries);
-                        // A kill leaves nothing to wake this core again;
-                        // keeping the loop alive would send the skip clock
-                        // straight to the budget and misreport a timeout.
-                        if self.processes[i].state != ProcessState::Killed {
-                            all_done = false;
-                        }
-                    }
-                    StepOutcome::Precise { addr, kind } => {
-                        self.handle_precise(i, addr, kind);
-                        if self.processes[i].state != ProcessState::Killed {
-                            all_done = false;
-                        }
-                    }
+                    StepOutcome::Finished | StepOutcome::Progress | StepOutcome::Waiting => {}
+                    StepOutcome::Imprecise(entries) => self.handle_imprecise(i, entries),
+                    StepOutcome::Precise { addr, kind } => self.handle_precise(i, addr, kind),
                 }
-            }
-            if all_done {
-                break;
-            }
-            let next = if skip {
-                self.next_wake(target)
-            } else {
-                self.now + 1
-            };
-            let skipped = next - self.now - 1;
-            if skipped > 0 {
-                for i in 0..self.cores.len() {
-                    if self.processes[i].state != ProcessState::Killed {
-                        self.cores[i].charge_idle(self.now, skipped);
-                    }
+                // A finished core never acts again, and a kill leaves
+                // nothing to wake this core (keeping it would send the
+                // skip clock straight to the budget and misreport a
+                // timeout): both sleep for good.
+                if finished || self.processes[i].state == ProcessState::Killed {
+                    *wake = Cycle::MAX;
+                    continue;
                 }
+                let mut next = if skip {
+                    self.cores[i].next_event(self.now)
+                } else {
+                    self.now + 1
+                };
+                // Visit every timer-interrupt multiple, where delivery
+                // and deferral are decided for all cores at once.
+                if let Some(interval) = self.interrupt_interval {
+                    next = next.min((self.now / interval + 1) * interval);
+                }
+                *wake = next.min(target).max(self.now + 1);
+                self.cores[i].charge_idle(self.now, *wake - self.now - 1);
+            }
+            let next = wake.iter().copied().min().unwrap_or(Cycle::MAX);
+            if next == Cycle::MAX {
+                break true;
             }
             self.now = next;
             if self.now >= target {
-                completed = false;
-                break;
+                break false;
             }
-        }
+        };
+        self.wake = wake;
         completed
     }
 

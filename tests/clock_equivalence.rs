@@ -7,7 +7,8 @@
 //! this suite compares the two clocks directly in-process; CI runs the
 //! pin-reading binaries under `ISE_CYCLE_SKIP={0,1}` against the goldens.
 //! It also pins the skip clock's saving as a deterministic count of loop
-//! steps ([`System::clock_steps`]), not as host time.
+//! steps ([`System::clock_steps`]) and core steps
+//! ([`System::core_steps`]), not as host time.
 
 use imprecise_store_exceptions::aso::sweep_checkpoints_clocked;
 use imprecise_store_exceptions::core_hw::{FaultPlan, FaultResolver};
@@ -33,7 +34,8 @@ const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Builds the system twice (the builder is consumed by the run) and
 /// asserts the two clocks render byte-identical `SystemStats` JSON.
 /// Also pins what each clock costs: the reference loop steps through
-/// every cycle exactly once, and the skip clock never steps more.
+/// every cycle exactly once, and the skip clock never takes more clock
+/// or core steps.
 /// Returns the (reference, skip) step counts.
 fn assert_clocks_agree(label: &str, mk: impl Fn() -> System) -> (u64, u64) {
     let mut reference = mk();
@@ -55,6 +57,12 @@ fn assert_clocks_agree(label: &str, mk: impl Fn() -> System) -> (u64, u64) {
         "{label}: skip clock took {} steps, reference {}",
         skipped.clock_steps(),
         reference.clock_steps()
+    );
+    assert!(
+        skipped.core_steps() <= reference.core_steps(),
+        "{label}: skip clock took {} core steps, reference {}",
+        skipped.core_steps(),
+        reference.core_steps()
     );
     (reference.clock_steps(), skipped.clock_steps())
 }
@@ -212,6 +220,37 @@ fn skip_clock_takes_at_least_five_times_fewer_steps_when_dram_bound() {
     assert!(
         r >= 5 * s,
         "reference clock took {r} steps, skip clock {s}: below the 5x bar"
+    );
+}
+
+/// Two cores that run about equally long: one DRAM-bound (the
+/// page-stride store + full fence loop above), one retiring only ALU
+/// work. The ALU core makes the skip clock visit nearly every cycle, but
+/// the DRAM-bound core is stepped only at its own wake times: measured
+/// 61 233 core steps over 60 038 clock steps, where stepping every live
+/// core on every visited cycle would take 120 076.
+#[test]
+fn skip_clock_steps_a_parked_core_only_at_its_own_wakes() {
+    let dram = dram_bound_workload(400).traces.remove(0);
+    let alu: Trace = (0..240_000).map(|_| Instruction::other()).collect();
+    let workload = Workload {
+        name: "dram-bound + alu".into(),
+        traces: vec![dram, alu],
+        einject_pages: Vec::new(),
+    };
+    let mut skipped = System::new(cfg2(), &workload);
+    let stats = skipped.run_clocked(MAX_CYCLES, true);
+    let mut reference = System::new(cfg2(), &workload);
+    assert_eq!(
+        reference.run_clocked(MAX_CYCLES, false).to_json().render(),
+        stats.to_json().render(),
+        "clocks disagree"
+    );
+    let (steps, core_steps) = (skipped.clock_steps(), skipped.core_steps());
+    assert!(
+        10 * core_steps <= 6 * 2 * steps,
+        "skip clock stepped cores {core_steps} times over {steps} clock steps: \
+         the parked core is stepped with its sibling"
     );
 }
 
