@@ -54,7 +54,8 @@ pub const KILL_MIN_DISCARDED: u64 = 8;
 pub struct EvalConfig {
     /// OS cost model (and its [`RecoveryHardening`]) under attack.
     pub os: OsCostConfig,
-    /// Cycle budget per run (clamped by the `ISE_CELL_BUDGET` watchdog).
+    /// Cycle budget per run: a run cut short reports
+    /// [`EvalOutcome::timed_out`] instead of being audited.
     pub max_cycles: Cycle,
     /// Drive the reference per-cycle clock instead of cycle skipping.
     /// Outcomes are byte-identical either way; the `adversary` binary
@@ -224,11 +225,8 @@ pub fn evaluate(plan: &AdvPlan, cfg: &EvalConfig) -> EvalOutcome {
     .with_fsb_capacity(plan.fsb_capacity)
     .with_contract_monitor();
 
-    let budget = match ise_engine::cell_budget() {
-        Some(cap) => cfg.max_cycles.min(cap),
-        None => cfg.max_cycles,
-    };
-    let (stats, timed_out) = sys.run_bounded(budget, !cfg.reference_clock);
+    let timed_out = !sys.run_to(cfg.max_cycles, !cfg.reference_clock);
+    let stats = sys.finalize();
 
     // A timed-out run is reported, not audited — mid-flight state
     // legitimately violates end-of-run conservation.
@@ -352,5 +350,26 @@ mod tests {
             assert_eq!(skip.backoff_cycles, r.backoff_cycles);
             assert_eq!(skip.discarded, r.discarded);
         }
+    }
+
+    #[test]
+    fn exhausted_budget_degrades_to_timeout_outcome() {
+        // A 500-cycle budget cannot complete the victim; the evaluation
+        // must report timed_out (scoring zero, skipping the audits)
+        // instead of panicking, and identically under both clocks.
+        let p = plan(FaultKind::Transient { clears_after: 1 }, vec![0], 32);
+        let mut cfg = EvalConfig::hardened();
+        cfg.max_cycles = 500;
+        let skip = evaluate(&p, &cfg);
+        assert!(skip.timed_out);
+        assert!(skip.cycles <= 500);
+        assert!(skip.violations.is_empty() && skip.corruption.is_empty());
+        assert!(Objective::ALL.iter().all(|obj| obj.score(&skip) == 0));
+        cfg.reference_clock = true;
+        assert_eq!(
+            format!("{skip:?}"),
+            format!("{:?}", evaluate(&p, &cfg)),
+            "timeout outcomes must be identical across clocks"
+        );
     }
 }

@@ -519,15 +519,6 @@ pub fn allowed_outcomes(prog: &LitmusProgram, model: ConsistencyModel) -> BTreeS
     outcomes
 }
 
-/// Whether `outcome` is allowed for `prog` under `model`.
-pub fn is_outcome_allowed(
-    prog: &LitmusProgram,
-    model: ConsistencyModel,
-    outcome: &Outcome,
-) -> bool {
-    allowed_outcomes(prog, model).contains(outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

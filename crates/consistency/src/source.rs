@@ -675,11 +675,6 @@ fn psc_acyclic(
     acyclic(n, &edges)
 }
 
-/// Whether `outcome` is allowed for `prog` by the language axioms.
-pub fn is_src_outcome_allowed(prog: &SrcProgram, outcome: &Outcome) -> bool {
-    allowed_src_outcomes(prog).contains(outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

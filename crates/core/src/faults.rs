@@ -157,11 +157,6 @@ impl FaultInjector {
         self.resolved.get()
     }
 
-    /// Pages whose cause has not yet cleared (ignoring window position).
-    pub fn active_pages(&self) -> usize {
-        self.state.borrow().values().filter(|s| !s.cleared).count()
-    }
-
     /// Pages whose cause has cleared (healed or OS-resolved), sorted by
     /// page index so callers iterating the set stay deterministic.
     pub fn cleared_pages(&self) -> Vec<PageId> {

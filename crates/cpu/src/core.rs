@@ -165,11 +165,6 @@ impl<T: TraceSource> Core<T> {
         self.sb.len()
     }
 
-    /// Store-buffer drains currently in flight (ASO: checkpoints needed).
-    pub fn sb_in_flight(&self) -> usize {
-        self.sb.in_flight()
-    }
-
     /// Stores this core's buffer drained to the hierarchy — one term of
     /// the chaos campaigns' store-conservation invariant.
     pub fn sb_drained(&self) -> u64 {

@@ -11,7 +11,9 @@
 //!
 //! The `ISE_CYCLE_SKIP` environment variable is read only at the binary
 //! edge: each binary and example calls [`cycle_skip_override`]
-//! once at the top of `main` and passes the result down. CI runs the
+//! once at the top of `main` and passes the result down. No library
+//! code reads the environment; a campaign cell's cycle budget, for
+//! instance, is its configuration's own `max_cycles`. CI runs the
 //! pin-reading binaries under `ISE_CYCLE_SKIP=0` (reference) and
 //! `ISE_CYCLE_SKIP=1` (skip) and asserts byte-identical reports. The
 //! spellings are the shared ones from [`ise_types::env`], and a
@@ -30,34 +32,4 @@
 /// leg.
 pub fn cycle_skip_override() -> Option<bool> {
     ise_types::env::env_flag("ISE_CYCLE_SKIP")
-}
-
-/// The `ISE_CELL_BUDGET` environment override: a watchdog ceiling, in
-/// cycles, on one fuzz/chaos/adversary cell evaluation. Campaign cell
-/// runners clamp their own per-run budget to it, and a cell that would
-/// exceed the clamped budget degrades to a reported `Timeout` outcome
-/// instead of hanging (or panicking out of) a campaign worker — the
-/// containment story for pathological searched fault plans.
-///
-/// `None` (unset) leaves each campaign's configured budget as-is.
-///
-/// # Panics
-///
-/// Panics if `ISE_CELL_BUDGET` is set to anything but a positive
-/// integer — a typo would silently run without a watchdog.
-pub fn cell_budget() -> Option<crate::Cycle> {
-    ise_types::env::env_cycles("ISE_CELL_BUDGET")
-}
-
-/// The `ISE_CKPT_EVERY` environment override: the cadence, in cycles,
-/// at which `System::run_bounded` emits periodic checkpoints (into the
-/// directory named by `ISE_CKPT_DIR`, default `ise-ckpt/`). `None`
-/// (unset) disables periodic emission.
-///
-/// # Panics
-///
-/// Panics if `ISE_CKPT_EVERY` is set to anything but a positive
-/// integer — a typo would silently disable checkpointing.
-pub fn ckpt_every() -> Option<crate::Cycle> {
-    ise_types::env::env_cycles("ISE_CKPT_EVERY")
 }

@@ -28,7 +28,7 @@ pub mod clock;
 pub mod queue;
 pub mod rng;
 
-pub use clock::{cell_budget, ckpt_every, cycle_skip_override};
+pub use clock::cycle_skip_override;
 pub use queue::EventQueue;
 pub use rng::SimRng;
 

@@ -48,7 +48,8 @@ pub struct ChaosConfig {
     /// Fractions of each workload's faulting pages to inject, in `(0, 1]`
     /// (the campaign panics on any other value, `NaN` included).
     pub rates: Vec<f64>,
-    /// Cycle budget per run.
+    /// Cycle budget per run: each cell stops after this many cycles and
+    /// a cell cut short reports [`ChaosRun::timed_out`].
     pub max_cycles: Cycle,
 }
 
@@ -81,10 +82,10 @@ pub struct ChaosRun {
     pub fsb_high_water_mark: usize,
     /// Processes killed.
     pub killed: u64,
-    /// Whether the run exhausted its cycle budget (the `ISE_CELL_BUDGET`
-    /// watchdog or [`ChaosConfig::max_cycles`], whichever is tighter) and
-    /// was cut off. Invariant checks are skipped on a timed-out cell —
-    /// mid-flight state legitimately violates end-of-run conservation.
+    /// Whether the run exhausted its cycle budget
+    /// ([`ChaosConfig::max_cycles`]) and was cut off. Invariant checks
+    /// are skipped on a timed-out cell — mid-flight state legitimately
+    /// violates end-of-run conservation.
     pub timed_out: bool,
     /// Invariant violations (empty = all held).
     pub violations: Vec<String>,
@@ -214,9 +215,8 @@ impl ChaosCampaign {
     /// sampled from); the campaign clears that list so EInject stays
     /// inert and the [`FaultInjector`] is the only fault source.
     ///
-    /// A cell that would exceed its cycle budget (the tighter of
-    /// [`ChaosConfig::max_cycles`] and the `ISE_CELL_BUDGET` watchdog,
-    /// read once per call) degrades to a reported
+    /// A cell that would exceed its cycle budget
+    /// ([`ChaosConfig::max_cycles`]) degrades to a reported
     /// [`ChaosRun::timed_out`] outcome instead of panicking out of a
     /// worker.
     ///
@@ -233,7 +233,6 @@ impl ChaosCampaign {
     /// workload declares no faulting pages or never touches them.
     pub fn run_with_workers(&self, workloads: &[Workload], workers: usize) -> ChaosReport {
         self.chaos.rates.iter().for_each(|&rate| check_rate(rate));
-        let budget = self.budget();
         let pools: Vec<Vec<PageId>> = workloads.iter().map(fault_pool).collect();
         let identities: Vec<u64> = workloads
             .iter()
@@ -255,7 +254,7 @@ impl ChaosCampaign {
             |_, &(wi, kind, rate, seed)| {
                 let (w, pool) = (&workloads[wi], &pools[wi]);
                 let cell = self.build_cell(w, pool, kind, rate, seed);
-                self.run_cell(cell, w, kind, rate, budget, None).0
+                self.run_cell(cell, w, kind, rate, None).0
             },
         );
         ChaosReport {
@@ -289,7 +288,7 @@ impl ChaosCampaign {
         check_rate(rate);
         let seed = self.cell_seed(workload, kind, rate);
         let cell = self.build_cell(workload, &fault_pool(workload), kind, rate, seed);
-        let (run, trace) = self.run_cell(cell, workload, kind, rate, self.budget(), Some(capacity));
+        let (run, trace) = self.run_cell(cell, workload, kind, rate, Some(capacity));
         (run, trace.expect("tracing was requested"))
     }
 
@@ -332,22 +331,14 @@ impl ChaosCampaign {
         (sys, injector, picked)
     }
 
-    /// The tighter of [`ChaosConfig::max_cycles`] and `ISE_CELL_BUDGET`;
-    /// read once per campaign call, so all its cells share one budget.
-    fn budget(&self) -> Cycle {
-        let cap = ise_engine::cell_budget().unwrap_or(Cycle::MAX);
-        self.chaos.max_cycles.min(cap)
-    }
-
-    /// Runs a built cell under `budget` cycles and audits it, with the
-    /// event trace on when `trace_capacity` is set.
+    /// Runs a built cell under [`ChaosConfig::max_cycles`] and audits it,
+    /// with the event trace on when `trace_capacity` is set.
     fn run_cell(
         &self,
         (mut sys, injector, picked): (System, Rc<FaultInjector>, Vec<PageId>),
         workload: &Workload,
         kind: FaultKind,
         rate: f64,
-        budget: Cycle,
         trace_capacity: Option<usize>,
     ) -> (ChaosRun, Option<Json>) {
         let k = picked.len();
@@ -357,7 +348,8 @@ impl ChaosCampaign {
                 sys.record_event(0, TraceEventKind::FaultActivated { page: page.index() });
             }
         }
-        let (stats, timed_out) = sys.run_bounded(budget, !self.cfg.reference_clock);
+        let timed_out = !sys.run_to(self.chaos.max_cycles, !self.cfg.reference_clock);
+        let stats = sys.finalize();
 
         // A timed-out cell is reported, not audited: conservation and
         // contract checks only make sense over a completed run.

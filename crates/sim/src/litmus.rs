@@ -156,9 +156,9 @@ pub fn run_litmus_on_sim(
 /// [`FaultOverlay`] (healing horizon included) and an optional
 /// [`OsCostConfig`] override, so adversarial campaigns can replay a
 /// finding against a deliberately unhardened recovery configuration.
-/// Also clamps the cycle budget to the `ISE_CELL_BUDGET` watchdog and
-/// degrades exhaustion to a deterministic `timeout:` violation instead
-/// of panicking out of a campaign worker.
+/// A run that exhausts its [`LITMUS_MAX_CYCLES`] budget degrades to a
+/// deterministic `timeout:` violation instead of panicking out of a
+/// campaign worker.
 pub fn run_litmus_case(
     prog: &LitmusProgram,
     faulting: &[Loc],
@@ -200,15 +200,14 @@ pub fn run_litmus_case(
     }
     .with_contract_monitor();
 
-    let budget = match ise_engine::cell_budget() {
-        Some(cap) => LITMUS_MAX_CYCLES.min(cap),
-        None => LITMUS_MAX_CYCLES,
-    };
-    let (stats, timed_out) = sys.run_bounded(budget, skip);
+    let timed_out = !sys.run_to(LITMUS_MAX_CYCLES, skip);
+    let stats = sys.finalize();
 
     let mut violations = Vec::new();
     if timed_out {
-        violations.push(format!("timeout: cell budget of {budget} cycles exhausted"));
+        violations.push(format!(
+            "timeout: cell budget of {LITMUS_MAX_CYCLES} cycles exhausted"
+        ));
     }
     if !timed_out {
         if stats.retired() != workload.total_instructions() as u64 && stats.killed == 0 {

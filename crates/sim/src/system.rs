@@ -204,7 +204,7 @@ pub struct System {
     /// The workload this system was built from; its traces are shared
     /// with the cores, not copied.
     workload: Workload,
-    /// Built exactly once when [`System::run`] completes; [`System::stats`]
+    /// Built exactly once by [`System::finalize`]; [`System::stats`]
     /// serves this cache instead of re-collecting per-core vectors.
     final_stats: Option<SystemStats>,
     /// The unified metrics/trace plane (DESIGN.md §11). The registry is
@@ -289,7 +289,7 @@ impl System {
         let fsbcs = (0..cfg.cores)
             .map(|i| Fsbc::new(CoreId(i), &cfg.os))
             .collect();
-        let tel = Telemetry::new(TelemetryConfig::from_env());
+        let tel = Telemetry::disabled();
         let mut hier = hier;
         hier.set_tlb_refill_logging(tel.trace.enabled());
         System {
@@ -329,8 +329,8 @@ impl System {
         }
     }
 
-    /// Enables event tracing with a ring of `capacity` events,
-    /// overriding the `ISE_TRACE`/`ISE_TRACE_CAP` environment default.
+    /// Enables event tracing with a ring of `capacity` events (a new
+    /// system traces nothing).
     /// Tracing never changes [`SystemStats`] — the determinism suite
     /// pins stats byte-identical with tracing on and off.
     ///
@@ -344,7 +344,7 @@ impl System {
     }
 
     /// The telemetry plane: the merged metrics registry (complete once
-    /// [`System::run`] finishes) and the event trace.
+    /// [`System::finalize`] has run) and the event trace.
     pub fn telemetry(&self) -> &Telemetry {
         &self.tel
     }
@@ -771,76 +771,32 @@ impl System {
     /// `skip` selects: the event-driven cycle-skipping clock when
     /// `true`, the per-cycle reference loop when `false`. The two
     /// produce byte-identical [`SystemStats`] (the differential suite in
-    /// `tests/clock_equivalence.rs` pins this down).
+    /// `tests/clock_equivalence.rs` pins this down). This is
+    /// [`System::run_to`] followed by [`System::finalize`].
     ///
     /// # Panics
     ///
     /// Panics if `max_cycles` elapses first — at the same cycle under
     /// either clock, since jumps clamp to `max_cycles`.
     pub fn run_clocked(&mut self, max_cycles: Cycle, skip: bool) -> SystemStats {
-        let (stats, timed_out) = self.run_bounded(max_cycles, skip);
-        assert!(!timed_out, "exceeded cycle budget at {}", self.now);
-        stats
-    }
-
-    /// [`System::run_clocked`] that *reports* budget exhaustion instead
-    /// of panicking: returns the stats as of the cut-off cycle plus a
-    /// `timed_out` flag. The campaign cell runners (chaos, fuzz,
-    /// adversary) use this so a pathological searched fault plan degrades
-    /// to a deterministic `Timeout` outcome rather than tearing down a
-    /// whole worker. Both clocks cut at exactly `self.now == max_cycles`
-    /// (skip jumps clamp to the budget), so a timed-out run is as
-    /// byte-deterministic as a completed one.
-    pub fn run_bounded(&mut self, max_cycles: Cycle, skip: bool) -> (SystemStats, bool) {
-        if let Some(every) = ise_engine::ckpt_every() {
-            let dir = std::env::var("ISE_CKPT_DIR").unwrap_or_else(|_| "ise-ckpt".to_string());
-            return self.run_checkpointed(max_cycles, skip, every, &dir);
-        }
         let completed = self.run_to(max_cycles, skip);
-        let stats = self.finalize();
-        (stats, !completed)
-    }
-
-    /// [`System::run_bounded`] with a periodic-checkpoint cadence: every
-    /// `every` cycles the run pauses and a [`System::snapshot`] is
-    /// written to `dir` as `ckpt-<identity>-<cycle>.ises`. This is what
-    /// `ISE_CKPT_EVERY`/`ISE_CKPT_DIR` route [`System::run_bounded`]
-    /// through; checkpointing never changes the run's results — the
-    /// trajectory is the same one `run_to` resume semantics guarantee.
-    pub fn run_checkpointed(
-        &mut self,
-        max_cycles: Cycle,
-        skip: bool,
-        every: Cycle,
-        dir: &str,
-    ) -> (SystemStats, bool) {
-        assert!(every > 0, "checkpoint cadence must be positive");
-        let completed = loop {
-            let stop = (self.now / every + 1) * every;
-            if stop >= max_cycles {
-                break self.run_to(max_cycles, skip);
-            }
-            if self.run_to(stop, skip) {
-                break true;
-            }
-            let _ = std::fs::create_dir_all(dir);
-            let path = format!("{dir}/ckpt-{:016x}-{:012}.ises", self.identity(), self.now);
-            let _ = std::fs::write(path, self.snapshot());
-        };
-        let stats = self.finalize();
-        (stats, !completed)
+        assert!(completed, "exceeded cycle budget at {}", self.now);
+        self.finalize()
     }
 
     /// Advances the system until every live core finishes or the clock
     /// reaches `target`, whichever comes first, *without* finalizing
     /// statistics or telemetry. Returns `true` when the run completed.
     ///
-    /// This is the checkpointing entry point: call `run_to` to park the
-    /// system at a snapshot boundary, take a
-    /// [`System::snapshot`], then keep going with another `run_to` or a
-    /// finalizing [`System::run_bounded`]/[`System::run_clocked`] — the
-    /// resumed trajectory is byte-identical to an uninterrupted run
-    /// under either clock.
+    /// This is the one advancing call. Both clocks stop at exactly
+    /// `self.now == target` (skip jumps clamp to it), so a run cut by
+    /// its budget is as byte-deterministic as a completed one: the
+    /// campaign cells call `run_to(budget, skip)` and then
+    /// [`System::finalize`], and report `false` as a `Timeout` outcome
+    /// rather than tearing down a worker. Between calls the system can
+    /// be [`System::snapshot`]ted; the resumed trajectory is
+    /// byte-identical to an uninterrupted run under either clock, so
+    /// periodic checkpoints are a `run_to`/`snapshot` loop.
     pub fn run_to(&mut self, target: Cycle, skip: bool) -> bool {
         // Each live core's next step. A core sleeps until its own wake
         // (charged for the dead cycles in between), not the minimum over
@@ -935,8 +891,11 @@ impl System {
     }
 
     /// Builds the end-of-run statistics and assembles the telemetry
-    /// spine. Called exactly once per run by [`System::run_bounded`].
-    fn finalize(&mut self) -> SystemStats {
+    /// spine, as of the cycle the last [`System::run_to`] stopped at.
+    /// Call it once per run: it merges every component's counters into
+    /// the registry, so a second call would count them twice.
+    pub fn finalize(&mut self) -> SystemStats {
+        debug_assert!(self.final_stats.is_none(), "a run is finalized once");
         let stats = self.build_stats();
         // Assemble the full telemetry spine: the system-level stats
         // registry, then every component's exported counters, merged
@@ -972,11 +931,11 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if called before [`System::run`] has completed.
+    /// Panics if called before [`System::finalize`].
     pub fn stats(&self) -> &SystemStats {
         self.final_stats
             .as_ref()
-            .expect("stats() is available once run() has completed")
+            .expect("stats() is available once the run is finalized")
     }
 
     fn build_stats(&self) -> SystemStats {
@@ -1347,7 +1306,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "once run() has completed")]
+    #[should_panic(expected = "once the run is finalized")]
     fn stats_before_run_panics() {
         let sys = System::new(small_cfg(), &store_workload(false));
         let _ = sys.stats();
@@ -1480,7 +1439,9 @@ mod tests {
         // The headline resume contract: snapshot at 25/50/75% of the
         // run, restore into a freshly built twin, run to completion —
         // stats JSON and registry render are byte-identical to the
-        // uninterrupted run, under both clocks.
+        // uninterrupted run, under both clocks. One system paused with
+        // `run_to` and snapshotted at every quarter (a periodic
+        // checkpoint loop) must finish byte-identical too.
         let w = store_workload(true);
         let build = || {
             System::new(small_cfg(), &w)
@@ -1493,8 +1454,14 @@ mod tests {
             let cold_json = cold_stats.to_json().render();
             let cold_reg = cold.telemetry().registry.to_json().render();
             let total = cold_stats.cycles;
+            let mut paused = build();
             for pct in [25u64, 50, 75] {
                 let cut = total * pct / 100;
+                assert!(
+                    !paused.run_to(cut, skip),
+                    "pause at {pct}% must land mid-run"
+                );
+                let _ = paused.snapshot();
                 let mut donor = build();
                 assert!(!donor.run_to(cut, skip), "cut at {pct}% must land mid-run");
                 let snap = donor.snapshot();
@@ -1515,6 +1482,9 @@ mod tests {
                     .check_contract()
                     .expect("Table 5 contract holds across a restore");
             }
+            let stats = paused.run_clocked(10_000_000, skip);
+            assert_eq!(stats.to_json().render(), cold_json, "paused run diverges");
+            assert_eq!(paused.telemetry().registry.to_json().render(), cold_reg);
         }
     }
 
@@ -1656,48 +1626,6 @@ mod tests {
                 cold.telemetry().registry.to_json().render()
             );
         }
-    }
-
-    #[test]
-    fn periodic_checkpoints_are_emitted_and_replayable() {
-        // The ISE_CKPT_EVERY cadence machinery, driven directly (env
-        // vars are process-global and tests run in parallel): several
-        // checkpoint files land in the directory, checkpointing itself
-        // never perturbs the run, and any emitted file replays to the
-        // uninterrupted result.
-        let w = store_workload(true);
-        let dir = std::env::temp_dir().join(format!("ise-ckpt-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let dir_s = dir.to_str().unwrap().to_string();
-        let mut cold = System::new(small_cfg(), &w);
-        let cold_stats = cold.run_clocked(10_000_000, true);
-        let cold_json = cold_stats.to_json().render();
-        let cold_reg = cold.telemetry().registry.to_json().render();
-        let every = (cold_stats.cycles / 5).max(1);
-        let mut ck = System::new(small_cfg(), &w);
-        let (ck_stats, truncated) = ck.run_checkpointed(10_000_000, true, every, &dir_s);
-        assert!(!truncated);
-        assert_eq!(
-            ck_stats.to_json().render(),
-            cold_json,
-            "checkpointing must not perturb the run"
-        );
-        let mut files: Vec<_> = std::fs::read_dir(&dir)
-            .expect("checkpoint dir exists")
-            .map(|e| e.unwrap().path())
-            .collect();
-        files.sort();
-        assert!(
-            files.len() >= 3,
-            "expected several checkpoints, got {files:?}"
-        );
-        let bytes = std::fs::read(&files[files.len() / 2]).unwrap();
-        let mut resumed = System::new(small_cfg(), &w);
-        resumed.restore_from(&bytes).unwrap();
-        let stats = resumed.run_clocked(10_000_000, true);
-        assert_eq!(stats.to_json().render(), cold_json);
-        assert_eq!(resumed.telemetry().registry.to_json().render(), cold_reg);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub struct TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// The default ring capacity (`ISE_TRACE_CAP` overrides).
+    /// The default ring capacity.
     pub const DEFAULT_CAPACITY: usize = 4096;
 
     /// Tracing off.
@@ -61,41 +61,6 @@ impl TelemetryConfig {
         TelemetryConfig {
             trace: true,
             trace_capacity: capacity,
-        }
-    }
-
-    /// Reads the process-wide pins: `ISE_TRACE` (any of the shared
-    /// [`ise_types::env`] on-spellings — `1`/`on`/`true`/`yes`) enables
-    /// tracing, `ISE_TRACE_CAP=<n>` sizes the ring. Unset means
-    /// disabled — the zero-overhead default.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed values. `ISE_TRACE=true` used to be silently
-    /// treated as *disabled*; now every recognised spelling works and a
-    /// typo aborts instead of quietly dropping the trace.
-    pub fn from_env() -> Self {
-        Self::from_env_values(
-            std::env::var("ISE_TRACE").ok().as_deref(),
-            std::env::var("ISE_TRACE_CAP").ok().as_deref(),
-        )
-    }
-
-    /// The value-level seam under [`from_env`], testable without
-    /// touching the process environment.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with the variable name) on a malformed flag or a
-    /// non-positive capacity.
-    pub fn from_env_values(trace: Option<&str>, cap: Option<&str>) -> Self {
-        let trace = ise_types::env::flag_from("ISE_TRACE", trace).unwrap_or(false);
-        let cap = ise_types::env::count_from("ISE_TRACE_CAP", cap)
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(Self::DEFAULT_CAPACITY);
-        TelemetryConfig {
-            trace,
-            trace_capacity: cap,
         }
     }
 }
@@ -182,9 +147,7 @@ mod tests {
     }
 
     #[test]
-    fn config_parses_env_shapes() {
-        // from_env reads the real environment; only exercise the
-        // default path here (env mutation races other tests).
+    fn default_config_is_disabled() {
         let cfg = TelemetryConfig::default();
         assert!(!cfg.trace);
         assert_eq!(cfg.trace_capacity, TelemetryConfig::DEFAULT_CAPACITY);
@@ -195,39 +158,5 @@ mod tests {
     #[should_panic(expected = "needs capacity")]
     fn traced_rejects_zero() {
         let _ = TelemetryConfig::traced(0);
-    }
-
-    #[test]
-    fn every_on_spelling_enables_tracing() {
-        // `ISE_TRACE=true` used to be silently treated as disabled.
-        for v in ["1", "true", "on", "yes", "TRUE"] {
-            let cfg = TelemetryConfig::from_env_values(Some(v), None);
-            assert!(cfg.trace, "ISE_TRACE={v} must enable tracing");
-        }
-        for v in ["0", "false", "off", "no"] {
-            let cfg = TelemetryConfig::from_env_values(Some(v), None);
-            assert!(!cfg.trace, "ISE_TRACE={v} must disable tracing");
-        }
-        assert!(!TelemetryConfig::from_env_values(None, None).trace);
-    }
-
-    #[test]
-    fn trace_cap_parses_and_defaults() {
-        let cfg = TelemetryConfig::from_env_values(Some("1"), Some("128"));
-        assert_eq!(cfg.trace_capacity, 128);
-        let cfg = TelemetryConfig::from_env_values(Some("1"), None);
-        assert_eq!(cfg.trace_capacity, TelemetryConfig::DEFAULT_CAPACITY);
-    }
-
-    #[test]
-    #[should_panic(expected = "ISE_TRACE: expected 0/off/false/no")]
-    fn malformed_trace_flag_is_loud() {
-        let _ = TelemetryConfig::from_env_values(Some("maybe"), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "ISE_TRACE_CAP: expected a positive integer")]
-    fn malformed_trace_cap_is_loud() {
-        let _ = TelemetryConfig::from_env_values(Some("1"), Some("0"));
     }
 }

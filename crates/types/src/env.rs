@@ -1,9 +1,13 @@
 //! Shared parsing for the repo's `ISE_*` environment pins.
 //!
-//! Every crate that reads an environment override (`ISE_CYCLE_SKIP` in
-//! `ise-engine`, `ISE_WORKERS` in `ise-par`, `ISE_TRACE` /
-//! `ISE_TRACE_CAP` in `ise-telemetry`) parses it through this module, so
-//! the accepted spellings are identical everywhere and a malformed value
+//! The pins are read once, at the top of a binary's or example's
+//! `main`, and passed down as arguments: `ISE_CYCLE_SKIP` through
+//! `ise_engine::cycle_skip_override`, `ISE_WORKERS` through
+//! `ise_par::worker_count`, and `ISE_TRACE` in the `chaos_campaign`
+//! example. This is the only library module that reads the process
+//! environment (`tests/env_reads.rs` holds that), so a library result
+//! depends only on its arguments. Every pin parses through here, so the
+//! accepted spellings are identical everywhere and a malformed value
 //! fails loudly instead of silently falling back to a default. A user
 //! who sets `ISE_TRACE=true` wants tracing; treating that as "disabled"
 //! (or treating `ISE_WORKERS=lots` as "1 worker") turns a typo into a
@@ -11,8 +15,7 @@
 //!
 //! Two layers:
 //!
-//! * [`parse_flag`] / [`parse_count`] / [`parse_cycles`] — pure
-//!   parsers returning `Result`.
+//! * [`parse_flag`] / [`parse_count`] — pure parsers returning `Result`.
 //! * [`flag_from`] / [`count_from`] and the env-reading [`env_flag`] /
 //!   [`env_count`] — the loud layer: unset means `None`, a recognised
 //!   value parses, and anything else panics with the variable name and
@@ -90,43 +93,6 @@ pub fn env_count(name: &str) -> Option<NonZeroUsize> {
     count_from(name, std::env::var(name).ok().as_deref())
 }
 
-/// Parses a positive cycle count (whitespace-trimmed). Distinct from
-/// [`parse_count`] because cycle budgets are `u64` quantities that may
-/// exceed what fits a collection index, and `0` would mean "no budget at
-/// all" — reject it loudly rather than guess.
-///
-/// # Errors
-///
-/// Returns a message for zero, negative, or non-numeric values.
-pub fn parse_cycles(value: &str) -> Result<u64, String> {
-    match value.trim().parse::<u64>() {
-        Ok(0) | Err(_) => Err(format!(
-            "expected a positive cycle count, got `{}`",
-            value.trim()
-        )),
-        Ok(n) => Ok(n),
-    }
-}
-
-/// [`parse_cycles`] over an optional value, panicking loudly on garbage.
-///
-/// # Panics
-///
-/// Panics with `name` and the accepted forms on a malformed value.
-pub fn cycles_from(name: &str, value: Option<&str>) -> Option<u64> {
-    value.map(|v| parse_cycles(v).unwrap_or_else(|e| panic!("{name}: {e}")))
-}
-
-/// Reads the positive cycle-count environment variable `name` through
-/// [`cycles_from`].
-///
-/// # Panics
-///
-/// Panics if the variable is set to anything but a positive integer.
-pub fn env_cycles(name: &str) -> Option<u64> {
-    cycles_from(name, std::env::var(name).ok().as_deref())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,30 +145,5 @@ mod tests {
     #[should_panic(expected = "ISE_TEST_COUNT: expected a positive integer")]
     fn malformed_count_panics_with_variable_name() {
         count_from("ISE_TEST_COUNT", Some("lots"));
-    }
-
-    #[test]
-    fn cycles_accepts_positive_u64_only() {
-        assert_eq!(parse_cycles("1"), Ok(1));
-        assert_eq!(parse_cycles(" 5000000 "), Ok(5_000_000));
-        assert_eq!(parse_cycles("18446744073709551615"), Ok(u64::MAX));
-        for v in ["0", "-3", "soon", "", "2.5"] {
-            assert!(parse_cycles(v).is_err(), "value {v:?} must be rejected");
-        }
-    }
-
-    #[test]
-    fn cycles_optional_layer_passes_unset_through() {
-        assert_eq!(cycles_from("ISE_CELL_BUDGET", None), None);
-        assert_eq!(
-            cycles_from("ISE_CELL_BUDGET", Some("250000")),
-            Some(250_000)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "ISE_CELL_BUDGET: expected a positive cycle count")]
-    fn malformed_cycles_panics_with_variable_name() {
-        cycles_from("ISE_CELL_BUDGET", Some("0"));
     }
 }

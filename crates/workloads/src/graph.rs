@@ -35,16 +35,6 @@ impl CsrGraph {
         self.col_idx.len()
     }
 
-    /// Neighbors (and weights) of `u`.
-    pub fn neighbors(&self, u: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let lo = self.row_ptr[u as usize] as usize;
-        let hi = self.row_ptr[u as usize + 1] as usize;
-        self.col_idx[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.weights[lo..hi].iter().copied())
-    }
-
     /// Generates a uniform random multigraph with `nodes` nodes and
     /// `nodes * degree` directed edges.
     ///

@@ -5,10 +5,11 @@
 //! cargo run --release --example chaos_campaign
 //! ```
 //!
-//! With `ISE_TRACE=1` the demo also re-runs one sweep cell with the
-//! cycle-stamped event trace enabled and dumps it to stderr — fault
-//! activations, FSB drain episodes, page walks, and fault clearings,
-//! each stamped with its cycle and core:
+//! With `ISE_TRACE=1` (or `on`/`true`/`yes`; a malformed value aborts)
+//! the demo also re-runs one sweep cell with the cycle-stamped event
+//! trace enabled and dumps it to stderr — fault activations, FSB drain
+//! episodes, page walks, and fault clearings, each stamped with its
+//! cycle and core:
 //!
 //! ```sh
 //! ISE_TRACE=1 cargo run --release --example chaos_campaign 2>trace.json
@@ -22,6 +23,7 @@ use imprecise_store_exceptions::workloads::kvstore::{kv_workload, KvConfig, KvEn
 fn main() {
     let workers = imprecise_store_exceptions::par::worker_count();
     let skip = imprecise_store_exceptions::engine::cycle_skip_override().unwrap_or(true);
+    let trace = imprecise_store_exceptions::types::env::env_flag("ISE_TRACE").unwrap_or(false);
     let mut cfg = SystemConfig::isca23();
     cfg.noc.mesh_x = 2;
     cfg.noc.mesh_y = 1;
@@ -61,9 +63,9 @@ fn main() {
     println!("{}", report.to_json().render());
     assert!(report.all_ok(), "invariant violation — see report");
 
-    // ISE_TRACE=1: replay one sweep cell with the event trace on and
+    // ISE_TRACE: replay one sweep cell with the event trace on and
     // dump the ring — the telemetry quickstart in README.md.
-    if std::env::var("ISE_TRACE").as_deref() == Ok("1") {
+    if trace {
         let (run, trace) = campaign.trace_cell(&workload, FaultKind::Permanent, 1.0, 1 << 20);
         eprintln!(
             "traced cell: {} imprecise exception(s), {} store(s) applied",

@@ -8,12 +8,11 @@
 //! consequence: once a system is in steady state, simulating more cycles
 //! performs **zero** additional heap allocations.
 //!
-//! `System::run_bounded` unavoidably allocates a fixed amount *per call*
-//! (stats vectors, telemetry registry merge), so the test measures two
-//! consecutive windows of different lengths: the second simulates twice
-//! as many cycles as the first. Any per-cycle allocation on the clocked
-//! path would make the longer window allocate strictly more; equality
-//! proves the marginal allocation cost of a steady-state cycle is zero.
+//! The windows advance with `System::run_to`, which neither builds the
+//! end-of-run statistics nor merges the telemetry registry (that is
+//! `System::finalize`, paid once per run), so the test asserts a literal
+//! zero for two consecutive windows, the second simulating twice as many
+//! cycles as the first.
 //!
 //! The counter is process-global and the harness runs tests on parallel
 //! threads, so every measurement holds [`MEASURE`]: otherwise one test's
@@ -105,14 +104,20 @@ fn window_allocs(skip: bool) -> (u64, u64) {
     let w = steady_workload();
     let cfg = SystemConfig::isca23();
     let mut sys = System::new(cfg, &w);
-    let (_, timed_out) = sys.run_bounded(WARM, skip);
-    assert!(timed_out, "workload must outlast the warm-up window");
+    assert!(
+        !sys.run_to(WARM, skip),
+        "workload must outlast the warm-up window"
+    );
     let before = allocations();
-    let (_, timed_out) = sys.run_bounded(WARM + WINDOW, skip);
-    assert!(timed_out, "workload must outlast the 1x window");
+    assert!(
+        !sys.run_to(WARM + WINDOW, skip),
+        "workload must outlast the 1x window"
+    );
     let after_one = allocations();
-    let (_, timed_out) = sys.run_bounded(WARM + WINDOW + 2 * WINDOW, skip);
-    assert!(timed_out, "workload must outlast the 2x window");
+    assert!(
+        !sys.run_to(WARM + WINDOW + 2 * WINDOW, skip),
+        "workload must outlast the 2x window"
+    );
     let after_two = allocations();
     (after_one - before, after_two - after_one)
 }
@@ -120,12 +125,11 @@ fn window_allocs(skip: bool) -> (u64, u64) {
 #[test]
 fn reference_clock_steady_state_is_allocation_free_per_cycle() {
     let (one_x, two_x) = window_allocs(false);
-    // Both windows pay the same fixed end-of-window stats/telemetry
-    // cost; the extra WINDOW cycles of simulation must cost nothing.
     assert_eq!(
-        two_x, one_x,
-        "simulating twice the cycles allocated more: {one_x} allocs for 1x window, \
-         {two_x} for 2x — the clocked hot path is not allocation-free"
+        (one_x, two_x),
+        (0, 0),
+        "steady-state windows allocated ({one_x} for 1x, {two_x} for 2x): \
+         the clocked hot path is not allocation-free"
     );
 }
 
@@ -133,8 +137,9 @@ fn reference_clock_steady_state_is_allocation_free_per_cycle() {
 fn skip_clock_steady_state_is_allocation_free_per_cycle() {
     let (one_x, two_x) = window_allocs(true);
     assert_eq!(
-        two_x, one_x,
-        "simulating twice the cycles allocated more under the skip clock: \
-         {one_x} allocs for 1x window, {two_x} for 2x"
+        (one_x, two_x),
+        (0, 0),
+        "steady-state windows allocated under the skip clock \
+         ({one_x} for 1x, {two_x} for 2x)"
     );
 }

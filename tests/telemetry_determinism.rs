@@ -3,8 +3,8 @@
 //! must be a pure observer (identical stats and registry with the ring
 //! on or off).
 //!
-//! CI runs this suite under an `ISE_TRACE={0,1}` matrix so the
-//! env-driven configuration path is exercised at both ends too.
+//! A new `System` never traces; tracing is only the explicit
+//! `with_trace`, so each test compares the ring on and off in-process.
 
 use imprecise_store_exceptions::sim::{ChaosCampaign, ChaosConfig, System};
 use imprecise_store_exceptions::telemetry::TraceEventKind;
