@@ -15,7 +15,7 @@
 //! [`crate::SpeculationAccounting`].
 
 use crate::account::SpeculationAccounting;
-use ise_cpu::{run_cores, Core, VecTrace};
+use ise_cpu::{run_cores, Core};
 use ise_engine::Cycle;
 use ise_mem::MemoryHierarchy;
 use ise_types::config::{CoreConfig, SystemConfig};
@@ -94,16 +94,12 @@ impl SweepResult {
 
 /// One core per trace; `budget` caps each core's concurrently
 /// outstanding store drains.
-fn make_cores(
-    core_cfg: CoreConfig,
-    traces: &[Trace],
-    budget: Option<usize>,
-) -> Vec<Core<VecTrace>> {
+fn make_cores(core_cfg: CoreConfig, traces: &[Trace], budget: Option<usize>) -> Vec<Core> {
     traces
         .iter()
         .enumerate()
         .map(|(i, t)| {
-            let mut core = Core::new(CoreId(i), core_cfg, VecTrace::shared(t.clone()));
+            let mut core = Core::new(CoreId(i), core_cfg, t.clone());
             if let Some(b) = budget {
                 core.set_sb_max_in_flight(b);
             }
@@ -112,7 +108,7 @@ fn make_cores(
         .collect()
 }
 
-fn aggregate_ipc(cores: &[Core<VecTrace>]) -> f64 {
+fn aggregate_ipc(cores: &[Core]) -> f64 {
     let retired: u64 = cores.iter().map(|c| c.stats().retired).sum();
     let cycles: u64 = cores.iter().map(|c| c.stats().cycles).max().unwrap_or(0);
     if cycles == 0 {

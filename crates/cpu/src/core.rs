@@ -11,7 +11,6 @@
 
 use crate::rob::{ReplayRing, RobRing};
 use crate::store_buffer::{DrainFault, StoreBuffer};
-use crate::trace::{PersistTrace, TraceSource};
 use ise_engine::Cycle;
 use ise_mem::hierarchy::{Access, MemoryHierarchy};
 use ise_types::addr::{Addr, ByteMask};
@@ -19,7 +18,7 @@ use ise_types::config::CoreConfig;
 use ise_types::exception::ExceptionKind;
 use ise_types::instr::{FenceKind, InstrKind};
 use ise_types::stats::CoreStats;
-use ise_types::{CoreId, FaultingStoreEntry, Instruction};
+use ise_types::{CoreId, FaultingStoreEntry, Instruction, Trace, TraceCursor};
 
 /// What a single [`Core::step`] produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,10 +55,11 @@ enum CoreState {
 }
 
 /// One simulated out-of-order core.
-pub struct Core<T> {
+pub struct Core {
     id: CoreId,
     cfg: CoreConfig,
-    trace: T,
+    /// Fetch position in the shared trace.
+    trace: TraceCursor,
     trace_done: bool,
     rob: RobRing,
     /// Instructions squashed by a flush, awaiting re-dispatch (oldest
@@ -89,7 +89,7 @@ enum IdleCharge {
     SyncStall,
 }
 
-impl<T> std::fmt::Debug for Core<T> {
+impl std::fmt::Debug for Core {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Core")
             .field("id", &self.id)
@@ -100,13 +100,14 @@ impl<T> std::fmt::Debug for Core<T> {
     }
 }
 
-impl<T: TraceSource> Core<T> {
-    /// Creates a core executing `trace` under `cfg`.
-    pub fn new(id: CoreId, cfg: CoreConfig, trace: T) -> Self {
+impl Core {
+    /// Creates a core executing `trace` under `cfg`. The core reads the
+    /// trace's shared buffer; nothing is copied.
+    pub fn new(id: CoreId, cfg: CoreConfig, trace: Trace) -> Self {
         Core {
             id,
             cfg,
-            trace,
+            trace: TraceCursor::new(trace),
             trace_done: false,
             rob: RobRing::new(cfg.rob_entries),
             replay: ReplayRing::new(cfg.rob_entries),
@@ -246,7 +247,7 @@ impl<T: TraceSource> Core<T> {
         if self.trace_done {
             return None;
         }
-        match self.trace.next_instr() {
+        match self.trace.next() {
             Some(i) => Some(i),
             None => {
                 self.trace_done = true;
@@ -635,7 +636,7 @@ impl<T: TraceSource> Core<T> {
     }
 }
 
-impl<T: PersistTrace> Core<T> {
+impl Core {
     /// Saves the core's dynamic state under a `CORE` section: the trace
     /// cursor, pipeline rings, store buffer, stall/resume machine, and
     /// statistics. Static identity (`id`, `cfg`, the trace *contents*)
@@ -645,7 +646,7 @@ impl<T: PersistTrace> Core<T> {
     pub fn save_state(&self, w: &mut ise_types::persist::Writer) {
         use ise_types::persist::Persist;
         w.section(*b"CORE", |w| {
-            self.trace.save_cursor(w);
+            w.usize(self.trace.position());
             w.bool(self.trace_done);
             self.rob.save_state(w);
             self.replay.save_state(w);
@@ -670,7 +671,7 @@ impl<T: PersistTrace> Core<T> {
     ) -> Result<(), ise_types::persist::PersistError> {
         use ise_types::persist::{Persist, PersistError};
         r.section(*b"CORE", |r| {
-            self.trace.restore_cursor(r)?;
+            self.trace.seek(r.usize()?)?;
             self.trace_done = r.bool()?;
             self.rob = RobRing::restore_state(r, self.cfg.rob_entries)?;
             self.replay = ReplayRing::restore_state(r, self.cfg.rob_entries)?;
@@ -712,8 +713,8 @@ impl<T: PersistTrace> Core<T> {
 /// handling must embed the cores in a system) or if `max_cycles`
 /// elapses; the budget trips at the same cycle under either clock
 /// (wakes clamp to `max_cycles`).
-pub fn run_cores<T: TraceSource>(
-    cores: &mut [Core<T>],
+pub fn run_cores(
+    cores: &mut [Core],
     hier: &mut MemoryHierarchy,
     max_cycles: Cycle,
     skip: bool,
@@ -752,7 +753,6 @@ pub fn run_cores<T: TraceSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::VecTrace;
     use ise_types::config::SystemConfig;
     use ise_types::instr::Reg;
     use ise_types::model::ConsistencyModel;
@@ -765,15 +765,15 @@ mod tests {
         MemoryHierarchy::new(cfg)
     }
 
-    fn core_with(model: ConsistencyModel, instrs: Vec<Instruction>) -> Core<VecTrace> {
+    fn core_with(model: ConsistencyModel, instrs: Vec<Instruction>) -> Core {
         let cfg = CoreConfig::isca23().with_model(model);
-        Core::new(CoreId(0), cfg, VecTrace::new(instrs))
+        Core::new(CoreId(0), cfg, instrs.into())
     }
 
     /// Runs `core` alone (a one-element slice) on a fresh hierarchy under
     /// the chosen clock, returning its stats and the kernel's peak
     /// store-buffer occupancy.
-    fn run_alone(mut core: Core<VecTrace>, max_cycles: Cycle, skip: bool) -> (CoreStats, usize) {
+    fn run_alone(mut core: Core, max_cycles: Cycle, skip: bool) -> (CoreStats, usize) {
         let mut h = hier();
         let peak = run_cores(std::slice::from_mut(&mut core), &mut h, max_cycles, skip);
         (core.stats(), peak)
@@ -942,7 +942,7 @@ mod tests {
         ];
         let mut cfg = CoreConfig::isca23().with_model(ConsistencyModel::Pc);
         cfg.drain_policy = ise_types::DrainPolicy::SplitStream;
-        let mut c = Core::new(CoreId(0), cfg, VecTrace::new(trace));
+        let mut c = Core::new(CoreId(0), cfg, trace.into());
         let mut h = faulting_hier();
         let mut now = 0;
         loop {
@@ -1086,15 +1086,13 @@ mod tests {
         let build = |model| {
             let cfg = CoreConfig::isca23().with_model(model);
             vec![
-                Core::new(CoreId(0), cfg, VecTrace::new(store_heavy_trace(80))),
+                Core::new(CoreId(0), cfg, store_heavy_trace(80).into()),
                 Core::new(
                     CoreId(1),
                     cfg,
-                    VecTrace::new(
-                        (0..160)
-                            .map(|i| Instruction::load(Addr::new(0x10_0000 + i * 64), Reg(0)))
-                            .collect(),
-                    ),
+                    (0..160)
+                        .map(|i| Instruction::load(Addr::new(0x10_0000 + i * 64), Reg(0)))
+                        .collect(),
                 ),
             ]
         };

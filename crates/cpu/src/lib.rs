@@ -24,8 +24,6 @@
 pub mod core;
 mod rob;
 pub mod store_buffer;
-pub mod trace;
 
 pub use crate::core::{run_cores, Core, StepOutcome};
 pub use store_buffer::{DrainFault, SbEntry, StoreBuffer};
-pub use trace::{PersistTrace, TraceSource, VecTrace};

@@ -13,9 +13,9 @@ use crate::bus::DeviceBus;
 use crate::hart::{Hart, MmioAccess, Step};
 use crate::programs::GuestProgram;
 use ise_types::addr::PageId;
-use ise_types::instr::Trace;
 use ise_types::persist::{Persist, PersistError, Reader, Writer};
 use ise_types::trap::Trap;
+use ise_types::Trace;
 use ise_workloads::Workload;
 use std::fmt;
 

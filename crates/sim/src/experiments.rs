@@ -573,6 +573,23 @@ pub fn fig2() -> Fig2Result {
 mod tests {
     use super::*;
 
+    /// The Table 3 sweep traces at `--quick` scale (the seed-0 inputs of
+    /// simbench's `aso_sweep`) encode in about 2.1 bytes per instruction,
+    /// against 24 for an `Instruction`. The count is deterministic.
+    #[test]
+    fn table3_quick_traces_encode_in_about_two_bytes_per_instruction() {
+        let s = Table3Scale::quick();
+        let (mut instrs, mut bytes) = (0, 0);
+        for spec in table3_mixes() {
+            for t in synthesize(&spec, s.instrs_per_core, s.cores, 0x7a31).traces {
+                instrs += t.len();
+                bytes += t.encoded_bytes();
+            }
+        }
+        // 101 461 / 48 000 = 2.114 bytes per instruction.
+        assert_eq!((instrs, bytes), (48_000, 101_461));
+    }
+
     #[test]
     fn fig2_exhibits_and_hides_the_race() {
         let r = fig2();

@@ -183,11 +183,11 @@ pub fn run_guest_program_with_cut(prog: &GuestProgram, skip: bool, cut: Option<C
                     // value must be a (possibly later) lowered word.
                     let newest = trace
                         .iter()
-                        .rev()
-                        .find_map(|i| match i.kind {
+                        .filter_map(|i| match i.kind {
                             InstrKind::Store { addr: a, value: v } if a == addr => Some(v),
                             _ => None,
                         })
+                        .last()
                         .unwrap_or(value);
                     if timing != newest {
                         violations.push(format!(

@@ -1,7 +1,7 @@
 //! The assembled multicore system of Fig. 4.
 
 use ise_core::{CompositeResolver, ContractMonitor, EInject, FaultResolver, Fsb, Fsbc, OrderEvent};
-use ise_cpu::{Core, StepOutcome, VecTrace};
+use ise_cpu::{Core, StepOutcome};
 use ise_engine::Cycle;
 use ise_mem::{FlatMemory, MemoryHierarchy};
 use ise_os::handler::OverheadBreakdown;
@@ -153,7 +153,7 @@ impl ToJson for SystemStats {
 pub struct System {
     cfg: SystemConfig,
     hier: MemoryHierarchy,
-    cores: Vec<Core<VecTrace>>,
+    cores: Vec<Core>,
     fsbs: Vec<Fsb>,
     fsbcs: Vec<Fsbc>,
     einject: Rc<EInject>,
@@ -266,11 +266,11 @@ impl System {
         sources.extend(extra);
         let resolver: Rc<CompositeResolver> = Rc::new(CompositeResolver::new(sources));
         let hier = MemoryHierarchy::with_oracle(cfg, resolver.clone());
-        let cores: Vec<Core<VecTrace>> = workload
+        let cores: Vec<Core> = workload
             .traces
             .iter()
             .enumerate()
-            .map(|(i, t)| Core::new(CoreId(i), cfg.core, VecTrace::shared(t.clone())))
+            .map(|(i, t)| Core::new(CoreId(i), cfg.core, t.clone()))
             .collect();
         let fsbs: Vec<Fsb> = (0..cfg.cores)
             .map(|i| {
@@ -450,7 +450,7 @@ impl System {
 
     /// The cores, read-only — the conservation invariant reads each
     /// core's `sb_drained`/`sb_coalesced` terms.
-    pub fn cores(&self) -> &[Core<VecTrace>] {
+    pub fn cores(&self) -> &[Core] {
         &self.cores
     }
 

@@ -9,8 +9,6 @@
 
 use crate::addr::Addr;
 use std::fmt;
-use std::ops::Deref;
-use std::sync::Arc;
 
 /// An architectural register name in the trace ISA.
 ///
@@ -188,51 +186,6 @@ impl fmt::Display for Instruction {
     }
 }
 
-/// An immutable, reference-counted instruction stream for one core.
-///
-/// A trace is one heap buffer from the generator that records it to the
-/// core that fetches from it. Freezing a recorded `Vec` is a move
-/// (`Trace::from(vec)` and `collect()` keep its allocation), and every
-/// further consumer — the baseline and injected runs of one workload,
-/// sweep points, the paired systems of an equivalence check — shares it
-/// by refcount. A frozen buffer is never copied or shrunk, so its pages
-/// are faulted in once, while it is recorded.
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct Trace(Arc<Vec<Instruction>>);
-
-impl Trace {
-    /// The instructions for appending, copied first only if the buffer
-    /// is shared (copy-on-write, as [`Arc::make_mut`]).
-    pub fn make_mut(&mut self) -> &mut Vec<Instruction> {
-        Arc::make_mut(&mut self.0)
-    }
-}
-
-impl Deref for Trace {
-    type Target = [Instruction];
-    fn deref(&self) -> &[Instruction] {
-        &self.0
-    }
-}
-
-impl From<Vec<Instruction>> for Trace {
-    fn from(instrs: Vec<Instruction>) -> Self {
-        Trace(Arc::new(instrs))
-    }
-}
-
-impl FromIterator<Instruction> for Trace {
-    fn from_iter<T: IntoIterator<Item = Instruction>>(iter: T) -> Self {
-        Trace::from(iter.into_iter().collect::<Vec<_>>())
-    }
-}
-
-impl fmt::Debug for Trace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
 /// Aggregate instruction-mix fractions, as reported in Table 3.
 ///
 /// Fractions are in percent and need not sum exactly to 100 (the paper's
@@ -251,7 +204,7 @@ pub struct InstructionMix {
 
 impl InstructionMix {
     /// Computes the mix of a finished trace.
-    pub fn measure<'a>(instrs: impl IntoIterator<Item = &'a Instruction>) -> Self {
+    pub fn measure(instrs: impl IntoIterator<Item = Instruction>) -> Self {
         let (mut s, mut l, mut y, mut o, mut n) = (0u64, 0u64, 0u64, 0u64, 0u64);
         for i in instrs {
             n += 1;
@@ -380,16 +333,6 @@ mod persist_impls {
             })
         }
     }
-
-    /// Encoded as the `Vec<Instruction>` it wraps.
-    impl Persist for Trace {
-        fn save(&self, w: &mut Writer) {
-            self.0.save(w);
-        }
-        fn restore(r: &mut Reader) -> Result<Self, PersistError> {
-            Vec::restore(r).map(Trace::from)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -428,7 +371,7 @@ mod tests {
             Instruction::load(Addr::new(16), Reg(1)),
             Instruction::other(),
         ];
-        let mix = InstructionMix::measure(&trace);
+        let mix = InstructionMix::measure(trace);
         assert_eq!(mix.store_pct, 25.0);
         assert_eq!(mix.load_pct, 50.0);
         assert_eq!(mix.sync_pct, 0.0);
@@ -437,7 +380,7 @@ mod tests {
 
     #[test]
     fn mix_of_empty_trace_is_zero() {
-        let mix = InstructionMix::measure(&[]);
+        let mix = InstructionMix::measure([]);
         assert_eq!(mix.store_pct, 0.0);
         assert_eq!(mix.other_pct, 0.0);
     }

@@ -38,6 +38,7 @@ pub mod json;
 pub mod model;
 pub mod persist;
 pub mod stats;
+pub mod trace;
 pub mod trap;
 
 pub use addr::{AccessSize, Addr, ByteMask, CoreId, PageId};
@@ -46,7 +47,8 @@ pub use error::SimError;
 pub use exception::{ExceptionClass, ExceptionKind};
 pub use faulting::FaultingStoreEntry;
 pub use faults::{FaultKind, FaultSpec};
-pub use instr::{InstrKind, Instruction, Trace};
+pub use instr::{InstrKind, Instruction};
 pub use json::{Json, ToJson};
 pub use model::{ConsistencyModel, DrainPolicy};
+pub use trace::{Trace, TraceBuf, TraceCursor};
 pub use trap::Trap;

@@ -2,16 +2,17 @@
 
 use ise_types::addr::Addr;
 use ise_types::instr::{FenceKind, Reg};
-use ise_types::Instruction;
+use ise_types::TraceBuf;
 
 /// Accumulates the instruction trace of an executing algorithm.
 ///
 /// Array elements are 8 bytes; `load_elem(base, i)` records a load of
 /// `base + 8 i`. Non-memory work between accesses is recorded as ALU
-/// instructions so traces carry realistic instruction mixes.
+/// instructions so traces carry realistic instruction mixes. Each call
+/// encodes its instruction straight into the trace's byte buffer.
 #[derive(Debug, Clone, Default)]
 pub struct TraceRecorder {
-    trace: Vec<Instruction>,
+    trace: TraceBuf,
 }
 
 impl TraceRecorder {
@@ -20,12 +21,11 @@ impl TraceRecorder {
         Self::default()
     }
 
-    /// An empty recorder with room for `n` instructions, for generators
-    /// that know their trace length: the buffer is then allocated once,
-    /// at its final size.
+    /// An empty recorder sized for about `n` instructions, for
+    /// generators that know their trace length.
     pub fn with_capacity(n: usize) -> Self {
         TraceRecorder {
-            trace: Vec::with_capacity(n),
+            trace: TraceBuf::with_capacity(n),
         }
     }
 
@@ -47,39 +47,36 @@ impl TraceRecorder {
 
     /// Records a load of element `i` of the array at `base`.
     pub fn load_elem(&mut self, base: Addr, i: u64) {
-        self.trace
-            .push(Instruction::load(base.offset(i * 8), Reg(0)));
+        self.trace.load(base.offset(i * 8), Reg(0));
     }
 
     /// Records a store of `value` to element `i` of the array at `base`.
     pub fn store_elem(&mut self, base: Addr, i: u64, value: u64) {
-        self.trace
-            .push(Instruction::store(base.offset(i * 8), value));
+        self.trace.store(base.offset(i * 8), value);
     }
 
     /// Records an atomic fetch-add on element `i` of the array at `base`.
     pub fn atomic_elem(&mut self, base: Addr, i: u64, add: u64) {
-        self.trace
-            .push(Instruction::atomic(base.offset(i * 8), add, Reg(0)));
+        self.trace.atomic(base.offset(i * 8), add, Reg(0));
     }
 
     /// Records `n` single-cycle ALU instructions.
     pub fn alu(&mut self, n: usize) {
-        for _ in 0..n {
-            self.trace.push(Instruction::other());
-        }
+        self.trace.others(n);
     }
 
     /// Records a full fence.
     pub fn fence(&mut self) {
-        self.trace.push(Instruction::fence(FenceKind::Full));
+        self.trace.fence(FenceKind::Full);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Trace;
     use ise_types::instr::InstrKind;
+    use ise_types::Instruction;
 
     #[test]
     fn records_expected_addresses() {
@@ -89,7 +86,7 @@ mod tests {
         r.store_elem(base, 4, 9);
         r.alu(2);
         r.fence();
-        let t = r.into_trace();
+        let t: Vec<Instruction> = r.into_trace().iter().collect();
         assert_eq!(t.len(), 5);
         assert_eq!(t[0].kind.addr(), Some(Addr::new(0x1018)));
         assert_eq!(t[1].kind.addr(), Some(Addr::new(0x1020)));
@@ -103,19 +100,10 @@ mod tests {
         for i in 0..1000 {
             r.store_elem(Addr::new(0x1000), i, i);
         }
-        let recorded = r.trace.as_ptr();
         let t = r.into_trace();
-        assert_eq!(t.as_ptr(), recorded, "into_trace copied the buffer");
-        assert_eq!(t.clone().as_ptr(), recorded, "a clone copied the buffer");
-
-        let v: Vec<Instruction> = t.iter().copied().collect();
-        let p = v.as_ptr();
-        let from: crate::Trace = v.into();
-        assert_eq!(from.as_ptr(), p, "Trace::from copied the buffer");
-        let v = from.to_vec();
-        let p = v.as_ptr();
-        let collected: crate::Trace = v.into_iter().collect();
-        assert_eq!(collected.as_ptr(), p, "collect copied the buffer");
+        assert_eq!(t.len(), 1000);
+        assert!(Trace::ptr_eq(&t, &t.clone()), "a clone copied the buffer");
+        let collected: Trace = t.iter().collect();
         assert_eq!(collected, t);
     }
 
@@ -123,7 +111,7 @@ mod tests {
     fn atomic_records_amo() {
         let mut r = TraceRecorder::new();
         r.atomic_elem(Addr::new(0), 1, 5);
-        let t = r.into_trace();
+        let t: Vec<Instruction> = r.into_trace().iter().collect();
         assert!(matches!(t[0].kind, InstrKind::Atomic { add: 5, .. }));
     }
 }

@@ -10,7 +10,7 @@ use ise_telemetry::Registry;
 use ise_types::addr::{Addr, LINE_SIZE, PAGE_SIZE};
 use ise_types::instr::{InstrKind, InstructionMix};
 use ise_types::json::{Json, ToJson};
-use ise_types::Instruction;
+use ise_types::TraceBuf;
 use std::collections::{HashMap, HashSet};
 
 /// Summary statistics of one instruction trace.
@@ -71,7 +71,7 @@ impl ToJson for TraceStats {
 }
 
 /// Analyzes a trace.
-pub fn analyze(trace: &[Instruction]) -> TraceStats {
+pub fn analyze(trace: &TraceBuf) -> TraceStats {
     let mut lines: HashSet<u64> = HashSet::new();
     let mut pages: HashMap<u64, u64> = HashMap::new();
     let mut memory_ops = 0usize;
@@ -125,7 +125,7 @@ pub fn analyze(trace: &[Instruction]) -> TraceStats {
 
 /// The pages a trace touches, ascending — useful for marking exactly the
 /// touched footprint faulting instead of a whole region.
-pub fn touched_pages(trace: &[Instruction]) -> Vec<ise_types::PageId> {
+pub fn touched_pages(trace: &TraceBuf) -> Vec<ise_types::PageId> {
     let mut pages: Vec<u64> = trace
         .iter()
         .filter_map(|i| i.kind.addr())
@@ -142,16 +142,18 @@ mod tests {
     use crate::graph::{gap_workload, GapConfig, GapKernel};
     use crate::mixes::{synthesize, table3_mixes};
     use ise_types::instr::Reg;
+    use ise_types::{Instruction, Trace};
 
     #[test]
     fn analyze_counts_the_basics() {
         let base = Addr::new(0x1000);
-        let trace = vec![
+        let trace: Trace = vec![
             Instruction::store(base, 1),
             Instruction::load(base, Reg(0)), // same line: hot reuse
             Instruction::load(base.offset(4096 * 3), Reg(1)),
             Instruction::other(),
-        ];
+        ]
+        .into();
         let s = analyze(&trace);
         assert_eq!(s.instructions, 4);
         assert_eq!(s.memory_ops, 3);
@@ -164,11 +166,12 @@ mod tests {
     #[test]
     fn trace_stats_json_round_trips_through_the_registry() {
         let base = Addr::new(0x1000);
-        let trace = vec![
+        let trace: Trace = vec![
             Instruction::store(base, 1),
             Instruction::load(base, Reg(0)),
             Instruction::other(),
-        ];
+        ]
+        .into();
         let s = analyze(&trace);
         let reg = s.to_registry();
         assert_eq!(reg.counter("instructions"), 3);
@@ -183,7 +186,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_zeroes() {
-        let s = analyze(&[]);
+        let s = analyze(&Trace::default());
         assert_eq!(s.memory_ops, 0);
         assert_eq!(s.address_span, 0);
         assert_eq!(s.ops_per_page, 0.0);
@@ -192,11 +195,12 @@ mod tests {
     #[test]
     fn touched_pages_sorted_and_deduped() {
         let base = Addr::new(0x10_000);
-        let trace = vec![
+        let trace: Trace = vec![
             Instruction::store(base.offset(4096), 1),
             Instruction::store(base, 2),
             Instruction::store(base.offset(4), 3),
-        ];
+        ]
+        .into();
         let p = touched_pages(&trace);
         assert_eq!(p.len(), 2);
         assert!(p[0] < p[1]);
