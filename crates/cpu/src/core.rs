@@ -161,9 +161,17 @@ impl Core {
         reg.add(&format!("core{n}.sb_coalesced"), self.sb.coalesced());
     }
 
-    /// Store-buffer occupancy (exposed for the ASO study).
+    /// Stores still sitting in the buffer (neither drained, coalesced,
+    /// nor handed to the FSB): the ASO study's occupancy, and the
+    /// residual term of killed-core conservation.
     pub fn sb_len(&self) -> usize {
         self.sb.len()
+    }
+
+    /// Buffered stores whose drain is in flight: the checkpoints an ASO
+    /// machine holds (see `ise-aso`).
+    pub fn sb_in_flight(&self) -> usize {
+        self.sb.in_flight()
     }
 
     /// Stores this core's buffer drained to the hierarchy — one term of
@@ -183,13 +191,6 @@ impl Core {
     /// [`StoreBuffer::retired`]).
     pub fn sb_retired(&self) -> u64 {
         self.sb.retired()
-    }
-
-    /// Stores still sitting in the buffer (neither drained, coalesced,
-    /// nor handed to the FSB) — the residual term of killed-core
-    /// conservation.
-    pub fn sb_pending(&self) -> usize {
-        self.sb.len()
     }
 
     /// Caps concurrently in-flight store-buffer drains (the ASO
@@ -690,11 +691,27 @@ impl Core {
     }
 }
 
+/// The store-buffer peaks [`run_cores`] observed after any step of any
+/// core.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SbPeaks {
+    /// Peak occupancy ([`Core::sb_len`]).
+    pub len: usize,
+    /// Peak count of in-flight drains ([`Core::sb_in_flight`]).
+    pub in_flight: usize,
+}
+
 /// Steps `cores` round-robin against the shared `hier` until every one
-/// finishes, and returns the peak store-buffer occupancy observed after
-/// any step — the bare-core clock behind the Table 3 study (a single
-/// core is a one-element slice). Per-core results are read afterwards
-/// through [`Core::stats`].
+/// finishes, and returns the store-buffer peaks observed after any step
+/// — the bare-core clock behind the Table 3 study (a single core is a
+/// one-element slice). Per-core results are read afterwards through
+/// [`Core::stats`].
+///
+/// A step ends with its largest occupancy and in-flight count: drains
+/// complete before new ones issue, and retirement (which only adds idle
+/// entries) comes after both. So a step whose retirement found the
+/// buffer full ends with `len` at capacity, and a step whose issue met
+/// the in-flight cap ends with `in_flight` at the cap.
 ///
 /// `skip = false` runs the reference `now += 1` loop. `skip = true`
 /// gives each core its own wake time, [`Core::next_event`], bulk-charges
@@ -718,8 +735,8 @@ pub fn run_cores(
     hier: &mut MemoryHierarchy,
     max_cycles: Cycle,
     skip: bool,
-) -> usize {
-    let mut peak = 0;
+) -> SbPeaks {
+    let mut peak = SbPeaks::default();
     let mut now = 0;
     let mut wake = vec![0; cores.len()];
     loop {
@@ -737,7 +754,8 @@ pub fn run_cores(
                     panic!("unexpected exception in run_cores")
                 }
             }
-            peak = peak.max(core.sb_len());
+            peak.len = peak.len.max(core.sb_len());
+            peak.in_flight = peak.in_flight.max(core.sb_in_flight());
             let next = if skip { core.next_event(now) } else { now + 1 };
             *wake = next.clamp(now + 1, max_cycles);
             core.charge_idle(now, *wake - now - 1);
@@ -771,9 +789,9 @@ mod tests {
     }
 
     /// Runs `core` alone (a one-element slice) on a fresh hierarchy under
-    /// the chosen clock, returning its stats and the kernel's peak
-    /// store-buffer occupancy.
-    fn run_alone(mut core: Core, max_cycles: Cycle, skip: bool) -> (CoreStats, usize) {
+    /// the chosen clock, returning its stats and the kernel's
+    /// store-buffer peaks.
+    fn run_alone(mut core: Core, max_cycles: Cycle, skip: bool) -> (CoreStats, SbPeaks) {
         let mut h = hier();
         let peak = run_cores(std::slice::from_mut(&mut core), &mut h, max_cycles, skip);
         (core.stats(), peak)
@@ -1106,10 +1124,10 @@ mod tests {
             let (reference, ref_peak) = run(false);
             let (skipped, skip_peak) = run(true);
             assert_eq!(reference, skipped, "model {model:?}");
-            assert_eq!(ref_peak, skip_peak, "peak occupancy, model {model:?}");
+            assert_eq!(ref_peak, skip_peak, "store-buffer peaks, model {model:?}");
             if model == ConsistencyModel::Wc {
                 assert!(
-                    ref_peak >= 2,
+                    ref_peak.len >= 2 && ref_peak.in_flight >= 2,
                     "the WC store-heavy core must buffer stores for the peak comparison to bite"
                 );
             }

@@ -25,5 +25,5 @@ pub mod core;
 mod rob;
 pub mod store_buffer;
 
-pub use crate::core::{run_cores, Core, StepOutcome};
+pub use crate::core::{run_cores, Core, SbPeaks, StepOutcome};
 pub use store_buffer::{DrainFault, SbEntry, StoreBuffer};

@@ -28,7 +28,7 @@
 use crate::system::{System, SystemStats};
 use ise_core::OrderEvent;
 use ise_types::addr::{Addr, ByteMask};
-use ise_types::{CoreId, InstrKind};
+use ise_types::CoreId;
 use ise_workloads::Workload;
 use std::collections::{BTreeMap, HashMap};
 
@@ -45,10 +45,7 @@ pub fn standard_violations(sys: &System, workload: &Workload, stats: &SystemStat
         if sys.process_killed(i) {
             continue;
         }
-        let retired_stores = trace
-            .iter()
-            .filter(|ins| matches!(ins.kind, InstrKind::Store { .. }))
-            .count() as u64;
+        let retired_stores = trace.stores() as u64;
         let accounted =
             sys.cores()[i].sb_drained() + sys.cores()[i].sb_coalesced() + stats.applied_per_core[i];
         if retired_stores != accounted {
@@ -119,7 +116,7 @@ pub fn containment_violations(sys: &System, stats: &SystemStats) -> Vec<String> 
             + core.sb_coalesced()
             + stats.applied_per_core[i]
             + discarded
-            + core.sb_pending() as u64;
+            + core.sb_len() as u64;
         if core.sb_retired() != accounted {
             violations.push(format!(
                 "core {i}: {} stores retired into the buffer but {accounted} accounted \
@@ -128,7 +125,7 @@ pub fn containment_violations(sys: &System, stats: &SystemStats) -> Vec<String> 
                 core.sb_drained(),
                 core.sb_coalesced(),
                 stats.applied_per_core[i],
-                core.sb_pending(),
+                core.sb_len(),
             ));
         }
         if discarded > 0 && !sys.process_killed(i) {

@@ -26,7 +26,7 @@ use ise_types::addr::{Addr, PAGE_SIZE};
 use ise_types::config::{OsCostConfig, SystemConfig};
 use ise_types::instr::Instruction;
 use ise_types::model::ConsistencyModel;
-use ise_types::{FaultKind, FaultSpec, InstrKind};
+use ise_types::{FaultKind, FaultSpec};
 use ise_workloads::layout::EINJECT_BASE;
 use ise_workloads::Workload;
 use std::rc::Rc;
@@ -225,10 +225,7 @@ pub fn run_litmus_case(
             if sys.process_killed(i) || !model.has_store_buffer() {
                 continue;
             }
-            let retired_stores = trace
-                .iter()
-                .filter(|ins| matches!(ins.kind, InstrKind::Store { .. }))
-                .count() as u64;
+            let retired_stores = trace.stores() as u64;
             let accounted = sys.cores()[i].sb_drained()
                 + sys.cores()[i].sb_coalesced()
                 + stats.applied_per_core[i];

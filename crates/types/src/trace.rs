@@ -94,6 +94,8 @@ pub struct TraceBuf {
     end: usize,
     /// Instructions encoded.
     len: usize,
+    /// Stores among them.
+    stores: usize,
     /// Address of the last memory instruction: the base of the next
     /// delta.
     last_addr: u64,
@@ -126,6 +128,7 @@ impl TraceBuf {
             bytes: vec![0; instrs.saturating_mul(3).saturating_add(PAD)],
             end: 0,
             len: 0,
+            stores: 0,
             last_addr: 0,
         }
     }
@@ -140,6 +143,13 @@ impl TraceBuf {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Stores recorded so far (`InstrKind::Store`; atomics are not
+    /// counted), kept as they are encoded rather than decoded.
+    #[inline]
+    pub fn stores(&self) -> usize {
+        self.stores
     }
 
     /// Encoded bytes so far, excluding the zero tail.
@@ -176,6 +186,7 @@ impl TraceBuf {
     #[inline]
     pub fn store(&mut self, addr: Addr, value: u64) {
         let (delta, n) = self.begin(addr);
+        self.stores += 1;
         self.put(header(STORE, n), 1);
         self.put(delta, n);
         self.put_sized(value);
@@ -649,8 +660,15 @@ mod tests {
         }
         calls.others(run);
         let calls = Trace::from(calls);
+        // The store count kept while encoding equals a decode count.
+        let decoded_stores = |t: &Trace| {
+            t.iter()
+                .filter(|i| matches!(i.kind, InstrKind::Store { .. }))
+                .count()
+        };
         for t in [&collected, &pushed, &calls] {
             assert_eq!(t.len(), instrs.len());
+            assert_eq!(t.stores(), decoded_stores(t));
             assert_eq!(t.is_empty(), instrs.is_empty());
             assert_eq!(t.iter().len(), instrs.len());
             assert!(t.iter().eq(instrs.iter().copied()));
@@ -661,6 +679,7 @@ mod tests {
         assert_eq!(collected, calls);
         let back: Trace = restore_container(&save_container(&collected)).unwrap();
         assert_eq!(back, collected);
+        assert_eq!(back.stores(), decoded_stores(&back));
     }
 
     #[test]
