@@ -6,6 +6,7 @@ use ise_consistency::program::format_outcome;
 use ise_sim::experiments::fig1;
 
 fn main() {
+    ise_bench::cli::switches("usage: fig1", []);
     println!("Fig. 1: message passing with fences");
     println!("  Core 0: S(B,1); F; S(A,1)      Core 1: L(A); F; L(B)");
     println!("  Forbidden: L(A)=1 && L(B)=0 (the payload must follow the flag)\n");

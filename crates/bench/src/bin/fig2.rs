@@ -4,6 +4,7 @@
 use ise_sim::experiments::fig2;
 
 fn main() {
+    ise_bench::cli::switches("usage: fig2", []);
     println!("Fig. 2: Core 0 runs S(A,1); S(B,1) with only A's page faulting.");
     println!("Core 1 reads B then A. PC forbids L(B)=1 && L(A)=0.\n");
     let r = fig2();

@@ -9,6 +9,7 @@ use ise_workloads::layout::EINJECT_BASE;
 use ise_workloads::Workload;
 
 fn main() {
+    ise_bench::cli::switches("usage: fig3", []);
     let skip = ise_engine::cycle_skip_override().unwrap_or(true);
     let base = Addr::new(EINJECT_BASE);
     let trace: Vec<Instruction> = (0..4)

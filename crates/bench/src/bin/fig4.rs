@@ -10,6 +10,7 @@ use ise_types::config::SystemConfig;
 use ise_types::FaultingStoreEntry;
 
 fn main() {
+    ise_bench::cli::switches("usage: fig4", []);
     let cfg = SystemConfig::isca23();
     let mesh = Mesh::new(cfg.noc);
     println!(

@@ -15,9 +15,9 @@ use ise_sim::report::render_bars;
 use ise_types::ToJson;
 
 fn main() {
+    let [quick] = ise_bench::cli::switches("usage: fig5 [--quick]", ["--quick"]);
     let workers = ise_par::worker_count();
     let skip = ise_engine::cycle_skip_override().unwrap_or(true);
-    let quick = std::env::args().any(|a| a == "--quick");
     let (pages, io_pages) = if quick {
         (FIG5_PAGES_QUICK, FIG5_IO_PAGES_QUICK)
     } else {

@@ -37,7 +37,8 @@ fn write_bins() {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--write-bins") {
+    let [write] = ise_bench::cli::switches("usage: guest [--write-bins]", ["--write-bins"]);
+    if write {
         write_bins();
         return;
     }

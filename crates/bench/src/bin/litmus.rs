@@ -2,8 +2,11 @@
 //! dialect) under PC and WC, with and without injected faults.
 //!
 //! Usage: `cargo run -p ise-bench --bin litmus -- <file.litmus>...`
-//! With no arguments, runs a built-in demonstration test.
+//! With no arguments, runs a built-in demonstration test. Exits 1 when a
+//! test fails to parse or shows a violation, 2 on an unknown flag or an
+//! unreadable file.
 
+use ise_bench::cli::Args;
 use ise_consistency::program::format_outcome;
 use ise_litmus::parse::parse_litmus;
 use ise_litmus::runner::run_test;
@@ -18,18 +21,26 @@ forbid: 1:r0=1 & 1:r1=0
 "#;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let sources: Vec<(String, String)> = if args.is_empty() {
+    let mut args = Args::new("usage: litmus [FILE.litmus]...");
+    let mut paths = Vec::new();
+    while let Some(arg) = args.next_flag() {
+        if arg.starts_with('-') {
+            args.unknown();
+        }
+        paths.push(arg);
+    }
+    let sources: Vec<(String, String)> = if paths.is_empty() {
         println!(
             "(no files given; running the built-in demo — pass .litmus files to run your own)\n"
         );
         vec![("<demo>".into(), DEMO.into())]
     } else {
-        args.iter()
+        paths
+            .into_iter()
             .map(|path| {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-                (path.clone(), text)
+                let text = std::fs::read_to_string(&path)
+                    .unwrap_or_else(|e| args.fail(&format!("cannot read {path}: {e}")));
+                (path, text)
             })
             .collect()
     };

@@ -19,6 +19,7 @@
 //!   golden image and asserts both restores FAIL: the format must
 //!   reject, not misparse, damaged images.
 
+use ise_bench::cli::Args;
 use ise_sim::System;
 use ise_types::{SystemConfig, ToJson};
 use ise_workloads::microbench::{microbench, MicrobenchConfig};
@@ -157,15 +158,23 @@ fn corrupt_golden() {
 
 fn main() {
     let skip = ise_engine::cycle_skip_override().unwrap_or(true);
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    assert!(!args.is_empty(), "usage: snapshot_smoke [--differential] [--write-golden] [--replay-golden] [--corrupt-golden]");
-    for arg in &args {
-        match arg.as_str() {
-            "--differential" => differential(skip),
-            "--write-golden" => write_golden(),
-            "--replay-golden" => replay_golden(),
-            "--corrupt-golden" => corrupt_golden(),
-            other => panic!("unknown mode {other}"),
-        }
+    let mut args = Args::new(
+        "usage: snapshot_smoke [--differential] [--write-golden] [--replay-golden] [--corrupt-golden]",
+    );
+    let mut modes: Vec<fn(bool)> = Vec::new();
+    while let Some(flag) = args.next_flag() {
+        modes.push(match flag.as_str() {
+            "--differential" => differential,
+            "--write-golden" => |_| write_golden(),
+            "--replay-golden" => |_| replay_golden(),
+            "--corrupt-golden" => |_| corrupt_golden(),
+            _ => args.unknown(),
+        });
+    }
+    if modes.is_empty() {
+        args.fail("no mode given");
+    }
+    for mode in modes {
+        mode(skip);
     }
 }

@@ -5,6 +5,7 @@ use ise_bench::print_table;
 use ise_types::exception::{ExceptionClass, OriginStage, X86_EXCEPTIONS};
 
 fn main() {
+    ise_bench::cli::switches("usage: table1", []);
     let mut rows = vec![vec![
         "class".to_string(),
         "stage".to_string(),

@@ -4,6 +4,7 @@ use ise_bench::print_table;
 use ise_types::config::SystemConfig;
 
 fn main() {
+    ise_bench::cli::switches("usage: table2", []);
     let c = SystemConfig::isca23();
     let rows = vec![
         vec!["component".into(), "parameters".into()],

@@ -9,9 +9,9 @@ use ise_sim::experiments::{table3, Table3Scale};
 use ise_types::ToJson;
 
 fn main() {
+    let [quick] = ise_bench::cli::switches("usage: table3 [--quick]", ["--quick"]);
     let workers = ise_par::worker_count();
     let skip = ise_engine::cycle_skip_override().unwrap_or(true);
-    let quick = std::env::args().any(|a| a == "--quick");
     let scale = if quick {
         Table3Scale::quick()
     } else {

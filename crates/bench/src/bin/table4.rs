@@ -4,6 +4,7 @@
 use ise_bench::print_table;
 
 fn main() {
+    ise_bench::cli::switches("usage: table4", []);
     let rows = vec![
         vec![
             "notation".into(),

@@ -7,6 +7,7 @@
 //! freeze exactly what this binary prints.
 
 fn main() {
+    ise_bench::cli::switches("usage: table5", []);
     let (text, snapshot) = ise_bench::table5_report_with_snapshot();
     print!("{text}");
     ise_bench::emit_report("table5", &snapshot);

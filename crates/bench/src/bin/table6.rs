@@ -6,6 +6,7 @@ use ise_litmus::corpus::corpus;
 use ise_litmus::runner::run_corpus;
 
 fn main() {
+    ise_bench::cli::switches("usage: table6", []);
     let workers = ise_par::worker_count();
     let tests = corpus();
     // Parallel over (test, model, fault-mode) cases; the merged summary

@@ -1,10 +1,12 @@
-//! The command-line skeleton of the campaign binaries (`fuzz`,
-//! `trisection`, `adversary`): one flag parser and one reporting tail.
+//! The command-line skeleton of the bench binaries: one flag parser for
+//! all of them and one reporting tail for the campaign binaries (`fuzz`,
+//! `trisection`, `adversary`).
 //!
 //! Exit codes: 0 clean, 1 a finding (or a failed self-check), 2 a usage
 //! error — an unknown flag, a missing or unparseable value, an unknown
 //! bug name. Usage errors never panic, so a CI leg that demands exit 1
-//! cannot be satisfied by a mistyped flag.
+//! cannot be satisfied by a mistyped flag, and `fig6 --quik` does not
+//! silently run the full scale.
 
 use ise_fuzz::{write_reproducers, CampaignFinding, Case};
 use ise_telemetry::Registry;
@@ -65,10 +67,25 @@ impl Args {
         self.fail(&format!("unknown flag {:?}", self.flag))
     }
 
-    fn fail(&self, problem: &str) -> ! {
+    /// Reports a usage error: prints `problem` and the usage, exits 2.
+    pub fn fail(&self, problem: &str) -> ! {
         eprintln!("{problem}\n{}", self.usage);
         std::process::exit(2)
     }
+}
+
+/// Parses arguments that may only be the switches in `names`, and
+/// returns which of them were given.
+pub fn switches<const N: usize>(usage: &'static str, names: [&str; N]) -> [bool; N] {
+    let mut args = Args::new(usage);
+    let mut given = [false; N];
+    while let Some(flag) = args.next_flag() {
+        match names.iter().position(|n| *n == flag) {
+            Some(i) => given[i] = true,
+            None => args.unknown(),
+        }
+    }
+    given
 }
 
 /// Writes each finding's reproducer into `dir` and names each file on

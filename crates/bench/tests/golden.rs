@@ -193,9 +193,10 @@ fn seeded_bug_campaign_reports_match_snapshots() {
 }
 
 #[test]
-fn campaign_usage_errors_exit_2() {
+fn bench_usage_errors_exit_2() {
     // Findings exit 1, so a CI leg that demands exit 1 must not be
-    // satisfied by a mistyped flag or bug name.
+    // satisfied by a mistyped flag or bug name; and a mistyped `--quick`
+    // must not silently run the full scale.
     for (bin, args) in [
         (env!("CARGO_BIN_EXE_fuzz"), &["--bogus"][..]),
         (env!("CARGO_BIN_EXE_fuzz"), &["--seeded-bug", "nope"]),
@@ -206,11 +207,17 @@ fn campaign_usage_errors_exit_2() {
         ),
         (env!("CARGO_BIN_EXE_trisection"), &["--seed", "x"]),
         (env!("CARGO_BIN_EXE_adversary"), &["--rounds", "-1"]),
+        (env!("CARGO_BIN_EXE_fig6"), &["--quik"]),
+        (env!("CARGO_BIN_EXE_table3"), &["--bogus"]),
+        (env!("CARGO_BIN_EXE_snapshot_smoke"), &["--bogus"]),
+        (env!("CARGO_BIN_EXE_snapshot_smoke"), &[]),
+        (env!("CARGO_BIN_EXE_litmus"), &["--bogus"]),
+        (env!("CARGO_BIN_EXE_litmus"), &["no/such/file.litmus"]),
     ] {
         let out = std::process::Command::new(bin)
             .args(args)
             .output()
-            .expect("run campaign binary");
+            .expect("run bench binary");
         assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("usage: "), "{bin} {args:?}: {stderr}");

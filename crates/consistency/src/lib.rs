@@ -19,16 +19,14 @@
 //! * [`lowering`] — the compiler-mapping pass from source programs to
 //!   the hardware litmus primitives, driven by a per-model
 //!   [`MappingTable`](lowering::MappingTable) that is data, not code —
-//!   so the trisection harness can inject known-wrong mappings;
-//! * [`proofs`] — a mechanization of Proof 1 (the store-store rule of PC
-//!   under the same-stream design): for every faulting combination of two
-//!   program-ordered stores, the effective memory-order of their writes
-//!   is shown to preserve program order.
+//!   so the trisection harness can inject known-wrong mappings.
 //!
 //! The operational machine in `ise-litmus` explores real interleavings of
 //! the store buffer + FSB + OS pipeline and checks its observed outcomes
 //! against [`axiom::allowed_outcomes`] — reproducing the paper's litmus
 //! campaign (§6.3) with exhaustive schedules instead of FPGA sampling.
+//! Proof 1 (§4.6) is checked the same way, over every small 2-thread
+//! program, by the workspace test `tests/litmus_campaign.rs`.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -37,7 +35,6 @@ pub mod axiom;
 pub mod batch;
 pub mod lowering;
 pub mod program;
-pub mod proofs;
 pub mod source;
 
 pub use axiom::allowed_outcomes;

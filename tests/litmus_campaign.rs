@@ -1,10 +1,13 @@
 //! The full litmus campaign as an integration test (Table 6 / §6.3).
 
 use imprecise_store_exceptions::consistency::axiom::allowed_outcomes;
+use imprecise_store_exceptions::consistency::program::{LitmusProgram, Loc, Stmt};
 use imprecise_store_exceptions::litmus::corpus::{corpus, Family};
-use imprecise_store_exceptions::litmus::machine::{explore, MachineConfig};
+use imprecise_store_exceptions::litmus::machine::{explore, MachineConfig, SeededBug};
 use imprecise_store_exceptions::litmus::runner::{run_corpus, run_test_with_policy, FaultMode};
+use imprecise_store_exceptions::par::par_map;
 use imprecise_store_exceptions::prelude::*;
+use imprecise_store_exceptions::types::instr::{FenceKind, Reg};
 
 #[test]
 fn table6_campaign_has_no_violations() {
@@ -80,15 +83,145 @@ fn machine_observed_outcomes_are_nonempty_and_deterministic() {
     }
 }
 
+/// What the Proof 1 enumerator counted over one scope.
+#[derive(Debug, PartialEq, Eq)]
+struct Proof1Counts {
+    programs: usize,
+    configurations: usize,
+    /// Same-stream outcome sets not inside both the axioms and the
+    /// fault-free machine's set.
+    same_stream_escapes: usize,
+    /// Split-stream (§4.5) outcome sets not inside the axioms: the
+    /// Fig. 2a race.
+    split_stream_escapes: usize,
+    /// Same-stream outcome sets that differ from the fault-free set.
+    differing_sets: usize,
+}
+
+/// Every 2-thread program whose threads have 1..=k statements from
+/// {`W A`, `W B`, `R A`, `R B`, `F`, `F.ww`}. Writes get values 1, 2, ...
+/// in thread-then-program order; each read gets its thread's next
+/// register.
+fn small_programs(k: u32) -> Vec<LitmusProgram> {
+    let bodies: Vec<Vec<u32>> = (1..=k)
+        .flat_map(|len| {
+            (0..6u32.pow(len)).map(move |code| (0..len).map(|i| code / 6u32.pow(i) % 6).collect())
+        })
+        .collect();
+    let mut programs = Vec::with_capacity(bodies.len() * bodies.len());
+    for t0 in &bodies {
+        for t1 in &bodies {
+            let mut value = 0;
+            let threads = [t0, t1]
+                .into_iter()
+                .map(|body| {
+                    let mut reg = 0;
+                    body.iter()
+                        .map(|&sym| match sym {
+                            0 | 1 => {
+                                value += 1;
+                                Stmt::write(Loc(sym as u8), value)
+                            }
+                            2 | 3 => {
+                                reg += 1;
+                                Stmt::read(Loc(sym as u8 - 2), Reg(reg - 1))
+                            }
+                            4 => Stmt::fence(FenceKind::Full),
+                            _ => Stmt::fence(FenceKind::StoreStore),
+                        })
+                        .collect()
+                })
+                .collect();
+            programs.push(LitmusProgram { threads });
+        }
+    }
+    programs
+}
+
+/// Runs each program under {PC, WC} x faulting sets {A}, {B}, {A, B} on
+/// the machine with `bug` seeded, under both drain policies, and checks
+/// each outcome set against the axioms and the fault-free run.
+fn check_proof1(programs: &[LitmusProgram], bug: Option<SeededBug>) -> Proof1Counts {
+    let cells: Vec<(&LitmusProgram, ConsistencyModel)> = programs
+        .iter()
+        .flat_map(|p| [(p, ConsistencyModel::Pc), (p, ConsistencyModel::Wc)])
+        .collect();
+    // Per configuration: [same-stream escape, split-stream escape, differing set].
+    let verdicts: Vec<[bool; 3]> = par_map(&cells, 2, |_, &(prog, model)| {
+        let mut base = MachineConfig::baseline(model);
+        base.seeded_bug = bug;
+        let allowed = allowed_outcomes(prog, model);
+        let free = explore(prog, &base).outcomes;
+        [&[Loc(0)][..], &[Loc(1)], &[Loc(0), Loc(1)]].map(|faulting| {
+            let mut cfg = base.clone();
+            cfg.faulting = faulting.iter().copied().collect();
+            let same = explore(prog, &cfg).outcomes;
+            let split = explore(prog, &cfg.with_policy(DrainPolicy::SplitStream)).outcomes;
+            [
+                !(same.is_subset(&allowed) && same.is_subset(&free)),
+                !split.is_subset(&allowed),
+                same != free,
+            ]
+        })
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    let count = |i: usize| verdicts.iter().filter(|v| v[i]).count();
+    Proof1Counts {
+        programs: programs.len(),
+        configurations: verdicts.len(),
+        same_stream_escapes: count(0),
+        split_stream_escapes: count(1),
+        differing_sets: count(2),
+    }
+}
+
 #[test]
-fn proof1_agrees_with_operational_machine() {
-    use imprecise_store_exceptions::consistency::proofs::store_store_order_preserved;
-    // The mechanized Proof 1 and the litmus machine agree on every case:
-    // same-stream preserves the store-store rule, split-stream breaks it
-    // exactly when the older store faults and the younger does not.
-    for (fa, fb) in [(false, false), (false, true), (true, false), (true, true)] {
-        assert!(store_store_order_preserved(fa, fb, DrainPolicy::SameStream));
-        let split_ok = store_store_order_preserved(fa, fb, DrainPolicy::SplitStream);
-        assert_eq!(split_ok, !fa || fb, "case ({fa},{fb})");
+fn proof1_holds_on_every_small_two_thread_program() {
+    // Proof 1 (§4.6), with the load-store, fence and value rules, as
+    // machine ⊆ axioms over an exhaustive scope: same-stream never
+    // escapes, whichever subset of locations faults. The scope is 1..=2
+    // statements per thread in debug builds and 1..=3 in release, and
+    // every count is pinned, so a change to the machine or the axioms
+    // that moves one fails here.
+    let k = if cfg!(debug_assertions) { 2 } else { 3 };
+    let expected = if k == 2 {
+        Proof1Counts {
+            programs: 1_764,
+            configurations: 10_584,
+            same_stream_escapes: 0,
+            split_stream_escapes: 4,
+            differing_sets: 12,
+        }
+    } else {
+        Proof1Counts {
+            programs: 66_564,
+            configurations: 399_384,
+            same_stream_escapes: 0,
+            split_stream_escapes: 4_316,
+            differing_sets: 2_606,
+        }
+    };
+    assert_eq!(check_proof1(&small_programs(k), None), expected);
+}
+
+#[test]
+fn proof1_enumerator_catches_seeded_bugs() {
+    // PC draining like WC breaks the store-store rule within two
+    // statements per thread.
+    let pc_drain = check_proof1(&small_programs(2), Some(SeededBug::PcDrainReorder));
+    assert_eq!(pc_drain.same_stream_escapes, 4);
+    // An `F.ww` that ignores the store buffer needs three statements in
+    // a thread to show, so it runs in release only. The bug is inert in
+    // programs without an `F.ww`, so only those with one run.
+    if !cfg!(debug_assertions) {
+        let ww = Stmt::fence(FenceKind::StoreStore);
+        let with_ww: Vec<LitmusProgram> = small_programs(3)
+            .into_iter()
+            .filter(|p| p.threads.iter().flatten().any(|s| *s == ww))
+            .collect();
+        let fence = check_proof1(&with_ww, Some(SeededBug::FenceIgnoresStoreBuffer));
+        assert_eq!(fence.same_stream_escapes, 4);
     }
 }
