@@ -14,6 +14,7 @@
 //! * `cargo run -p ise-bench --bin guest -- --write-bins` — regenerate
 //!   the checked-in `guest/*.bin` images from the in-crate assembler.
 
+use ise_bench::cli::Args;
 use ise_bench::emit_report;
 use ise_isa::programs;
 use ise_sim::guest::run_guest_program;
@@ -37,7 +38,14 @@ fn write_bins() {
 }
 
 fn main() {
-    let [write] = ise_bench::cli::switches("usage: guest [--write-bins]", ["--write-bins"]);
+    let mut args = Args::new("usage: guest [--write-bins]");
+    let mut write = false;
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--write-bins" => write = true,
+            _ => args.unknown(),
+        }
+    }
     if write {
         write_bins();
         return;

@@ -5,7 +5,7 @@
 //! Exit codes: 0 clean, 1 a finding (or a failed self-check), 2 a usage
 //! error — an unknown flag, a missing or unparseable value, an unknown
 //! bug name. Usage errors never panic, so a CI leg that demands exit 1
-//! cannot be satisfied by a mistyped flag, and `fig6 --quik` does not
+//! cannot be satisfied by a mistyped flag, and `paper fig6 --quik` does not
 //! silently run the full scale.
 
 use ise_fuzz::{write_reproducers, CampaignFinding, Case};
@@ -72,20 +72,6 @@ impl Args {
         eprintln!("{problem}\n{}", self.usage);
         std::process::exit(2)
     }
-}
-
-/// Parses arguments that may only be the switches in `names`, and
-/// returns which of them were given.
-pub fn switches<const N: usize>(usage: &'static str, names: [&str; N]) -> [bool; N] {
-    let mut args = Args::new(usage);
-    let mut given = [false; N];
-    while let Some(flag) = args.next_flag() {
-        match names.iter().position(|n| *n == flag) {
-            Some(i) => given[i] = true,
-            None => args.unknown(),
-        }
-    }
-    given
 }
 
 /// Writes each finding's reproducer into `dir` and names each file on

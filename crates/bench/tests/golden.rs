@@ -1,8 +1,9 @@
-//! Golden snapshot tests: freeze the Table 5 ordering-contract report,
-//! the Table 3 reports, the Fig. 5 (quick and full) and Fig. 6 (quick)
-//! registries, the campaign verdicts for the four checked-in
-//! `litmus/` tests, and the seeded-bug fuzz and trisection campaign
-//! reports.
+//! Golden snapshot tests: freeze the stdout of the cheap paper
+//! experiments, the Table 3, Fig. 5 and Fig. 6 registries, the campaign
+//! verdicts for the four checked-in `litmus/` tests, the compiler
+//! mapping tables, and the seeded-bug fuzz and trisection campaign
+//! reports. Every paper experiment is run through `paper::run`, the
+//! function the `paper` binary calls, and must also pass its verdict.
 //!
 //! Any drift — in the contract monitor, the recovery pipeline, the
 //! litmus parser, the operational machine, or the axiomatic model —
@@ -13,6 +14,7 @@
 //! $ ISE_REGEN_GOLDEN=1 cargo test -p ise-bench --test golden
 //! ```
 
+use ise_bench::paper;
 use std::path::{Path, PathBuf};
 
 fn golden_dir() -> PathBuf {
@@ -46,9 +48,32 @@ fn check_golden(name: &str, actual: &str) {
     );
 }
 
+/// Runs one paper experiment and asserts its verdict.
+fn run_passing(exp: &str, quick: bool, workers: usize, skip: bool) -> paper::Report {
+    let report = paper::run(exp, quick, workers, skip);
+    assert!(
+        report.passed,
+        "{exp} (quick {quick}, {workers} workers, skip {skip}) lost the paper's shape:\n{}",
+        report.text
+    );
+    report
+}
+
 #[test]
-fn table5_contract_report_matches_snapshot() {
-    check_golden("table5.txt", &ise_bench::table5_report());
+fn cheap_experiments_match_text_snapshots() {
+    // What `paper <exp>` prints before its `JSON` line, under both
+    // clocks and two worker counts. The `pinned-binaries` CI job `cmp`s
+    // the release binary's stdout against the same files.
+    for exp in [
+        "table1", "table2", "table4", "table5", "table6", "fig1", "fig2", "fig3", "fig4",
+    ] {
+        for skip in [false, true] {
+            for workers in [1, 4] {
+                let report = run_passing(exp, false, workers, skip);
+                check_golden(&format!("{exp}.txt"), &report.text);
+            }
+        }
+    }
 }
 
 #[test]
@@ -74,89 +99,49 @@ fn mapping_tables_match_snapshot() {
     check_golden("mapping_table.txt", &out);
 }
 
+/// Pins the registry `paper <exp>` emits on its `JSON <exp>:` line, at
+/// one scale, under each clock in `skips`, on 4 workers. The
+/// `pinned-binaries` CI job re-derives the same bytes from the release
+/// binary under both `ISE_CYCLE_SKIP` pins and worker counts 1 and 4, so
+/// a change that moves *any* reported counter — or makes the clocks
+/// disagree — fails fast.
+fn check_registry(exp: &str, quick: bool, skips: &[bool]) {
+    let scale = if quick { "quick" } else { "full" };
+    for &skip in skips {
+        let report = run_passing(exp, quick, 4, skip);
+        let registry = report.registry.expect("experiment has a registry");
+        check_golden(
+            &format!("{exp}_{scale}_registry.json"),
+            &(registry.render() + "\n"),
+        );
+    }
+}
+
 #[test]
 fn fig5_quick_registry_matches_snapshot() {
-    // The exact registry the `fig5 --quick` binary emits on its `JSON
-    // fig5:` line, under both clocks. The CI `pinned-binaries` job
-    // re-derives the same bytes from the release binary under both
-    // `ISE_CYCLE_SKIP` pins and diffs against this file, so a perf
-    // rework that changes *any* reported counter — or makes the two
-    // clocks disagree — fails fast.
-    use ise_sim::experiments::{fig5, fig5_demand_paging};
-    use ise_types::ToJson;
-    for skip in [false, true] {
-        let rows = fig5(ise_bench::FIG5_PAGES_QUICK, 4, skip);
-        let io_rows = fig5_demand_paging(
-            ise_bench::FIG5_IO_PAGES_QUICK,
-            ise_bench::FIG5_IO_LATENCY,
-            4,
-            skip,
-        );
-        let registry = ise_bench::report_sections([
-            ("rows", rows.to_json()),
-            ("demand_paging", io_rows.to_json()),
-        ]);
-        check_golden("fig5_quick_registry.json", &(registry.render() + "\n"));
-    }
+    check_registry("fig5", true, &[false, true]);
 }
 
 #[test]
 fn fig5_full_registry_matches_snapshot() {
-    // The full-scale `fig5` registry: more faulting-page cells and the
-    // largest demand-paging cell, the regime the store-buffer drain and
-    // the skip clock's per-core wakes work hardest in. Full-scale `fig6`
-    // is too slow for the suite; the `pinned-binaries` CI job `cmp`s it
-    // under every pin.
-    use ise_sim::experiments::{fig5, fig5_demand_paging};
-    use ise_types::ToJson;
-    let rows = fig5(ise_bench::FIG5_PAGES_FULL, 4, true);
-    let io_rows = fig5_demand_paging(
-        ise_bench::FIG5_IO_PAGES_FULL,
-        ise_bench::FIG5_IO_LATENCY,
-        4,
-        true,
-    );
-    let registry = ise_bench::report_sections([
-        ("rows", rows.to_json()),
-        ("demand_paging", io_rows.to_json()),
-    ]);
-    check_golden("fig5_full_registry.json", &(registry.render() + "\n"));
+    // More faulting-page cells and the largest demand-paging cell: the
+    // regime the store-buffer drain and the skip clock's per-core wakes
+    // work hardest in.
+    check_registry("fig5", false, &[true]);
 }
 
 #[test]
 fn fig6_quick_registry_matches_snapshot() {
-    // Same contract for `fig6 --quick` (whole-workload runs, so this is
-    // the heavier of the two registry goldens). In-process it runs the
-    // skip clock only; the reference clock is the pinned `fig6 --quick`
-    // binary run in CI.
-    use ise_sim::experiments::{fig6, fig6_cloudsuite, Fig6Scale};
-    use ise_types::ToJson;
-    let scale = Fig6Scale::quick();
-    let rows = fig6(&scale, 4, true);
-    let ext = fig6_cloudsuite(&scale, 4, true);
-    let registry =
-        ise_bench::report_sections([("rows", rows.to_json()), ("cloudsuite", ext.to_json())]);
-    check_golden("fig6_quick_registry.json", &(registry.render() + "\n"));
+    // Whole-workload runs, so the heaviest golden: the skip clock only
+    // in-process. Full-scale `fig6` is too slow for the suite; CI `cmp`s
+    // it under every pin.
+    check_registry("fig6", true, &[true]);
 }
 
 #[test]
-fn table3_reports_match_snapshots() {
-    // The `JSON table3:` line of `table3 --quick` and of full-scale
-    // `table3`, under both clocks. The `pinned-binaries` CI job `cmp`s
-    // the release binary's line against the same files at both clock
-    // pins and worker counts 1 and 4.
-    use ise_sim::experiments::{table3, Table3Scale};
-    use ise_types::ToJson;
-    for (scale, name) in [
-        (Table3Scale::quick(), "table3_quick_report.json"),
-        (Table3Scale::full(), "table3_full_report.json"),
-    ] {
-        for skip in [false, true] {
-            let rows = table3(&scale, 4, skip);
-            let report = ise_bench::report_sections([("rows", rows.to_json())]).render();
-            check_golden(name, &(report + "\n"));
-        }
-    }
+fn table3_registries_match_snapshots() {
+    check_registry("table3", true, &[false, true]);
+    check_registry("table3", false, &[false, true]);
 }
 
 #[test]
@@ -195,8 +180,9 @@ fn seeded_bug_campaign_reports_match_snapshots() {
 #[test]
 fn bench_usage_errors_exit_2() {
     // Findings exit 1, so a CI leg that demands exit 1 must not be
-    // satisfied by a mistyped flag or bug name; and a mistyped `--quick`
-    // must not silently run the full scale.
+    // satisfied by a mistyped flag or bug name; a mistyped `--quick`
+    // must not silently run the full scale, nor an experiment without a
+    // quick scale ignore it.
     for (bin, args) in [
         (env!("CARGO_BIN_EXE_fuzz"), &["--bogus"][..]),
         (env!("CARGO_BIN_EXE_fuzz"), &["--seeded-bug", "nope"]),
@@ -207,8 +193,11 @@ fn bench_usage_errors_exit_2() {
         ),
         (env!("CARGO_BIN_EXE_trisection"), &["--seed", "x"]),
         (env!("CARGO_BIN_EXE_adversary"), &["--rounds", "-1"]),
-        (env!("CARGO_BIN_EXE_fig6"), &["--quik"]),
-        (env!("CARGO_BIN_EXE_table3"), &["--bogus"]),
+        (env!("CARGO_BIN_EXE_paper"), &[]),
+        (env!("CARGO_BIN_EXE_paper"), &["nosuch"]),
+        (env!("CARGO_BIN_EXE_paper"), &["fig6", "--quik"]),
+        (env!("CARGO_BIN_EXE_paper"), &["table1", "--quick"]),
+        (env!("CARGO_BIN_EXE_paper"), &["table3", "--bogus"]),
         (env!("CARGO_BIN_EXE_snapshot_smoke"), &["--bogus"]),
         (env!("CARGO_BIN_EXE_snapshot_smoke"), &[]),
         (env!("CARGO_BIN_EXE_litmus"), &["--bogus"]),
