@@ -1,5 +1,5 @@
 //! Golden snapshot tests: freeze the stdout of the cheap paper
-//! experiments, the Table 3, Fig. 5 and Fig. 6 registries, the campaign
+//! experiments, the Table 2, 3, 5 and 6 and Fig. 5 and 6 registries, the campaign
 //! verdicts for the four checked-in `litmus/` tests, the compiler
 //! mapping tables, and the seeded-bug fuzz and trisection campaign
 //! reports. Every paper experiment is run through `paper::run`, the
@@ -100,26 +100,39 @@ fn mapping_tables_match_snapshot() {
 }
 
 /// Pins the registry `paper <exp>` emits on its `JSON <exp>:` line, at
-/// one scale, under each clock in `skips`, on 4 workers. The
-/// `pinned-binaries` CI job re-derives the same bytes from the release
-/// binary under both `ISE_CYCLE_SKIP` pins and worker counts 1 and 4, so
-/// a change that moves *any* reported counter — or makes the clocks
-/// disagree — fails fast.
-fn check_registry(exp: &str, quick: bool, skips: &[bool]) {
-    let scale = if quick { "quick" } else { "full" };
+/// one scale (`Some(quick)`, golden `<exp>_<quick|full>_registry.json`)
+/// or, for an experiment with a single scale, `None` (golden
+/// `<exp>_registry.json`), under each clock in `skips`, on 4 workers.
+/// The `pinned-binaries` CI job re-derives the same bytes from the
+/// release binary under both `ISE_CYCLE_SKIP` pins and worker counts 1
+/// and 4, so a change that moves *any* reported counter — or makes the
+/// clocks disagree — fails fast.
+fn check_registry(exp: &str, quick: Option<bool>, skips: &[bool]) {
+    let name = match quick {
+        Some(true) => format!("{exp}_quick_registry.json"),
+        Some(false) => format!("{exp}_full_registry.json"),
+        None => format!("{exp}_registry.json"),
+    };
     for &skip in skips {
-        let report = run_passing(exp, quick, 4, skip);
+        let report = run_passing(exp, quick.unwrap_or(false), 4, skip);
         let registry = report.registry.expect("experiment has a registry");
-        check_golden(
-            &format!("{exp}_{scale}_registry.json"),
-            &(registry.render() + "\n"),
-        );
+        check_golden(&name, &(registry.render() + "\n"));
+    }
+}
+
+#[test]
+fn single_scale_registries_match_snapshots() {
+    // The text goldens drop the `JSON` line, so these pin Table 2's
+    // configuration, Table 5's audit counters and Table 6's per-family
+    // litmus counters.
+    for exp in ["table2", "table5", "table6"] {
+        check_registry(exp, None, &[false, true]);
     }
 }
 
 #[test]
 fn fig5_quick_registry_matches_snapshot() {
-    check_registry("fig5", true, &[false, true]);
+    check_registry("fig5", Some(true), &[false, true]);
 }
 
 #[test]
@@ -127,7 +140,7 @@ fn fig5_full_registry_matches_snapshot() {
     // More faulting-page cells and the largest demand-paging cell: the
     // regime the store-buffer drain and the skip clock's per-core wakes
     // work hardest in.
-    check_registry("fig5", false, &[true]);
+    check_registry("fig5", Some(false), &[true]);
 }
 
 #[test]
@@ -135,13 +148,13 @@ fn fig6_quick_registry_matches_snapshot() {
     // Whole-workload runs, so the heaviest golden: the skip clock only
     // in-process. Full-scale `fig6` is too slow for the suite; CI `cmp`s
     // it under every pin.
-    check_registry("fig6", true, &[true]);
+    check_registry("fig6", Some(true), &[true]);
 }
 
 #[test]
 fn table3_registries_match_snapshots() {
-    check_registry("table3", true, &[false, true]);
-    check_registry("table3", false, &[false, true]);
+    check_registry("table3", Some(true), &[false, true]);
+    check_registry("table3", Some(false), &[false, true]);
 }
 
 #[test]

@@ -805,6 +805,14 @@ mod tests {
             assert_eq!(w2.finish(), bytes, "model {model:?}");
             assert_eq!(back.in_flight(), orig.in_flight());
             assert_eq!(back.next_completion(), orig.next_completion());
+            // The restored buffer forwards the pushed words (word 6 is
+            // never stored) and stops forwarding each as it drains.
+            let forwards = |b: &StoreBuffer| {
+                (0..=6u64)
+                    .map(|i| b.forwards(Addr::new(i * 64)))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(forwards(&back), [true, true, true, true, true, true, false]);
             // Lockstep continuation: every completion, issue, and counter
             // must agree cycle by cycle until both buffers drain dry.
             for now in 1..4000u64 {
@@ -814,12 +822,18 @@ mod tests {
                 assert_eq!(back.in_flight(), orig.in_flight());
                 assert_eq!(back.drained(), orig.drained());
                 assert_eq!(back.next_completion(), orig.next_completion());
+                assert_eq!(forwards(&back), forwards(&orig), "forwards at {now}");
                 if orig.is_empty() {
                     break;
                 }
             }
             assert!(orig.is_empty(), "original drains to empty");
             assert!(back.is_empty(), "restored buffer drains to empty");
+            assert_eq!(
+                forwards(&back),
+                [false; 7],
+                "a drained buffer forwards nothing"
+            );
             assert_eq!(back.retired(), orig.retired());
         }
     }
@@ -1173,8 +1187,21 @@ mod tests {
                             naive.next_completion(),
                             "next_completion at {now} {ctx}"
                         );
-                        let probe = Addr::new((now % 24) * 8);
-                        assert_eq!(real.forwards(probe), naive.forwards(probe));
+                        // Forwarding for every buffered word, a hot and a
+                        // denied word that may have just left, and a word
+                        // never stored.
+                        let probes = naive.entries.iter().map(|e| e.0).chain([
+                            Addr::new((now % 24) * 8),
+                            Addr::new((0x2_0000 + now % 24) * 8),
+                            Addr::new(0x4_0000 * 8),
+                        ]);
+                        for probe in probes {
+                            assert_eq!(
+                                real.forwards(probe),
+                                naive.forwards(probe),
+                                "forwards {probe:?} at {now} {ctx}"
+                            );
+                        }
                         if real.idle > 0 && real.in_flight() > 0 {
                             mixed += 1;
                         }

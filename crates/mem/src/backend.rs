@@ -116,10 +116,15 @@ pub trait FaultOracle {
     /// the transaction through.
     fn check(&self, addr: Addr, is_store: bool) -> Option<ExceptionKind>;
 
-    /// Informs the oracle of the current cycle before a batch of checks.
+    /// Informs the oracle of the cycle of the hierarchy's latest access.
     /// Stateless oracles (EInject's bitmap) ignore it; time-dependent
     /// ones (windowed chaos faults) use it to decide whether they are
-    /// active. The hierarchy calls this once per access.
+    /// active. The hierarchy hands the cycle over only before the
+    /// oracle's clock is read: before each of its own LLC-miss checks,
+    /// and when its owner calls `MemoryHierarchy::sync_oracle_clock`
+    /// before reading the oracle another way. Every read therefore sees
+    /// the cycle of the latest access, as if it were handed over on
+    /// every access.
     fn advance_to(&self, _now: Cycle) {}
 }
 

@@ -2,13 +2,13 @@
 //!
 //! Tag state is struct-of-arrays, allocated on first touch. The sets are
 //! grouped into chunks of [`CHUNK_SETS`]; one allocation per chunk holds
-//! its tags, LRU stamps and packed valid+dirty flags, indexed by
-//! `(set % CHUNK_SETS) * ways + way`. The first `insert` into a chunk's
-//! sets creates it. Probing a chunk that does not exist reports a miss
-//! and allocates nothing, so building an array costs one pointer per
-//! chunk instead of zero-filling every slot (an `l2_isca23` tile has
-//! 16 384 lines; a short run touches a few hundred). A chunk, once
-//! created, never reallocates.
+//! its tags (each carrying its valid flag), LRU stamps and packed dirty
+//! flags, indexed by `(set % CHUNK_SETS) * ways + way`. The first
+//! `insert` into a chunk's sets creates it. Probing a chunk that does
+//! not exist reports a miss and allocates nothing, so building an array
+//! costs one pointer per chunk instead of zero-filling every slot (an
+//! `l2_isca23` tile has 16 384 lines; a short run touches a few
+//! hundred). A chunk, once created, never reallocates.
 //!
 //! A missing chunk behaves exactly like a zero-filled one, so the
 //! persisted `CACH` section keeps the dense encoding of a flat array:
@@ -25,6 +25,10 @@ use ise_types::persist::{Persist, PersistError, Reader, Writer};
 
 const FLAG_VALID: u8 = 1 << 0;
 const FLAG_DIRTY: u8 = 1 << 1;
+/// A chunk keeps each way's valid flag in the top bit of its tag word
+/// (tags are block numbers over the set count, below `2^58`), so a way
+/// search compares tag words only and never reads the flag bytes.
+const TAG_VALID: u64 = 1 << 63;
 
 /// Sets per lazily allocated chunk. Smaller chunks zero-fill less per
 /// touched set; eight keeps a chunk of an `l2_isca23` tile near 2 KiB
@@ -82,8 +86,9 @@ impl BlockDivisor {
 }
 
 /// The slots of up to `CHUNK_SETS` consecutive sets in one allocation:
-/// the `slots` tags, then the `slots` LRU stamps, then the `slots` flag
-/// bytes packed eight to a word in little-endian byte order.
+/// the `slots` tags (each with its valid flag, see [`TAG_VALID`]), then
+/// the `slots` LRU stamps, then the `slots` other flag bytes packed
+/// eight to a word in little-endian byte order.
 #[derive(Debug, Clone)]
 struct Chunk {
     words: Box<[u64]>,
@@ -99,7 +104,11 @@ impl Chunk {
     }
 
     fn tag(&self, i: usize) -> u64 {
-        self.words[i]
+        self.words[i] & !TAG_VALID
+    }
+
+    fn is_valid(&self, i: usize) -> bool {
+        self.words[i] & TAG_VALID != 0
     }
 
     fn lru(&self, i: usize) -> u64 {
@@ -107,7 +116,7 @@ impl Chunk {
     }
 
     fn flags(&self, i: usize) -> u8 {
-        (self.words[2 * self.slots + i / 8] >> (i % 8 * 8)) as u8
+        (self.words[2 * self.slots + i / 8] >> (i % 8 * 8)) as u8 | u8::from(self.is_valid(i))
     }
 
     fn set_lru(&mut self, i: usize, stamp: u64) {
@@ -115,9 +124,10 @@ impl Chunk {
     }
 
     fn set_flags(&mut self, i: usize, flags: u8) {
+        self.words[i] = self.words[i] & !TAG_VALID | u64::from(flags & FLAG_VALID) << 63;
         let shift = i % 8 * 8;
         let word = &mut self.words[2 * self.slots + i / 8];
-        *word = *word & !(0xff << shift) | u64::from(flags) << shift;
+        *word = *word & !(0xff << shift) | u64::from(flags & !FLAG_VALID) << shift;
     }
 
     fn fill(&mut self, i: usize, tag: u64, stamp: u64, flags: u8) {
@@ -127,16 +137,15 @@ impl Chunk {
     }
 
     /// Slot of the valid way holding `tag` in the `ways` slots from
-    /// `base`: one pass over the set's tags, checking the valid flag
-    /// only on a tag match (an invalidated way keeps its stale tag).
+    /// `base`: one pass over the set's tag words (an invalidated way
+    /// keeps its stale tag without the valid bit, so it never matches).
     #[inline]
     fn find(&self, base: usize, ways: usize, tag: u64) -> Option<usize> {
+        let key = tag | TAG_VALID;
         self.words[base..base + ways]
             .iter()
-            .enumerate()
-            .filter(|&(_, &t)| t == tag)
-            .map(|(way, _)| base + way)
-            .find(|&i| self.flags(i) & FLAG_VALID != 0)
+            .position(|&t| t == key)
+            .map(|way| base + way)
     }
 }
 
@@ -227,11 +236,25 @@ impl CacheArray {
 
     /// Probes for `line` (line-aligned address), refreshing LRU on hit.
     pub fn lookup(&mut self, line: Addr) -> bool {
+        self.probe(line, false)
+    }
+
+    /// A store's probe: [`CacheArray::lookup`] that also marks the line
+    /// dirty on a hit, through the slot the probe found.
+    pub fn store_hit(&mut self, line: Addr) -> bool {
+        self.probe(line, true)
+    }
+
+    #[inline]
+    fn probe(&mut self, line: Addr, dirty: bool) -> bool {
         debug_assert_eq!(line, line.line(), "lookup requires a line-aligned address");
         self.tick += 1;
         let tick = self.tick;
         if let Some((chunk, i)) = self.find_mut(line) {
             chunk.set_lru(i, tick);
+            if dirty {
+                chunk.set_flags(i, chunk.flags(i) | FLAG_DIRTY);
+            }
             true
         } else {
             false
@@ -244,13 +267,6 @@ impl CacheArray {
         self.chunks[c]
             .as_ref()
             .is_some_and(|chunk| chunk.find(base, self.ways, tag).is_some())
-    }
-
-    /// Marks a resident line dirty (stores). No-op if absent.
-    pub fn mark_dirty(&mut self, line: Addr) {
-        if let Some((chunk, i)) = self.find_mut(line) {
-            chunk.set_flags(i, chunk.flags(i) | FLAG_DIRTY);
-        }
     }
 
     /// Installs `line`, evicting the LRU way if the set is full.
@@ -273,7 +289,7 @@ impl CacheArray {
             return Eviction::None;
         }
         // Free way.
-        if let Some(i) = (base..base + ways).find(|&i| chunk.flags(i) & FLAG_VALID == 0) {
+        if let Some(i) = (base..base + ways).find(|&i| !chunk.is_valid(i)) {
             chunk.fill(i, tag, tick, flags);
             return Eviction::None;
         }
@@ -308,11 +324,7 @@ impl CacheArray {
         self.chunks
             .iter()
             .flatten()
-            .map(|chunk| {
-                (0..chunk.slots)
-                    .filter(|&i| chunk.flags(i) & FLAG_VALID != 0)
-                    .count()
-            })
+            .map(|chunk| (0..chunk.slots).filter(|&i| chunk.is_valid(i)).count())
             .sum()
     }
 
@@ -387,7 +399,11 @@ impl Persist for CacheArray {
                 }
                 let mut chunk = Chunk::zeroed(hi - lo);
                 for (i, &f) in flags.iter().enumerate() {
-                    chunk.fill(i, le_word(tags, i), le_word(lru, i), f);
+                    let tag = le_word(tags, i);
+                    if tag & TAG_VALID != 0 {
+                        return Err(PersistError::Corrupt("cache tag out of range"));
+                    }
+                    chunk.fill(i, tag, le_word(lru, i), f);
                 }
                 array.chunks[c] = Some(chunk);
             }
@@ -535,7 +551,7 @@ pub(crate) mod tests {
     fn invalidate_removes_and_reports_dirty() {
         let mut c = tiny();
         c.insert(line(0), false);
-        c.mark_dirty(line(0));
+        assert!(c.store_hit(line(0)));
         assert_eq!(c.invalidate(line(0)), Some(true));
         assert_eq!(c.invalidate(line(0)), None);
         assert!(!c.contains(line(0)));
@@ -565,6 +581,19 @@ pub(crate) mod tests {
         assert_eq!(back.insert(line(4), false), c.insert(line(4), false));
         assert_eq!(back.insert(line(6), true), c.insert(line(6), true));
         assert_eq!(back.occupancy(), c.occupancy());
+    }
+
+    #[test]
+    fn restore_rejects_a_tag_with_the_valid_bit() {
+        // The top bit of an in-memory tag word is the valid flag, so a
+        // saved tag that sets it has no faithful restore.
+        let mut dense = DenseArray::new(&CacheConfig::l1d_isca23());
+        dense.tags[0] = TAG_VALID | 1;
+        let bytes = ise_types::persist::save_container(&dense);
+        assert!(matches!(
+            ise_types::persist::restore_container::<CacheArray>(&bytes),
+            Err(PersistError::Corrupt("cache tag out of range"))
+        ));
     }
 
     /// The flat layout this array replaced, kept as the naive model:
@@ -623,11 +652,13 @@ pub(crate) mod tests {
             self.find(set, tag).is_some()
         }
 
-        fn mark_dirty(&mut self, line: Addr) {
+        fn store_hit(&mut self, line: Addr) -> bool {
+            let hit = self.lookup(line);
             let (set, tag) = self.index_tag(line);
             if let Some(i) = self.find(set, tag) {
                 self.flags[i] |= FLAG_DIRTY;
             }
+            hit
         }
 
         fn insert(&mut self, line: Addr, dirty: bool) -> Eviction {
@@ -725,10 +756,11 @@ pub(crate) mod tests {
                     dense.contains(l),
                     "contains at step {step}"
                 ),
-                6 => {
-                    lazy.mark_dirty(l);
-                    dense.mark_dirty(l);
-                }
+                6 => assert_eq!(
+                    lazy.store_hit(l),
+                    dense.store_hit(l),
+                    "store hit at step {step}"
+                ),
                 _ => assert_eq!(
                     lazy.invalidate(l),
                     dense.invalidate(l),
@@ -797,7 +829,7 @@ pub(crate) mod tests {
         // Probes of untouched sets miss without creating a chunk.
         assert!(!c.lookup(line(5)));
         assert!(!c.contains(line(5)));
-        c.mark_dirty(line(5));
+        assert!(!c.store_hit(line(5)));
         assert_eq!(c.invalidate(line(5)), None);
         assert!(c.chunks.iter().all(Option::is_none));
         c.insert(line(5), false);

@@ -9,7 +9,7 @@
 
 use crate::backend::{Dram, FaultOracle, MemBackend, MemRequest, NoFaults};
 use crate::cache::{BlockDivisor, CacheArray, Eviction};
-use crate::mesi::{Directory, ReadAction};
+use crate::mesi::{Directory, ReadAction, SharerSet};
 use crate::mshr::MshrFile;
 use crate::tlb::Tlb;
 use ise_engine::Cycle;
@@ -139,6 +139,11 @@ pub struct MemoryHierarchy {
     dir: Directory,
     dram: Dram,
     oracle: Rc<dyn FaultOracle>,
+    /// Cycle of the latest access, handed to the oracle only before its
+    /// clock is read (see [`MemoryHierarchy::sync_oracle_clock`]). `None`
+    /// until the first access after construction, reset or restore: the
+    /// oracle's clock is then still the one it holds.
+    last_access: Option<Cycle>,
     stats: HierarchyStats,
 }
 
@@ -185,6 +190,7 @@ impl MemoryHierarchy {
             dir: Directory::new(),
             dram: Dram::new(cfg.memory),
             oracle,
+            last_access: None,
             cfg,
             stats: HierarchyStats::default(),
         }
@@ -203,7 +209,21 @@ impl MemoryHierarchy {
         self.l2.iter_mut().for_each(CacheArray::reset);
         self.dir.reset();
         self.dram.reset();
+        self.last_access = None;
         self.stats = HierarchyStats::default();
+    }
+
+    /// Hands the cycle of the latest access to the fault oracle, whose
+    /// clock decides time-windowed faults. [`MemoryHierarchy::access`]
+    /// does this itself before each LLC-miss check; an owner that reads
+    /// the oracle's clock in between (an OS handler probing the fault
+    /// source, a snapshot saving it, a caller inspecting it after a run)
+    /// calls this first, and then sees the clock a per-access hand-over
+    /// would have left.
+    pub fn sync_oracle_clock(&self) {
+        if let Some(now) = self.last_access {
+            self.oracle.advance_to(now);
+        }
     }
 
     /// The system configuration.
@@ -276,24 +296,29 @@ impl MemoryHierarchy {
             "core {} out of range",
             core.index()
         );
-        self.oracle.advance_to(now);
+        self.last_access = Some(now);
         let line = acc.addr.line();
         let mut latency: Cycle = self.tlbs[core.index()].access(acc.addr.page());
 
-        // L1D probe.
+        // L1D probe; a store hit marks the line dirty in the same probe.
         latency += self.cfg.l1d.latency;
-        if self.l1d[core.index()].lookup(line) {
+        let l1 = &mut self.l1d[core.index()];
+        let hit = if acc.is_store {
+            l1.store_hit(line)
+        } else {
+            l1.lookup(line)
+        };
+        if hit {
             if acc.is_store {
                 // Need write permission: consult the directory for an
                 // upgrade if others share the line.
-                let entry = self.dir.entry(line);
-                if entry.sharer_count() > 1 {
-                    latency += self.upgrade_cost(line, core, now + latency);
-                    self.invalidate_peers(line, core);
+                let sharers = self.dir.entry(line).sharer_set();
+                if sharers.len() > 1 {
+                    latency += self.upgrade_cost(line, sharers, core, now + latency);
+                    self.invalidate_peers(line, sharers, core);
                 }
                 // Sole owner (or just upgraded): silent M transition.
                 let _ = self.dir.write(line, core);
-                self.l1d[core.index()].mark_dirty(line);
             }
             self.stats.l1_hits += 1;
             return AccessResult {
@@ -372,6 +397,7 @@ impl MemoryHierarchy {
             }
             _ => {
                 // LLC miss: cross the LLC<->memory boundary.
+                self.oracle.advance_to(now);
                 if let Some(kind) = self.oracle.check(line, false) {
                     // Denied: error response straight back to requester.
                     *latency += self.noc(home, my_tile, CTRL_BYTES, now + *latency);
@@ -408,6 +434,7 @@ impl MemoryHierarchy {
 
         if !anywhere_cached {
             // Fetch-for-ownership from memory, guarded by the oracle.
+            self.oracle.advance_to(now);
             if let Some(kind) = self.oracle.check(line, true) {
                 *latency += self.noc(home, my_tile, CTRL_BYTES, now + *latency);
                 return (ServicedBy::Memory, Some(kind));
@@ -462,14 +489,14 @@ impl MemoryHierarchy {
     }
 
     /// Cost of a store upgrade when the line is already in the
-    /// requester's L1 but shared by others.
-    fn upgrade_cost(&mut self, line: Addr, core: CoreId, now: Cycle) -> Cycle {
+    /// requester's L1 but shared by others (`sharers`, the requester
+    /// included).
+    fn upgrade_cost(&mut self, line: Addr, sharers: SharerSet, core: CoreId, now: Cycle) -> Cycle {
         let home = self.home_of(line);
         let my_tile = self.tile_of(core);
         let mut cost = self.noc(my_tile, home, CTRL_BYTES, now);
-        let entry = self.dir.entry(line);
         let mut worst = 0;
-        for victim in entry.sharer_set().iter() {
+        for victim in sharers.iter() {
             if victim == core {
                 continue;
             }
@@ -483,8 +510,8 @@ impl MemoryHierarchy {
         cost
     }
 
-    fn invalidate_peers(&mut self, line: Addr, core: CoreId) {
-        for victim in self.dir.entry(line).sharer_set().iter() {
+    fn invalidate_peers(&mut self, line: Addr, sharers: SharerSet, core: CoreId) {
+        for victim in sharers.iter() {
             if victim != core {
                 self.l1d[victim.index()].invalidate(line);
             }
@@ -568,6 +595,8 @@ impl MemoryHierarchy {
             self.dir = Directory::restore(r)?;
             self.dram.restore_state(r)?;
             self.stats = HierarchyStats::restore(r)?;
+            // The oracle's clock is restored by its owner.
+            self.last_access = None;
             Ok(())
         })
     }

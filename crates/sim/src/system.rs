@@ -502,6 +502,8 @@ impl System {
     }
 
     fn handle_imprecise(&mut self, i: usize, entries: Vec<ise_types::FaultingStoreEntry>) {
+        // The handler probes and re-checks the fault sources.
+        self.hier.sync_oracle_clock();
         let core_id = CoreId(i);
         if let Some(m) = self.monitor.as_mut() {
             m.record(OrderEvent::Detect { core: core_id });
@@ -617,6 +619,7 @@ impl System {
     }
 
     fn handle_precise(&mut self, i: usize, addr: Addr, kind: ise_types::ExceptionKind) {
+        self.hier.sync_oracle_clock();
         self.tel.event(
             self.now,
             i as u32,
@@ -659,6 +662,8 @@ impl System {
     /// embedded identity fingerprint enforces their reconstruction.
     pub fn snapshot(&self) -> Vec<u8> {
         use ise_types::persist::{Persist, Writer};
+        // The fault sources' state includes their clock.
+        self.hier.sync_oracle_clock();
         let mut w = Writer::container();
         w.section(*b"SYS0", |w| {
             w.u64(self.identity());
@@ -887,6 +892,8 @@ impl System {
             }
         };
         self.wake = wake;
+        // The caller may read the fault sources next.
+        self.hier.sync_oracle_clock();
         completed
     }
 
@@ -1662,5 +1669,158 @@ mod tests {
         assert!(System::new(small_cfg(), &w)
             .restore_from(&snap[..snap.len() - 9])
             .is_err());
+    }
+
+    /// Wraps a fault injector and logs its clock at every read of it:
+    /// each check (the hierarchy's LLC-miss checks and the OS handler's
+    /// re-issues), each probe by the handler and each snapshot.
+    struct ClockProbe {
+        inner: ise_core::FaultInjector,
+        reads: std::cell::RefCell<Vec<(&'static str, Cycle)>>,
+    }
+
+    impl ClockProbe {
+        fn log(&self, what: &'static str) {
+            self.reads.borrow_mut().push((what, self.inner.now()));
+        }
+    }
+
+    impl ise_mem::FaultOracle for ClockProbe {
+        fn check(&self, addr: Addr, is_store: bool) -> Option<ise_types::ExceptionKind> {
+            self.log("check");
+            self.inner.check(addr, is_store)
+        }
+
+        fn advance_to(&self, now: Cycle) {
+            self.inner.advance_to(now);
+        }
+    }
+
+    impl FaultResolver for ClockProbe {
+        fn is_faulting(&self, addr: Addr) -> bool {
+            self.log("probe");
+            self.inner.is_faulting(addr)
+        }
+
+        fn resolve(&self, addr: Addr) {
+            self.inner.resolve(addr);
+        }
+
+        fn save_state(&self, w: &mut ise_types::persist::Writer) {
+            self.log("save");
+            self.inner.save_state(w);
+        }
+    }
+
+    #[test]
+    fn fault_source_clock_is_the_latest_access_wherever_it_is_read() {
+        // The hierarchy hands its clock to the fault sources lazily; every
+        // reader must still see the cycle of the latest access, as with a
+        // hand-over on every access. One core: a cold load warms line
+        // `hot`, then a store to `p` (always denied) and one to `q`
+        // (denied inside a window), then a stream of loads that hit `hot`
+        // while the denied drains travel. The drains' LLC-miss checks are
+        // the last checks before the handler; the handler then probes `q`,
+        // which was drained alongside `p` with no error code of its own.
+        use ise_core::FaultPlan;
+        use ise_types::{FaultKind, FaultSpec};
+        let p = Addr::new(EINJECT_BASE);
+        let q = p.offset(PAGE_SIZE);
+        let hot = Addr::new(0x40_0000);
+        let mut trace = vec![
+            Instruction::load(hot, ise_types::instr::Reg(1)),
+            Instruction::store(p, 1),
+            Instruction::store(q, 2),
+        ];
+        trace.extend((0..1000).map(|_| Instruction::load(hot, ise_types::instr::Reg(1))));
+        let workload = Workload {
+            name: "clock-probe".into(),
+            traces: vec![trace.into()],
+            einject_pages: vec![],
+        };
+        let build = |until: Cycle| {
+            let probe = Rc::new(ClockProbe {
+                inner: FaultPlan::new(7)
+                    .page(p.page(), FaultSpec::bus_error(FaultKind::Permanent))
+                    .page(
+                        q.page(),
+                        FaultSpec::bus_error(FaultKind::Windowed { from: 0, until }),
+                    )
+                    .build(),
+                reads: Default::default(),
+            });
+            let sys = System::with_fault_sources(
+                small_cfg(),
+                &workload,
+                vec![probe.clone() as Rc<dyn FaultResolver>],
+            );
+            (sys, probe)
+        };
+        // The reference: step one cycle per `run_to` and note after each
+        // cycle the latest cycle with an access so far, and which reads
+        // fell in that cycle. With one core, the reads of a cycle come
+        // after its accesses (a check is part of its access, and the
+        // handler runs after the step).
+        let reference = |until: Cycle| {
+            let (mut sys, probe) = build(until);
+            let (mut latest, mut accesses) = (0, 0);
+            let mut latest_at = Vec::new();
+            let mut truth = Vec::new();
+            loop {
+                let done = sys.run_to(sys.now + 1, false);
+                let stats = sys.hier.stats();
+                if stats.l1_hits + stats.l1_misses > accesses {
+                    accesses = stats.l1_hits + stats.l1_misses;
+                    latest = latest_at.len() as Cycle;
+                }
+                latest_at.push(latest);
+                let reads = probe.reads.borrow();
+                truth.extend(reads[truth.len()..].iter().map(|&(what, _)| (what, latest)));
+                if done {
+                    break (truth, latest_at);
+                }
+            }
+        };
+
+        // Close `q`'s window at the cycle the handler probes it: after the
+        // last LLC-miss check, which is inside the window.
+        let (truth, _) = reference(Cycle::MAX);
+        let handler = truth.iter().position(|&(what, _)| what == "probe").unwrap();
+        let last_check = truth[..handler]
+            .iter()
+            .rposition(|&(what, _)| what == "check");
+        let (until, closed) = (truth[handler].1, truth[last_check.unwrap()].1);
+        assert!(
+            closed < until,
+            "an access must fall between the check and the handler"
+        );
+        let (truth, latest_at) = reference(until);
+
+        for skip in [false, true] {
+            let (mut sys, probe) = build(until);
+            // Cut once after the handler: the caller of `run_to` and a
+            // snapshot read the clock there.
+            let cut = until + 40;
+            assert!(!sys.run_to(cut, skip));
+            probe.log("caller");
+            sys.snapshot();
+            assert!(sys.run_to(1_000_000, skip));
+            probe.log("caller");
+            let stats = sys.finalize();
+            let reads = probe.reads.take();
+            let mut expected = truth.clone();
+            let at_cut = latest_at[cut as usize - 1];
+            let cut_read = reads
+                .iter()
+                .position(|&(what, _)| what == "caller")
+                .unwrap();
+            expected.splice(cut_read..cut_read, [("caller", at_cut), ("save", at_cut)]);
+            expected.push(("caller", *latest_at.last().unwrap()));
+            assert_eq!(reads, expected, "skip={skip}");
+            // The handler saw the window closed: `q` was not counted as a
+            // faulting store, only `p` was.
+            assert_eq!(stats.faulting_stores, 1, "skip={skip}");
+            assert_eq!(stats.imprecise_exceptions, 1, "skip={skip}");
+        }
     }
 }
