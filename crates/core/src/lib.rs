@@ -18,17 +18,13 @@
 //! [`interface::ContractMonitor`] records the formalism's operations
 //! (DETECT, PUT, GET, S_OS, RESOLVE — Table 4) as they happen and checks
 //! the Table 5 contract between cores, interface and OS at runtime.
+//!
+//! [`resolver::CompositeResolver`] chains further fault sources behind
+//! EInject on the same seam — the chaos layer's [`faults::FaultInjector`]
+//! — and routes the OS's *resolve* to whichever source raised a fault.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
-
-//!
-//! Two additional fault *sources* model the paper's motivating systems
-//! (§2.2): [`tako::Tako`], a near-cache accelerator whose callbacks can
-//! page-fault or trap while servicing plain loads/stores, and
-//! [`midgard::MidgardMmu`], an intermediate-address-space MMU whose
-//! heavyweight page-level translation runs only on LLC misses — both
-//! plug into the same [`ise_mem::FaultOracle`] seam as EInject.
 
 pub use ise_types::persist;
 
@@ -37,15 +33,11 @@ pub mod faults;
 pub mod fsb;
 pub mod fsbc;
 pub mod interface;
-pub mod midgard;
 pub mod resolver;
-pub mod tako;
 
 pub use einject::EInject;
 pub use faults::{FaultInjector, FaultPlan};
 pub use fsb::{Fsb, FsbFullError, FsbRegisters};
 pub use fsbc::{DrainReceipt, Fsbc};
 pub use interface::{ContractMonitor, ContractViolation, OrderEvent};
-pub use midgard::MidgardMmu;
 pub use resolver::{CompositeResolver, FaultResolver};
-pub use tako::Tako;

@@ -4,16 +4,14 @@
 //! transaction at the LLC↔memory boundary. The OS handler needs one more
 //! verb — *resolve the cause* for an address so the re-issued (or
 //! OS-applied) store succeeds. EInject resolves by clearing the page
-//! bit; täkō by faulting in callback metadata and repairing poisoned
-//! data; Midgard by installing the Midgard→physical mapping.
+//! bit; the chaos [`FaultInjector`](crate::faults::FaultInjector) by
+//! clearing its planned page (a transient cause only heals itself).
 //!
 //! [`CompositeResolver`] chains several sources in priority order, so a
-//! system can run EInject *and* an accelerator *and* late translation at
-//! once — each denial resolved by whichever source raised it.
+//! system can run EInject *and* injected chaos faults at once — each
+//! denial resolved by whichever source raised it.
 
 use crate::einject::EInject;
-use crate::midgard::MidgardMmu;
-use crate::tako::Tako;
 use ise_mem::FaultOracle;
 use ise_types::addr::Addr;
 use ise_types::exception::ExceptionKind;
@@ -62,43 +60,6 @@ impl FaultResolver for EInject {
 
     fn restore_state(&self, r: &mut Reader) -> Result<(), PersistError> {
         EInject::restore_state(self, r)
-    }
-}
-
-impl FaultResolver for Tako {
-    fn is_faulting(&self, addr: Addr) -> bool {
-        self.probe(addr)
-    }
-
-    fn resolve(&self, addr: Addr) {
-        self.resolve_page(addr);
-        self.repair(addr);
-    }
-
-    fn save_state(&self, w: &mut Writer) {
-        Tako::save_state(self, w);
-    }
-
-    fn restore_state(&self, r: &mut Reader) -> Result<(), PersistError> {
-        Tako::restore_state(self, r)
-    }
-}
-
-impl FaultResolver for MidgardMmu {
-    fn is_faulting(&self, addr: Addr) -> bool {
-        self.probe(addr)
-    }
-
-    fn resolve(&self, addr: Addr) {
-        self.map_page(addr);
-    }
-
-    fn save_state(&self, w: &mut Writer) {
-        MidgardMmu::save_state(self, w);
-    }
-
-    fn restore_state(&self, r: &mut Reader) -> Result<(), PersistError> {
-        MidgardMmu::restore_state(self, r)
     }
 }
 
@@ -189,8 +150,34 @@ impl FaultResolver for CompositeResolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tako::Callback;
+    use crate::faults::{FaultInjector, FaultPlan};
     use ise_types::addr::PAGE_SIZE;
+    use ise_types::faults::{FaultKind, FaultSpec};
+
+    const E_BASE: u64 = 0x10_0000;
+    /// Planned in the injector and inside EInject's region.
+    const SHARED: Addr = Addr::new(E_BASE);
+    /// Inside EInject's region only.
+    const IN_E: Addr = Addr::new(E_BASE + PAGE_SIZE);
+    /// Planned in the injector, past EInject's four pages.
+    const IN_F: Addr = Addr::new(E_BASE + 4 * PAGE_SIZE);
+
+    /// EInject ahead of an injector that raises permanent page faults on
+    /// `SHARED` and `IN_F`.
+    fn sources() -> (Rc<EInject>, Rc<FaultInjector>, CompositeResolver) {
+        let e = Rc::new(EInject::new(Addr::new(E_BASE), 4 * PAGE_SIZE));
+        let spec = FaultSpec {
+            kind: FaultKind::Permanent,
+            exception: ExceptionKind::PageFault,
+        };
+        let f = Rc::new(
+            FaultPlan::new(1)
+                .pages([SHARED.page(), IN_F.page()], spec)
+                .build(),
+        );
+        let c = CompositeResolver::new(vec![e.clone(), f.clone()]);
+        (e, f, c)
+    }
 
     #[test]
     fn einject_resolver_clears_pages() {
@@ -203,52 +190,29 @@ mod tests {
     }
 
     #[test]
-    fn tako_resolver_repairs_and_pages_in() {
-        let t = Tako::new(Addr::new(0x20_0000), 4 * PAGE_SIZE, Callback::Encryption);
-        let a = Addr::new(0x20_0000);
-        t.make_cold(a);
-        t.poison(a.offset(PAGE_SIZE));
-        assert!(t.is_faulting(a));
-        assert!(t.is_faulting(a.offset(PAGE_SIZE)));
-        t.resolve(a);
-        t.resolve(a.offset(PAGE_SIZE));
-        assert!(!t.is_faulting(a));
-        assert!(!t.is_faulting(a.offset(PAGE_SIZE)));
-    }
-
-    #[test]
-    fn midgard_resolver_maps_pages() {
-        let m = MidgardMmu::new();
-        m.map_vma(Addr::new(0x30_0000), 4 * PAGE_SIZE, true);
-        let a = Addr::new(0x30_0000);
-        assert!(m.is_faulting(a));
-        FaultResolver::resolve(&m, a);
-        assert!(!FaultResolver::is_faulting(&m, a));
-    }
-
-    #[test]
     fn composite_chains_and_resolves_the_right_source() {
-        let e = Rc::new(EInject::new(Addr::new(0x10_0000), 4 * PAGE_SIZE));
-        let t = Rc::new(Tako::new(
-            Addr::new(0x20_0000),
-            4 * PAGE_SIZE,
-            Callback::Scatter,
-        ));
-        let c = CompositeResolver::new(vec![e.clone(), t.clone()]);
+        let (e, f, c) = sources();
         assert_eq!(c.len(), 2);
-        let in_e = Addr::new(0x10_0000);
-        let in_t = Addr::new(0x20_0000);
-        e.set_faulting(in_e);
-        t.poison(in_t);
-        assert!(c.check(in_e, true).is_some());
-        assert!(matches!(
-            c.check(in_t, true),
-            Some(ExceptionKind::AcceleratorFault(_))
-        ));
-        c.resolve(in_e);
-        c.resolve(in_t);
-        assert_eq!(c.check(in_e, true), None);
-        assert_eq!(c.check(in_t, true), None);
+        e.set_faulting(SHARED);
+        e.set_faulting(IN_E);
+        // The first denial wins: EInject answers for the shared page and
+        // the injector behind it is never consulted there.
+        assert_eq!(c.check(SHARED, true), Some(ExceptionKind::BusError));
+        assert_eq!(c.check(IN_F, true), Some(ExceptionKind::PageFault));
+        assert_eq!(f.denied_count(), 1);
+        // Resolution reaches only the sources that fault at the address.
+        c.resolve(IN_E);
+        assert!(!e.is_faulting(IN_E));
+        assert_eq!(f.resolved_count(), 0);
+        c.resolve(IN_F);
+        assert_eq!(f.resolved_count(), 1);
+        assert_eq!(e.mmio_writes().1, 1, "EInject's clr register untouched");
+        c.resolve(SHARED);
+        assert!(!e.is_faulting(SHARED));
+        assert_eq!(f.resolved_count(), 2);
+        for a in [SHARED, IN_E, IN_F] {
+            assert_eq!(c.check(a, true), None);
+        }
     }
 
     #[test]
@@ -259,31 +223,29 @@ mod tests {
 
     #[test]
     fn composite_persists_every_source_in_order() {
-        let build = || {
-            let e = Rc::new(EInject::new(Addr::new(0x10_0000), 4 * PAGE_SIZE));
-            let t = Rc::new(Tako::new(
-                Addr::new(0x20_0000),
-                4 * PAGE_SIZE,
-                Callback::Scatter,
-            ));
-            (e.clone(), t.clone(), CompositeResolver::new(vec![e, t]))
-        };
-        let (e, t, c) = build();
-        e.set_faulting(Addr::new(0x10_0000));
-        t.poison(Addr::new(0x20_0000 + PAGE_SIZE));
+        let (e, f, c) = sources();
+        e.set_faulting(IN_E);
+        f.resolve(IN_F);
         let mut w = Writer::container();
         FaultResolver::save_state(&c, &mut w);
         let bytes = w.finish();
 
-        let (e2, t2, c2) = build();
+        let (e2, f2, c2) = sources();
         let mut r = Reader::container(&bytes).unwrap();
         FaultResolver::restore_state(&c2, &mut r).unwrap();
-        assert!(e2.is_faulting(Addr::new(0x10_0000)));
-        assert!(t2.probe(Addr::new(0x20_0000 + PAGE_SIZE)));
-        assert!(c2.is_faulting(Addr::new(0x10_0000)));
+        assert!(e2.is_faulting(IN_E));
+        assert_eq!(f2.cleared_pages(), vec![IN_F.page()]);
+        assert!(c2.is_faulting(IN_E));
+        assert!(c2.is_faulting(SHARED));
+        assert!(!c2.is_faulting(IN_F));
+        // The same sources chained in the other order do not restore.
+        let (e3, f3, _) = sources();
+        let swapped = CompositeResolver::new(vec![f3, e3]);
+        let mut r = Reader::container(&bytes).unwrap();
+        assert!(FaultResolver::restore_state(&swapped, &mut r).is_err());
         // Source-count mismatch is rejected.
         let lone = CompositeResolver::new(vec![Rc::new(EInject::new(
-            Addr::new(0x10_0000),
+            Addr::new(E_BASE),
             4 * PAGE_SIZE,
         ))]);
         let mut r = Reader::container(&bytes).unwrap();

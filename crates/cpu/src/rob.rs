@@ -220,7 +220,9 @@ impl RobRing {
         let tagged = word + 1;
         let mut i = Self::hash(word) & self.word_mask;
         while self.word_keys[i] != tagged {
-            debug_assert_ne!(self.word_keys[i], 0, "removing an untracked store word");
+            // Checked in release too: an untracked word would cycle the
+            // probe table forever.
+            assert_ne!(self.word_keys[i], 0, "removing an untracked store word");
             i = (i + 1) & self.word_mask;
         }
         self.word_counts[i] -= 1;
@@ -585,5 +587,13 @@ mod tests {
         for w in 0..7 {
             assert!(!ring.forwards_store(w), "empty ROB forwards nothing");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "removing an untracked store word")]
+    fn removing_an_untracked_word_panics_instead_of_spinning() {
+        let mut ring = RobRing::new(4);
+        ring.push_back(Instruction::store(Addr::new(8), 1), 0, None);
+        ring.word_remove(2);
     }
 }

@@ -90,15 +90,6 @@ impl SystemStats {
         self.cores.iter().map(|c| c.retired).sum()
     }
 
-    /// Aggregate IPC.
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.retired() as f64 / self.cycles as f64
-        }
-    }
-
     /// Mean *faulting* stores handled per imprecise exception (the
     /// batching factor of §5.3).
     pub fn batch_factor(&self) -> f64 {
@@ -239,9 +230,10 @@ impl System {
     }
 
     /// Builds a system with additional fault sources chained behind
-    /// EInject — a täkō accelerator, a Midgard MMU, or any other
-    /// [`FaultResolver`]. All sources watch the LLC↔memory boundary; the
-    /// OS handler resolves whichever source raised each fault.
+    /// EInject — a chaos [`FaultInjector`](ise_core::FaultInjector) or any
+    /// other [`FaultResolver`]. All sources watch the LLC↔memory boundary;
+    /// the first to deny a transaction raises the fault, and the OS
+    /// handler resolves whichever source raised it.
     ///
     /// # Panics
     ///

@@ -6,8 +6,8 @@
 //! aside, every modern exception originates *inside* the core. The second
 //! layer, [`ExceptionKind`], is the exception vocabulary of our simulated
 //! system, including the imprecise store exception codes that components in
-//! the memory hierarchy (EInject, a täkō-style accelerator, Midgard-style
-//! late translation) can attach to a store response.
+//! the memory hierarchy (the EInject device, injected chaos faults) can
+//! attach to a store response.
 
 use std::fmt;
 
@@ -172,14 +172,11 @@ impl fmt::Display for ErrorCode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExceptionKind {
     /// A recoverable page fault detected in the hierarchy (demand paging,
-    /// lazy allocation, Midgard-style late translation miss).
+    /// lazy allocation).
     PageFault,
     /// An EInject-denied bus transaction (paper §6.2): the device set the
     /// `denied` bit on the TileLink-UL response.
     BusError,
-    /// A fault raised by a täkō-style accelerator callback while
-    /// transforming data for this access.
-    AcceleratorFault(ErrorCode),
     /// An irrecoverable access violation; the OS terminates the process.
     SegmentationFault,
     /// A fatal ECC machine check (the one pre-existing imprecise exception;
@@ -193,9 +190,7 @@ impl ExceptionKind {
     /// resume; irrecoverable → discard and terminate).
     pub fn is_recoverable(self) -> bool {
         match self {
-            ExceptionKind::PageFault
-            | ExceptionKind::BusError
-            | ExceptionKind::AcceleratorFault(_) => true,
+            ExceptionKind::PageFault | ExceptionKind::BusError => true,
             ExceptionKind::SegmentationFault | ExceptionKind::MachineCheck => false,
         }
     }
@@ -205,7 +200,6 @@ impl ExceptionKind {
         match self {
             ExceptionKind::PageFault => ErrorCode(0x0001),
             ExceptionKind::BusError => ErrorCode(0x0002),
-            ExceptionKind::AcceleratorFault(c) => c,
             ExceptionKind::SegmentationFault => ErrorCode(0x000e),
             ExceptionKind::MachineCheck => ErrorCode(0x00fe),
         }
@@ -217,7 +211,6 @@ impl fmt::Display for ExceptionKind {
         match self {
             ExceptionKind::PageFault => write!(f, "page fault"),
             ExceptionKind::BusError => write!(f, "bus error"),
-            ExceptionKind::AcceleratorFault(c) => write!(f, "accelerator fault ({c})"),
             ExceptionKind::SegmentationFault => write!(f, "segmentation fault"),
             ExceptionKind::MachineCheck => write!(f, "machine check"),
         }
@@ -242,10 +235,6 @@ mod persist_impls {
             match self {
                 ExceptionKind::PageFault => w.u8(0),
                 ExceptionKind::BusError => w.u8(1),
-                ExceptionKind::AcceleratorFault(c) => {
-                    w.u8(2);
-                    c.save(w);
-                }
                 ExceptionKind::SegmentationFault => w.u8(3),
                 ExceptionKind::MachineCheck => w.u8(4),
             }
@@ -254,7 +243,6 @@ mod persist_impls {
             Ok(match r.u8()? {
                 0 => ExceptionKind::PageFault,
                 1 => ExceptionKind::BusError,
-                2 => ExceptionKind::AcceleratorFault(Persist::restore(r)?),
                 3 => ExceptionKind::SegmentationFault,
                 4 => ExceptionKind::MachineCheck,
                 _ => return Err(PersistError::Corrupt("ExceptionKind discriminant")),
@@ -300,7 +288,6 @@ mod tests {
     fn recoverability_matches_paper() {
         assert!(ExceptionKind::PageFault.is_recoverable());
         assert!(ExceptionKind::BusError.is_recoverable());
-        assert!(ExceptionKind::AcceleratorFault(ErrorCode(9)).is_recoverable());
         assert!(!ExceptionKind::SegmentationFault.is_recoverable());
         assert!(!ExceptionKind::MachineCheck.is_recoverable());
     }
@@ -321,10 +308,15 @@ mod tests {
     }
 
     #[test]
-    fn accelerator_fault_carries_code() {
-        assert_eq!(
-            ExceptionKind::AcceleratorFault(ErrorCode(0x42)).error_code(),
-            ErrorCode(0x42)
-        );
+    fn retired_discriminant_2_is_rejected() {
+        use crate::persist::{Persist, PersistError, Reader, Writer};
+        let mut w = Writer::container();
+        w.u8(2);
+        let bytes = w.finish();
+        let mut r = Reader::container(&bytes).unwrap();
+        assert!(matches!(
+            ExceptionKind::restore(&mut r),
+            Err(PersistError::Corrupt("ExceptionKind discriminant"))
+        ));
     }
 }

@@ -155,3 +155,50 @@ fn fsb_error_codes_survive_the_full_path() {
     let code = ise_types::exception::ExceptionKind::BusError.error_code();
     assert_ne!(code, ErrorCode(0));
 }
+
+#[test]
+fn three_fault_sources_compose_in_one_system() {
+    use imprecise_store_exceptions::core_hw::{FaultPlan, FaultResolver};
+    use ise_types::exception::ExceptionKind;
+    use ise_types::faults::{FaultKind, FaultSpec};
+    use std::rc::Rc;
+
+    let einject_base = Addr::new(EINJECT_BASE);
+    let paging_base = Addr::new(0x5000_0000);
+    let bus_base = Addr::new(0x6000_0000);
+    let injector = |base: Addr, exception| {
+        let spec = FaultSpec {
+            kind: FaultKind::Permanent,
+            exception,
+        };
+        let pages = (0..4).map(|p| base.offset(p * PAGE_SIZE).page());
+        Rc::new(FaultPlan::new(7).pages(pages, spec).build())
+    };
+    let paging = injector(paging_base, ExceptionKind::PageFault);
+    let bus = injector(bus_base, ExceptionKind::BusError);
+
+    // One core stores into all three regions.
+    let mut trace = Vec::new();
+    for i in 0..24u64 {
+        let base = [einject_base, paging_base, bus_base][i as usize % 3];
+        trace.push(Instruction::store(base.offset((i / 3) * 64), i + 1));
+        trace.push(Instruction::other());
+    }
+    let w = Workload {
+        name: "three-sources".into(),
+        traces: vec![trace.into()],
+        einject_pages: vec![einject_base.page()],
+    };
+    let extra: Vec<Rc<dyn FaultResolver>> = vec![paging.clone(), bus.clone()];
+    let mut sys = System::with_fault_sources(small_cfg(), &w, extra).with_contract_monitor();
+    let stats = sys.run_clocked(100_000_000, true);
+    assert_eq!(stats.retired(), 48);
+    assert_eq!(stats.killed, 0);
+    assert!(stats.imprecise_exceptions > 0);
+    // Each source's cause was resolved, and only on the touched page.
+    assert!(!sys.einject().is_faulting(einject_base));
+    assert_eq!(paging.cleared_pages(), vec![paging_base.page()]);
+    assert_eq!(bus.cleared_pages(), vec![bus_base.page()]);
+    sys.check_contract()
+        .expect("contract holds with composed sources");
+}
