@@ -18,7 +18,7 @@
 //!   language-level allowed-outcome enumerator;
 //! * [`lowering`] — the compiler-mapping pass from source programs to
 //!   the hardware litmus primitives, driven by a per-model
-//!   [`MappingTable`](lowering::MappingTable) that is data, not code —
+//!   [`MappingTable`] that is data, not code —
 //!   so the trisection harness can inject known-wrong mappings.
 //!
 //! The operational machine in `ise-litmus` explores real interleavings of

@@ -7,7 +7,7 @@
 //! error codes. [`FaultInjector`] interprets a [`FaultPlan`] of
 //! [`FaultSpec`]s behind the *same* two seams EInject uses
 //! ([`ise_mem::FaultOracle`] for the hierarchy,
-//! [`FaultResolver`](crate::resolver::FaultResolver) for the OS), so the
+//! [`FaultResolver`] for the OS), so the
 //! hierarchy, FSBC and handler consume it unchanged.
 //!
 //! Temporal semantics, per [`FaultKind`]:
@@ -103,7 +103,7 @@ struct PageState {
 /// Like [`EInject`](crate::einject::EInject) it uses interior mutability
 /// so one injector can sit behind an `Rc` shared by the memory hierarchy
 /// (as a [`FaultOracle`]) and the OS handler (as a
-/// [`FaultResolver`](crate::resolver::FaultResolver)).
+/// [`FaultResolver`]).
 #[derive(Debug)]
 pub struct FaultInjector {
     state: RefCell<HashMap<PageId, PageState>>,

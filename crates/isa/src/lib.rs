@@ -4,7 +4,7 @@
 //! This crate executes real guest machine code and lowers it into the
 //! trace instruction set the timing cores (crate `ise-cpu`) consume:
 //!
-//! * [`decode`] — a canonical RV64I (+Zifencei, +`amoadd`) decoder and
+//! * [`decode`](mod@decode) — a canonical RV64I (+Zifencei, +`amoadd`) decoder and
 //!   exact re-encoder: every 32-bit word either round-trips through
 //!   `encode(decode(w)) == w` or is an illegal-instruction trap.
 //! * [`asm`] — a label-resolving assembler; the checked-in `guest/*.bin`

@@ -8,7 +8,7 @@
 //!   step-by-step OS handler applying retrieved stores in order. A DFS
 //!   with state memoization enumerates **every** interleaving — strictly
 //!   stronger coverage than the FPGA prototype's sampled runs.
-//! * [`corpus`] — generated litmus tests covering the eight ordering
+//! * [`corpus`](mod@corpus) — generated litmus tests covering the eight ordering
 //!   relations of Table 6.
 //! * [`runner`] — runs a test on the machine (with and without injected
 //!   faults) and checks `observed ⊆ allowed`, where the allowed set comes

@@ -1,7 +1,7 @@
 //! Set-associative cache tag arrays with LRU replacement.
 //!
 //! Tag state is struct-of-arrays, allocated on first touch. The sets are
-//! grouped into chunks of [`CHUNK_SETS`]; one allocation per chunk holds
+//! grouped into chunks of `CHUNK_SETS`; one allocation per chunk holds
 //! its tags (each carrying its valid flag), LRU stamps and packed dirty
 //! flags, indexed by `(set % CHUNK_SETS) * ways + way`. The first
 //! `insert` into a chunk's sets creates it. Probing a chunk that does
@@ -137,15 +137,43 @@ impl Chunk {
     }
 
     /// Slot of the valid way holding `tag` in the `ways` slots from
-    /// `base`: one pass over the set's tag words (an invalidated way
-    /// keeps its stale tag without the valid bit, so it never matches).
+    /// `base` (an invalidated way keeps its stale tag without the valid
+    /// bit, so it never matches).
     #[inline]
     fn find(&self, base: usize, ways: usize, tag: u64) -> Option<usize> {
+        self.search(base, ways, tag).0
+    }
+
+    /// The slots of the valid way holding `tag` ([`Chunk::find`]) and of
+    /// the first invalid way. One pass over the set's tag words with no
+    /// early exit: it runs from the last way down and keeps each match
+    /// with a select, so the value left is the first way, and the control
+    /// flow does not depend on which way holds the line.
+    #[inline]
+    fn search(&self, base: usize, ways: usize, tag: u64) -> (Option<usize>, Option<usize>) {
         let key = tag | TAG_VALID;
-        self.words[base..base + ways]
-            .iter()
-            .position(|&t| t == key)
-            .map(|way| base + way)
+        let (mut hit, mut free) = (usize::MAX, usize::MAX);
+        for (way, &t) in self.words[base..base + ways].iter().enumerate().rev() {
+            hit = if t == key { way } else { hit };
+            free = if t & TAG_VALID == 0 { way } else { free };
+        }
+        let slot = |way| (way != usize::MAX).then(|| base + way);
+        (slot(hit), slot(free))
+    }
+
+    /// Slot of the first way with the least LRU stamp among the `ways`
+    /// slots from `base`, in one pass with no early exit like
+    /// [`Chunk::search`]'s.
+    #[inline]
+    fn victim(&self, base: usize, ways: usize) -> usize {
+        let stamps = &self.words[self.slots + base..self.slots + base + ways];
+        let (mut victim, mut least) = (0, u64::MAX);
+        for (way, &stamp) in stamps.iter().enumerate().rev() {
+            let older = stamp <= least;
+            victim = if older { way } else { victim };
+            least = if older { stamp } else { least };
+        }
+        base + victim
     }
 }
 
@@ -280,8 +308,9 @@ impl CacheArray {
         let slots = self.chunk_len(c);
         let chunk = self.chunks[c].get_or_insert_with(|| Chunk::zeroed(slots));
         let flags = FLAG_VALID | if dirty { FLAG_DIRTY } else { 0 };
+        let (hit, free) = chunk.search(base, ways, tag);
         // Already present: refresh.
-        if let Some(i) = chunk.find(base, ways, tag) {
+        if let Some(i) = hit {
             chunk.set_lru(i, tick);
             if dirty {
                 chunk.set_flags(i, chunk.flags(i) | FLAG_DIRTY);
@@ -289,17 +318,13 @@ impl CacheArray {
             return Eviction::None;
         }
         // Free way.
-        if let Some(i) = (base..base + ways).find(|&i| !chunk.is_valid(i)) {
+        if let Some(i) = free {
             chunk.fill(i, tag, tick, flags);
             return Eviction::None;
         }
-        // LRU victim: first way with the minimal stamp, in way order.
-        let mut victim = base;
-        for i in base + 1..base + ways {
-            if chunk.lru(i) < chunk.lru(victim) {
-                victim = i;
-            }
-        }
+        // A full set: only now read the stamps, which sit in another
+        // line of the chunk.
+        let victim = chunk.victim(base, ways);
         let victim_block = chunk.tag(victim) * set_count + set as u64;
         let evicted = Addr::new(victim_block * LINE_SIZE);
         let was_dirty = chunk.flags(victim) & FLAG_DIRTY != 0;
@@ -402,6 +427,12 @@ impl Persist for CacheArray {
                     let tag = le_word(tags, i);
                     if tag & TAG_VALID != 0 {
                         return Err(PersistError::Corrupt("cache tag out of range"));
+                    }
+                    // At most one valid way per line, so a way search has
+                    // one match (or none) to find.
+                    let base = i - i % ways;
+                    if f & FLAG_VALID != 0 && chunk.find(base, i - base, tag).is_some() {
+                        return Err(PersistError::Corrupt("cache line in two ways"));
                     }
                     chunk.fill(i, tag, le_word(lru, i), f);
                 }
@@ -594,6 +625,72 @@ pub(crate) mod tests {
             ise_types::persist::restore_container::<CacheArray>(&bytes),
             Err(PersistError::Corrupt("cache tag out of range"))
         ));
+    }
+
+    #[test]
+    fn restore_rejects_a_line_in_two_valid_ways() {
+        use ise_types::persist::{restore_container, save_container};
+        let cfg = CacheConfig::l1d_isca23();
+        let mut dense = DenseArray::new(&cfg);
+        // Set 1: ways 1 and 3 both hold tag 5.
+        for (way, valid) in [(1, FLAG_VALID), (3, 0)] {
+            dense.tags[cfg.ways + way] = 5;
+            dense.flags[cfg.ways + way] = valid;
+        }
+        // A stale copy without the valid flag is a state `invalidate`
+        // leaves; it restores.
+        let bytes = save_container(&dense);
+        let back: CacheArray = restore_container(&bytes).unwrap();
+        assert_eq!(save_container(&back), bytes);
+        dense.flags[cfg.ways + 3] = FLAG_VALID | FLAG_DIRTY;
+        assert!(matches!(
+            restore_container::<CacheArray>(&save_container(&dense)),
+            Err(PersistError::Corrupt("cache line in two ways"))
+        ));
+    }
+
+    #[test]
+    fn a_miss_fills_the_first_free_way_else_the_first_least_stamp() {
+        use ise_types::persist::{restore_container, save_container};
+        // `l1d_isca23`: 4 ways x 256 sets; the lines `t * 256` share set 0.
+        let cfg = CacheConfig::l1d_isca23();
+        let set0 = |t: u64| line(t * 256);
+        let way = |c: &CacheArray, l: Addr| {
+            let (_, ch, base, tag) = c.locate(l);
+            let chunk = c.chunks[ch].as_ref()?;
+            Some(chunk.find(base, c.ways, tag)? - base)
+        };
+        let mut c = CacheArray::new(&cfg);
+        for t in 0..4 {
+            assert_eq!(c.insert(set0(t), false), Eviction::None);
+            assert_eq!(way(&c, set0(t)), Some(t as usize));
+        }
+        // Way 2 is freed (keeping its stamp, 3); way 1 (stamp 2) is then
+        // the least recently used valid way.
+        assert_eq!(c.invalidate(set0(2)), Some(false));
+        assert!(c.lookup(set0(0)));
+        assert_eq!(c.insert(set0(4), false), Eviction::None);
+        assert_eq!(way(&c, set0(4)), Some(2));
+        assert_eq!(c.insert(set0(5), false), Eviction::Clean(set0(1)));
+        assert_eq!(way(&c, set0(5)), Some(1));
+        // Tied stamps (only a restore makes them): the first of them.
+        let mut dense = DenseArray::new(&cfg);
+        for (w, stamp) in [5, 3, 3, 7].into_iter().enumerate() {
+            dense.tags[w] = 10 + w as u64;
+            dense.lru[w] = stamp;
+            dense.flags[w] = FLAG_VALID;
+        }
+        dense.tick = 7;
+        let mut c: CacheArray = restore_container(&save_container(&dense)).unwrap();
+        assert_eq!(c.insert(set0(20), true), Eviction::Clean(set0(11)));
+        assert_eq!(way(&c, set0(20)), Some(1));
+        // Two free ways: the first, though the later one's stamp is less.
+        dense.flags[1] = 0;
+        dense.flags[2] = 0;
+        dense.lru[2] = 0;
+        let mut c: CacheArray = restore_container(&save_container(&dense)).unwrap();
+        assert_eq!(c.insert(set0(20), false), Eviction::None);
+        assert_eq!(way(&c, set0(20)), Some(1));
     }
 
     /// The flat layout this array replaced, kept as the naive model:
@@ -801,6 +898,11 @@ pub(crate) mod tests {
             lazy.chunks.iter().any(Option::is_none),
             "some chunks stay untouched"
         );
+    }
+
+    #[test]
+    fn lazy_array_matches_dense_array_on_l1d_geometry() {
+        replay_against_dense(CacheConfig::l1d_isca23(), 24_000);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! the paper studies.
 //!
 //! Directory state lives in an open-addressed struct-of-arrays table
-//! ([`LineTable`]) keyed by line index — dense arrays probed linearly, no
+//! (`LineTable`) keyed by line index — dense arrays probed linearly, no
 //! per-entry boxing — and write actions carry the victim set as a
 //! [`SharerSet`] bit mask instead of an allocated list, so a directory
 //! transition on the hot path performs no heap allocation.
@@ -437,6 +437,7 @@ impl Directory {
 
 mod persist_impls {
     use super::*;
+    use ise_types::addr::LINE_SIZE;
     use ise_types::persist::{Persist, PersistError, Reader, Writer};
 
     impl Persist for MesiState {
@@ -503,6 +504,9 @@ mod persist_impls {
                 let mut last_key = None;
                 for _ in 0..n {
                     let key = r.u64()?;
+                    if key % LINE_SIZE != 0 {
+                        return Err(PersistError::Corrupt("directory key not a line address"));
+                    }
                     if last_key.is_some_and(|k| key <= k) {
                         return Err(PersistError::Corrupt("directory keys out of order"));
                     }
@@ -818,6 +822,45 @@ mod tests {
             } else {
                 assert_eq!(back.read(l, core), d.read(l, core), "read {i}");
             }
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_directory_key_that_is_not_a_line_address() {
+        use ise_types::addr::LINE_SIZE;
+        use ise_types::persist::{
+            restore_container, save_container, Persist, PersistError, Reader, Writer,
+        };
+        /// An `MDIR` section holding one entry with the given key.
+        struct OneEntry(u64);
+        impl Persist for OneEntry {
+            fn save(&self, w: &mut Writer) {
+                w.section(*b"MDIR", |w| {
+                    w.usize(1);
+                    w.u64(self.0);
+                    MesiState::Shared.save(w);
+                    w.u64(0b11);
+                    w.u64(0);
+                    w.u64(0);
+                });
+            }
+            fn restore(_: &mut Reader) -> Result<Self, PersistError> {
+                unreachable!("only ever saved")
+            }
+        }
+        // The top line address restores and saves back byte for byte.
+        let top = save_container(&OneEntry(!(LINE_SIZE - 1)));
+        let back: Directory = restore_container(&top).unwrap();
+        assert_eq!(save_container(&back), top);
+        // `u64::MAX` once overflowed the table's `key + 1`.
+        for key in [u64::MAX, 1, LINE_SIZE + 8] {
+            assert!(
+                matches!(
+                    restore_container::<Directory>(&save_container(&OneEntry(key))),
+                    Err(PersistError::Corrupt("directory key not a line address"))
+                ),
+                "key {key:#x}"
+            );
         }
     }
 

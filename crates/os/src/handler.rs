@@ -7,6 +7,8 @@ use ise_mem::FlatMemory;
 use ise_types::config::OsCostConfig;
 use ise_types::exception::{ErrorCode, ExceptionKind};
 use ise_types::json::{Json, ToJson};
+#[cfg(doc)]
+use ise_types::RecoveryHardening;
 use ise_types::{CoreId, FaultingStoreEntry, PageId, SimError};
 use std::collections::HashSet;
 
@@ -396,7 +398,7 @@ impl OsKernel {
         self.handle_imprecise_chunk(core, fsb, resolver, mem, now, monitor, false)
     }
 
-    /// [`handle_imprecise`] with explicit chunk position: `continuation`
+    /// [`handle_imprecise`](Self::handle_imprecise) with explicit chunk position: `continuation`
     /// marks an invocation past the first chunk of one early-drain
     /// episode. With [`RecoveryHardening::chunk_continuation`] set,
     /// continuations re-enter through a warm handler path and pay only

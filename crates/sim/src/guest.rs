@@ -5,7 +5,7 @@
 //! (fetch/decode/execute with RISC-V trap semantics), emitting one
 //! value-resolved trace [`ise_types::instr::Instruction`] per retired
 //! guest instruction. This module packages those traces as a
-//! [`Workload`], arms the program's EInject pages, and replays the
+//! [`Workload`](ise_workloads::Workload), arms the program's EInject pages, and replays the
 //! traces on the timing [`System`] — so a guest store into the armed
 //! window retires, faults post-retirement at the LLC↔memory boundary,
 //! and recovers through the real FSB/handler path.

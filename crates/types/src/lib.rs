@@ -9,7 +9,7 @@
 //! memory-consistency model selectors ([`model`]), system configuration
 //! mirroring Table 2 of the paper ([`config`]), statistics containers
 //! ([`stats`]), and the shared parser for the repo's `ISE_*` environment
-//! pins ([`env`]).
+//! pins ([`env`](mod@env)).
 //!
 //! # Example
 //!

@@ -29,7 +29,7 @@
 //! their significant bytes. A field is written as one 8-byte store whose
 //! high bytes are zero, and read as one 8-byte load masked to its length;
 //! every byte after the last instruction is zero, and there are at least
-//! [`PAD`] of them, so that load never runs past the end.
+//! `PAD` of them, so that load never runs past the end.
 
 use crate::addr::Addr;
 use crate::instr::{FenceKind, InstrKind, Instruction, Reg};
