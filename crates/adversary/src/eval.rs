@@ -24,7 +24,6 @@ use ise_engine::Cycle;
 use ise_sim::{invariants, System};
 use ise_types::config::{OsCostConfig, SystemConfig};
 use ise_types::model::ConsistencyModel;
-use ise_types::RecoveryHardening;
 use std::rc::Rc;
 
 /// Default cycle budget per evaluation. The victim completes in well
@@ -52,7 +51,7 @@ pub const KILL_MIN_DISCARDED: u64 = 8;
 /// what budget and clock.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalConfig {
-    /// OS cost model (and its [`RecoveryHardening`]) under attack.
+    /// OS cost model (and its [`OsCostConfig::hardened`]) under attack.
     pub os: OsCostConfig,
     /// Cycle budget per run: a run cut short reports
     /// [`EvalOutcome::timed_out`] instead of being audited.
@@ -78,14 +77,12 @@ impl EvalConfig {
     /// dispatch charge per continuation chunk.
     pub fn unhardened() -> Self {
         EvalConfig {
-            os: OsCostConfig::isca23().with_hardening(RecoveryHardening::unhardened()),
+            os: OsCostConfig {
+                hardened: false,
+                ..OsCostConfig::isca23()
+            },
             ..Self::hardened()
         }
-    }
-
-    /// Whether this configuration runs the fully hardened recovery.
-    pub fn is_hardened(&self) -> bool {
-        self.os.hardening == RecoveryHardening::hardened()
     }
 }
 

@@ -20,8 +20,9 @@
 //! each campaign emits a deterministic JSON resilience scorecard —
 //! byte-identical at any worker count and under either clock. The
 //! CI self-check runs the same seeded search against the unhardened and
-//! hardened [`ise_types::RecoveryHardening`] configurations and demands
-//! the search win against the former and fail against the latter.
+//! hardened recovery ([`ise_types::config::OsCostConfig::hardened`]) and
+//! demands the search win against the former and fail against the
+//! latter.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

@@ -16,7 +16,6 @@ use ise_consistency::BatchChecker;
 use ise_fuzz::{check_case, shrink_findings, CampaignFinding, FindingKind, FuzzCase, OracleConfig};
 use ise_types::config::OsCostConfig;
 use ise_types::model::{ConsistencyModel, DrainPolicy};
-use ise_types::RecoveryHardening;
 
 /// A transient horizon that outlives the whole retry ladder, forcing
 /// every faulting store onto the exhaustion path.
@@ -46,7 +45,10 @@ pub fn corruption_case(plan: &AdvPlan, seed: u64) -> FuzzCase {
 pub fn corruption_oracle() -> OracleConfig {
     OracleConfig {
         run_sim: true,
-        os_costs: Some(OsCostConfig::isca23().with_hardening(RecoveryHardening::unhardened())),
+        os_costs: Some(OsCostConfig {
+            hardened: false,
+            ..OsCostConfig::isca23()
+        }),
         overlay_clears_after: STUBBORN_CLEARS_AFTER,
         ..OracleConfig::default()
     }

@@ -274,7 +274,7 @@ pub fn run_search(cfg: &SearchConfig, workers: usize) -> AdversaryReport {
     // 4. Aggregate coverage over unique evaluations, first-seen order.
     let mut report = AdversaryReport {
         seed: cfg.seed,
-        hardened: cfg.eval.is_hardened(),
+        hardened: cfg.eval.os.hardened,
         rounds: cfg.rounds,
         beam_width: cfg.beam_width,
         evaluations: seen_order.len() as u64,

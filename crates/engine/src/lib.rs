@@ -1,35 +1,33 @@
-//! Deterministic discrete-event simulation kernel.
+//! Simulation time, randomness and the clock pin.
 //!
-//! The timing simulator is a hybrid: cores are cycle-stepped, while memory
-//! responses, NoC deliveries and OS wakeups are scheduled as future events
-//! on an [`EventQueue`]. Determinism is a hard requirement (the paper's
-//! experiments must be reproducible), so:
+//! The timing simulator is cycle-stepped: each core carries its own next
+//! wake time, and both advancing loops jump the clock to the earliest one
+//! (DESIGN.md §10). This crate holds what those loops share:
 //!
-//! * the queue breaks time ties by insertion sequence number, and
-//! * all randomness flows through [`SimRng`], a small, seedable PRNG.
+//! * [`Cycle`], the unit of simulated time;
+//! * [`SimRng`], the one seedable PRNG every experiment draws from, so
+//!   one seed gives one run (the paper's experiments must be
+//!   reproducible byte for byte);
+//! * [`cycle_skip_override`], the `ISE_CYCLE_SKIP` pin binaries read to
+//!   choose between the skip clock and the per-cycle reference clock.
 //!
 //! # Example
 //!
 //! ```
-//! use ise_engine::EventQueue;
+//! use ise_engine::{Cycle, SimRng};
 //!
-//! let mut q = EventQueue::new();
-//! q.schedule(10, "memory response");
-//! q.schedule(5, "noc delivery");
-//! assert_eq!(q.next_time(), Some(5));
-//! assert_eq!(q.pop_at_or_before(7), Some((5, "noc delivery")));
-//! assert_eq!(q.pop_at_or_before(7), None);
+//! let mut rng = SimRng::seed_from(7);
+//! let latency: Cycle = rng.range(40, 80);
+//! assert!((40..80).contains(&latency));
 //! ```
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod clock;
-pub mod queue;
 pub mod rng;
 
 pub use clock::cycle_skip_override;
-pub use queue::EventQueue;
 pub use rng::SimRng;
 
 /// Simulation time, in core clock cycles.

@@ -118,14 +118,6 @@ impl SimRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Fisher-Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.range(0, i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
-
     /// Samples `k` distinct indices from `[0, n)` (reservoir style).
     ///
     /// # Panics
@@ -264,16 +256,6 @@ mod tests {
             let u = r.unit();
             assert!((0.0..1.0).contains(&u));
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::seed_from(5);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Memory backends and the fault-oracle hook.
+//! The DRAM timing model and the fault-oracle hook.
 //!
 //! The paper's EInject device "monitors each non-coherent TileLink-UL
 //! transaction between the LLC and memory" and can deny it (§6.2). We
@@ -22,22 +22,6 @@ pub struct MemRequest {
     pub addr: Addr,
     /// Whether this is a store (write-allocate fetch for ownership).
     pub is_store: bool,
-}
-
-/// The memory's answer: a latency, and — if a fault oracle denied the
-/// transaction — the exception embedded in the response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemResponse {
-    /// Service latency in cycles.
-    pub latency: Cycle,
-    /// `Some` if the transaction was denied.
-    pub fault: Option<ExceptionKind>,
-}
-
-/// A main-memory timing model.
-pub trait MemBackend {
-    /// Services `req` at time `now`, returning its latency.
-    fn access(&mut self, req: &MemRequest, now: Cycle) -> Cycle;
 }
 
 /// Fixed-latency DRAM with the §3.3 store-latency skew knob.
@@ -95,10 +79,9 @@ impl Dram {
             Ok(())
         })
     }
-}
 
-impl MemBackend for Dram {
-    fn access(&mut self, req: &MemRequest, _now: Cycle) -> Cycle {
+    /// Services `req`, returning its latency in cycles.
+    pub fn access(&mut self, req: &MemRequest) -> Cycle {
         if req.is_store {
             self.writes += 1;
             self.cfg.access_latency * self.cfg.store_latency_skew
@@ -150,7 +133,7 @@ mod tests {
             addr: Addr::new(0),
             is_store: false,
         };
-        assert_eq!(d.access(&req, 0), 80);
+        assert_eq!(d.access(&req), 80);
         assert_eq!(d.reads(), 1);
     }
 
@@ -171,8 +154,8 @@ mod tests {
             is_store: true,
             ..ld
         };
-        assert_eq!(skewed.access(&ld, 0), d.access(&ld, 0));
-        assert_eq!(skewed.access(&st, 0), 320);
+        assert_eq!(skewed.access(&ld), d.access(&ld));
+        assert_eq!(skewed.access(&st), 320);
         assert_eq!(skewed.writes(), 1);
     }
 

@@ -7,7 +7,7 @@
 //! that, for a store, becomes an *imprecise store exception* once the
 //! response backtracks to the store buffer (paper §5.1).
 
-use crate::backend::{Dram, FaultOracle, MemBackend, MemRequest, NoFaults};
+use crate::backend::{Dram, FaultOracle, MemRequest, NoFaults};
 use crate::cache::{BlockDivisor, CacheArray, Eviction};
 use crate::mesi::{Directory, ReadAction, SharerSet};
 use crate::mshr::MshrFile;
@@ -408,7 +408,7 @@ impl MemoryHierarchy {
                     addr: line,
                     is_store: false,
                 };
-                *latency += self.dram.access(&req, now + *latency);
+                *latency += self.dram.access(&req);
                 self.stats.mem_accesses += 1;
                 self.l2[home.index()].insert(line, false);
                 *latency += self.noc(home, my_tile, DATA_BYTES, now + *latency);
@@ -445,7 +445,7 @@ impl MemoryHierarchy {
                 addr: line,
                 is_store: true,
             };
-            *latency += self.dram.access(&req, now + *latency);
+            *latency += self.dram.access(&req);
             self.stats.mem_accesses += 1;
             self.l2[home.index()].insert(line, false);
             *latency += self.noc(home, my_tile, DATA_BYTES, now + *latency);

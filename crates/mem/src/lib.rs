@@ -37,6 +37,6 @@ pub mod mesi;
 pub mod mshr;
 pub mod tlb;
 
-pub use backend::{Dram, FaultOracle, MemBackend, MemRequest, MemResponse, NoFaults};
+pub use backend::{Dram, FaultOracle, MemRequest, NoFaults};
 pub use flat::FlatMemory;
 pub use hierarchy::{Access, AccessResult, MemoryHierarchy, ServicedBy};

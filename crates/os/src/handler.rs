@@ -7,8 +7,6 @@ use ise_mem::FlatMemory;
 use ise_types::config::OsCostConfig;
 use ise_types::exception::{ErrorCode, ExceptionKind};
 use ise_types::json::{Json, ToJson};
-#[cfg(doc)]
-use ise_types::RecoveryHardening;
 use ise_types::{CoreId, FaultingStoreEntry, PageId, SimError};
 use std::collections::HashSet;
 
@@ -126,7 +124,7 @@ pub struct OsKernel {
 /// `retry_backoff_base`, saturating at `u64::MAX` instead of shifting
 /// past the value's width (an attacker-chosen base/budget pair must not
 /// overflow into a *tiny* backoff, and a shift ≥ 64 is outright UB).
-/// With [`RecoveryHardening::jittered_backoff`] set, a deterministic
+/// With [`OsCostConfig::hardened`] set, a deterministic
 /// per-(core, addr, attempt) jitter in `[0, base)` is added so that
 /// colliding victims do not re-issue in lockstep.
 ///
@@ -147,7 +145,7 @@ pub fn retry_backoff(
     } else {
         base << shift
     };
-    if costs.hardening.jittered_backoff && base > 0 {
+    if costs.hardened && base > 0 {
         exp.saturating_add(backoff_jitter(core, addr, attempt) % base)
     } else {
         exp
@@ -269,7 +267,7 @@ impl OsKernel {
 
     /// Stores the *unhardened* kernel silently counted as applied after
     /// retry exhaustion without ever writing memory. Always zero with
-    /// [`RecoveryHardening::kill_on_retry_exhaustion`] set. Deliberately
+    /// [`OsCostConfig::hardened`] set. Deliberately
     /// not exported to telemetry — the lie is consistent there; only the
     /// applied-visibility audit (and this accessor, for tests) sees it.
     pub fn silently_dropped(&self) -> u64 {
@@ -284,7 +282,7 @@ impl OsKernel {
 
     /// Dispatch cycles charged to continuation chunks — the adversary's
     /// objective-2 stall metric, and the quantity
-    /// [`RecoveryHardening::chunk_continuation`] shrinks 8×.
+    /// [`OsCostConfig::hardened`] shrinks 8×.
     pub fn continuation_dispatch_cycles(&self) -> Cycle {
         self.continuation_dispatch_cycles
     }
@@ -400,7 +398,7 @@ impl OsKernel {
 
     /// [`handle_imprecise`](Self::handle_imprecise) with explicit chunk position: `continuation`
     /// marks an invocation past the first chunk of one early-drain
-    /// episode. With [`RecoveryHardening::chunk_continuation`] set,
+    /// episode. With [`OsCostConfig::hardened`] set,
     /// continuations re-enter through a warm handler path and pay only
     /// `dispatch_overhead / 8` — the episode state is already pinned, so
     /// the full dispatch/context-switch bill would be pure stall
@@ -417,7 +415,7 @@ impl OsKernel {
         continuation: bool,
     ) -> HandlerOutcome {
         self.invocations += 1;
-        let dispatch = if continuation && self.costs.hardening.chunk_continuation {
+        let dispatch = if continuation && self.costs.hardened {
             self.costs.dispatch_overhead / 8
         } else {
             self.costs.dispatch_overhead
@@ -532,12 +530,12 @@ impl OsKernel {
     /// Re-issues one drained store as a kernel store. A denial of the
     /// re-issue is retried up to `retry_attempts` times with exponential
     /// backoff starting at `retry_backoff_base` cycles (saturating, and
-    /// jittered under [`RecoveryHardening::jittered_backoff`] — see
+    /// jittered under [`OsCostConfig::hardened`] — see
     /// [`retry_backoff`]); the cause heals underneath (transient faults
     /// absorb denials) or the budget runs out.
     ///
     /// On exhaustion, behaviour splits on
-    /// [`RecoveryHardening::kill_on_retry_exhaustion`]: hardened kernels
+    /// [`OsCostConfig::hardened`]: hardened kernels
     /// return the error and the caller kills the process; the unhardened
     /// kernel *silently drops* the store — it reports success without
     /// writing memory, keeping every counter consistent with the lie.
@@ -576,7 +574,7 @@ impl OsKernel {
                     self.transient_retries += 1;
                     if attempts > self.costs.retry_attempts {
                         self.retry_exhausted += 1;
-                        if self.costs.hardening.kill_on_retry_exhaustion {
+                        if self.costs.hardened {
                             return Err(SimError::RetryExhausted {
                                 core,
                                 addr: entry.addr,
@@ -836,7 +834,10 @@ mod tests {
         assert!(b1 >= c.retry_backoff_base);
         assert!(b1 < 2 * c.retry_backoff_base, "jitter stays under one base");
         // Unhardened config: the bare exponential ladder, no jitter.
-        let plain = c.with_hardening(ise_types::RecoveryHardening::unhardened());
+        let plain = OsCostConfig {
+            hardened: false,
+            ..c
+        };
         assert_eq!(retry_backoff(&plain, CoreId(0), a, 1), c.retry_backoff_base);
         assert_eq!(
             retry_backoff(&plain, CoreId(0), a, 3),
@@ -857,7 +858,7 @@ mod tests {
         // now the ladder pins at u64::MAX.
         let mut c = OsCostConfig::isca23();
         c.retry_attempts = 100;
-        c.hardening = ise_types::RecoveryHardening::unhardened();
+        c.hardened = false;
         let a = Addr::new(0x10_0000);
         assert_eq!(retry_backoff(&c, CoreId(0), a, 58), 64 << 57);
         assert_eq!(retry_backoff(&c, CoreId(0), a, 59), u64::MAX);
@@ -901,8 +902,11 @@ mod tests {
     #[test]
     fn unhardened_kernel_silently_drops_on_exhaustion() {
         use ise_core::FaultPlan;
-        use ise_types::{FaultKind, FaultSpec, RecoveryHardening};
-        let c = OsCostConfig::isca23().with_hardening(RecoveryHardening::unhardened());
+        use ise_types::{FaultKind, FaultSpec};
+        let c = OsCostConfig {
+            hardened: false,
+            ..OsCostConfig::isca23()
+        };
         let mut os = OsKernel::new(c);
         let mut fsb = Fsb::new(Addr::new(0x8000_0000), 32);
         let mut mem = FlatMemory::new();
@@ -949,7 +953,10 @@ mod tests {
         assert_eq!(os.continuation_invocations(), 1);
         assert_eq!(os.continuation_dispatch_cycles(), c.dispatch_overhead / 8);
         // Unhardened: full dispatch on every chunk.
-        let plain = c.with_hardening(ise_types::RecoveryHardening::unhardened());
+        let plain = OsCostConfig {
+            hardened: false,
+            ..c
+        };
         let mut os2 = OsKernel::new(plain);
         einject.set_faulting(a);
         fsb.push(faulting_entry(a, 1)).unwrap();

@@ -375,8 +375,10 @@ mod tests {
 
     #[test]
     fn visibility_audit_catches_unhardened_silent_drop() {
-        use ise_types::RecoveryHardening;
-        let os = OsCostConfig::isca23().with_hardening(RecoveryHardening::unhardened());
+        let os = OsCostConfig {
+            hardened: false,
+            ..OsCostConfig::isca23()
+        };
         let run = run_litmus_case(
             &mp(),
             &[Loc(0)],

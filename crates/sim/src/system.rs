@@ -6,7 +6,7 @@ use ise_engine::Cycle;
 use ise_mem::{FlatMemory, MemoryHierarchy};
 use ise_os::handler::OverheadBreakdown;
 use ise_os::{InterruptControl, OsKernel, Process, ProcessState};
-use ise_telemetry::{Registry, Telemetry, TelemetryConfig, TraceEventKind};
+use ise_telemetry::{Registry, Telemetry, TraceEventKind};
 use ise_types::addr::Addr;
 use ise_types::config::SystemConfig;
 use ise_types::json::{Json, ToJson};
@@ -281,7 +281,7 @@ impl System {
         let fsbcs = (0..cfg.cores)
             .map(|i| Fsbc::new(CoreId(i), &cfg.os))
             .collect();
-        let tel = Telemetry::disabled();
+        let tel = Telemetry::default();
         let mut hier = hier;
         hier.set_tlb_refill_logging(tel.trace.enabled());
         System {
@@ -330,7 +330,7 @@ impl System {
     ///
     /// Panics if `capacity` is zero.
     pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.tel = Telemetry::new(TelemetryConfig::traced(capacity));
+        self.tel = Telemetry::traced(capacity);
         self.hier.set_tlb_refill_logging(true);
         self
     }

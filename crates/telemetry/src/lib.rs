@@ -12,7 +12,7 @@
 //!   and rendered in insertion order so snapshots are byte-deterministic
 //!   and shard merges under `ise-par` reproduce the sequential bytes.
 //! * [`TraceRing`] — a bounded, cycle-stamped ring of structured
-//!   [`TraceEvent`]s, config-gated so disabled tracing compiles down to
+//!   [`TraceEvent`]s, off by default, so disabled tracing compiles down to
 //!   one predictable branch per record site.
 //!
 //! `SystemStats`, chaos reports, litmus summaries, and workload stats
@@ -29,73 +29,27 @@ mod trace;
 pub use registry::{MetricValue, Registry};
 pub use trace::{TraceEvent, TraceEventKind, TraceRing};
 
-/// How a component's telemetry is configured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Whether the event trace records (the registry is always on — it
-    /// *is* the stats surface).
-    pub trace: bool,
-    /// Ring capacity when tracing is on.
-    pub trace_capacity: usize,
-}
-
-impl TelemetryConfig {
-    /// The default ring capacity.
-    pub const DEFAULT_CAPACITY: usize = 4096;
-
-    /// Tracing off.
-    pub fn disabled() -> Self {
-        TelemetryConfig {
-            trace: false,
-            trace_capacity: Self::DEFAULT_CAPACITY,
-        }
-    }
-
-    /// Tracing on with the given ring capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn traced(capacity: usize) -> Self {
-        assert!(capacity > 0, "trace ring needs capacity");
-        TelemetryConfig {
-            trace: true,
-            trace_capacity: capacity,
-        }
-    }
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig::disabled()
-    }
-}
-
 /// A component's telemetry plane: its metrics and its event trace.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Telemetry {
     /// The metrics registry (always collecting).
     pub registry: Registry,
-    /// The event trace (records only when the config enables it).
+    /// The event trace (disabled in a default plane; records only in
+    /// a [`traced`](Self::traced) one).
     pub trace: TraceRing,
 }
 
 impl Telemetry {
-    /// Builds a plane from a configuration.
-    pub fn new(cfg: TelemetryConfig) -> Self {
+    /// A plane whose trace keeps the most recent `capacity` events.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn traced(capacity: usize) -> Self {
         Telemetry {
             registry: Registry::new(),
-            trace: if cfg.trace {
-                TraceRing::new(cfg.trace_capacity)
-            } else {
-                TraceRing::disabled()
-            },
+            trace: TraceRing::new(capacity),
         }
-    }
-
-    /// A plane with tracing off.
-    pub fn disabled() -> Self {
-        Telemetry::new(TelemetryConfig::disabled())
     }
 
     /// Records a trace event (no-op when tracing is off).
@@ -131,7 +85,7 @@ mod tests {
 
     #[test]
     fn disabled_plane_keeps_registry_live() {
-        let mut t = Telemetry::disabled();
+        let mut t = Telemetry::default();
         t.event(1, 0, TraceEventKind::InterruptDelivered);
         t.registry.incr("events");
         assert!(t.trace.is_empty());
@@ -140,23 +94,9 @@ mod tests {
 
     #[test]
     fn traced_plane_records() {
-        let mut t = Telemetry::new(TelemetryConfig::traced(8));
+        let mut t = Telemetry::traced(8);
         t.event(5, 1, TraceEventKind::PageWalk { page: 3 });
         assert_eq!(t.trace.len(), 1);
         assert!(t.trace.to_json().render().contains("\"page_walk\""));
-    }
-
-    #[test]
-    fn default_config_is_disabled() {
-        let cfg = TelemetryConfig::default();
-        assert!(!cfg.trace);
-        assert_eq!(cfg.trace_capacity, TelemetryConfig::DEFAULT_CAPACITY);
-        assert!(TelemetryConfig::traced(16).trace);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs capacity")]
-    fn traced_rejects_zero() {
-        let _ = TelemetryConfig::traced(0);
     }
 }

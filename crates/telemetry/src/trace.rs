@@ -2,7 +2,7 @@
 //!
 //! A bounded ring of micro-events — FSB drain episodes, exception and
 //! interrupt deliveries, fault activations, page walks — that the
-//! evaluation attributes its counters to. Tracing is config-gated:
+//! evaluation attributes its counters to. Tracing is off by default:
 //! a disabled ring rejects every record through one inlined branch, so
 //! the instrumented hot paths cost nothing measurable when tracing is
 //! off (every simbench run has tracing disabled, so its no-regression
@@ -161,7 +161,8 @@ impl ToJson for TraceEvent {
 ///
 /// When full, the oldest events are evicted and counted in `dropped`, so
 /// a long run keeps its most recent window and still reports how much it
-/// shed. A disabled ring ignores [`TraceRing::record`] entirely.
+/// shed. A disabled ring (the default) ignores [`TraceRing::record`]
+/// entirely.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceRing {
     enabled: bool,
@@ -171,11 +172,6 @@ pub struct TraceRing {
 }
 
 impl TraceRing {
-    /// A disabled ring: records nothing, renders an empty trace.
-    pub fn disabled() -> Self {
-        TraceRing::default()
-    }
-
     /// An enabled ring keeping the most recent `capacity` events.
     ///
     /// # Panics
@@ -359,7 +355,9 @@ impl Persist for TraceRing {
         if n > capacity {
             return Err(PersistError::Corrupt("ring holds more than capacity"));
         }
-        let mut events = VecDeque::with_capacity(capacity.min(1 << 20));
+        // Cap the pre-allocation: the capacity is a header field that a
+        // crafted image sets, and the ring grows as it records anyway.
+        let mut events = VecDeque::with_capacity(capacity.min(1 << 16));
         for _ in 0..n {
             events.push_back(TraceEvent::restore(r)?);
         }
@@ -378,7 +376,7 @@ mod tests {
 
     #[test]
     fn disabled_ring_records_nothing() {
-        let mut t = TraceRing::disabled();
+        let mut t = TraceRing::default();
         t.record(1, 0, TraceEventKind::InterruptDelivered);
         assert!(t.is_empty());
         assert!(!t.enabled());
@@ -472,10 +470,27 @@ mod tests {
         t.record(10, 0, TraceEventKind::EarlyDrainChunk);
         assert_eq!(back, t);
         // A disabled ring round-trips too.
-        let d = TraceRing::disabled();
+        let d = TraceRing::default();
         assert_eq!(
             restore_container::<TraceRing>(&save_container(&d)).unwrap(),
             d
+        );
+    }
+
+    #[test]
+    fn restore_caps_the_preallocation_a_header_claims() {
+        use ise_types::persist::{restore_container, Writer};
+        let mut w = Writer::container();
+        w.bool(true);
+        w.usize(1 << 40);
+        w.u64(0);
+        w.usize(0);
+        let back: TraceRing = restore_container(&w.finish()).unwrap();
+        assert!(back.is_empty());
+        assert!(
+            back.events.capacity() <= 1 << 16,
+            "reserved {} slots",
+            back.events.capacity()
         );
     }
 }

@@ -8,6 +8,7 @@
 
 use crate::json::{Json, ToJson};
 use crate::model::{ConsistencyModel, DrainPolicy};
+use std::fmt;
 
 /// Out-of-order core parameters (Table 2, "Core" row).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -166,73 +167,12 @@ impl MemoryConfig {
     }
 }
 
-/// Recovery-path hardening toggles for the OS model.
-///
-/// Each flag closes one weakness the adversarial fault-plan search
-/// (`ise-adversary`, DESIGN.md §13) exposes in the naive handler. The
-/// hardened configuration is the default everywhere; the unhardened one
-/// exists as the search's seeded-weakness target — the CI self-check
-/// proves the search finds a damaging plan against it and none against
-/// the hardened kernel.
-///
-/// Like [`SystemConfig::reference_clock`], hardening is a recovery-
-/// implementation knob, not a Table 2 architectural parameter, so it is
-/// deliberately absent from the configuration's JSON rendering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryHardening {
-    /// Add a deterministic per-(core, address, attempt) jitter on top of
-    /// the exponential retry backoff. Without it, every store hitting
-    /// the same transient cause retries on the identical ladder, so an
-    /// adversarial fault window can align with — and defeat — the whole
-    /// retry budget at once.
-    pub jittered_backoff: bool,
-    /// Kill the process when the retry budget is exhausted instead of
-    /// dropping the store while reporting success. The unhardened
-    /// behaviour models the classic buggy handler: it keeps the process
-    /// alive but silently loses the store — the objective-(1) silent
-    /// corruption the adversary searches for.
-    pub kill_on_retry_exhaustion: bool,
-    /// Charge early-drain continuation chunks a fraction of the dispatch
-    /// overhead instead of a full exception dispatch. The handler is
-    /// already resident for chunks after the first (no second context
-    /// switch), so the unhardened full charge is pure victim stall — the
-    /// objective-(2) FSB early-drain storm amplifier.
-    pub chunk_continuation: bool,
-}
-
-impl RecoveryHardening {
-    /// All mitigations on — the default for every built-in config.
-    pub fn hardened() -> Self {
-        RecoveryHardening {
-            jittered_backoff: true,
-            kill_on_retry_exhaustion: true,
-            chunk_continuation: true,
-        }
-    }
-
-    /// All mitigations off — the deliberately weak recovery config the
-    /// adversary self-check searches against.
-    pub fn unhardened() -> Self {
-        RecoveryHardening {
-            jittered_backoff: false,
-            kill_on_retry_exhaustion: false,
-            chunk_continuation: false,
-        }
-    }
-}
-
-impl Default for RecoveryHardening {
-    fn default() -> Self {
-        Self::hardened()
-    }
-}
-
 /// Cost parameters for the OS model (used for the Fig. 5 breakdown).
 ///
 /// The paper's minimal Linux handler spends ≈600 cycles per faulting store
 /// unbatched, of which the microarchitectural part is "only a tiny
 /// fraction"; the defaults below reproduce that split.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, PartialEq)]
 pub struct OsCostConfig {
     /// Cycles to drain one store-buffer entry into the FSB (FSBC write).
     pub fsb_drain_per_store: u64,
@@ -258,10 +198,26 @@ pub struct OsCostConfig {
     pub retry_attempts: u32,
     /// Cycles of backoff before the first retry; doubles each attempt.
     pub retry_backoff_base: u64,
-    /// Recovery-path mitigations (jittered backoff, kill on retry
-    /// exhaustion, cheap early-drain continuations). Hardened by
-    /// default; invisible in the config JSON (see [`RecoveryHardening`]).
-    pub hardening: RecoveryHardening,
+    /// Recovery-path hardening, on by default. Each mitigation closes
+    /// one weakness the adversarial fault-plan search (`ise-adversary`,
+    /// DESIGN.md §13) exposes in the naive handler:
+    ///
+    /// * a deterministic per-(core, address, attempt) jitter on the
+    ///   retry backoff, so colliding victims do not retry in lockstep
+    ///   and one fault window cannot defeat the whole retry budget;
+    /// * on retry exhaustion, kill the process instead of dropping the
+    ///   store while reporting success (the objective-(1) silent
+    ///   corruption);
+    /// * charge early-drain continuation chunks `dispatch_overhead / 8`
+    ///   instead of a full dispatch: the handler is already resident
+    ///   (the objective-(2) early-drain storm amplifier).
+    ///
+    /// `false` is the adversary self-check's seeded-weakness target: the
+    /// search must find a damaging plan against it and none against the
+    /// hardened kernel. Like [`SystemConfig::reference_clock`], this is
+    /// a recovery-implementation knob, not a Table 2 parameter, so it is
+    /// absent from the configuration's JSON rendering.
+    pub hardened: bool,
 }
 
 impl OsCostConfig {
@@ -280,14 +236,35 @@ impl OsCostConfig {
             io_latency: 20_000,
             retry_attempts: 4,
             retry_backoff_base: 64,
-            hardening: RecoveryHardening::hardened(),
+            hardened: true,
         }
     }
+}
 
-    /// The same costs with different recovery-hardening toggles.
-    pub fn with_hardening(mut self, hardening: RecoveryHardening) -> Self {
-        self.hardening = hardening;
-        self
+/// A system's identity hash (`ise-sim`'s `system_identity`) covers the
+/// configuration's `Debug` rendering, and every snapshot header carries
+/// that hash. `hardened` therefore renders as the three-flag struct it
+/// once was, so format-version-1 images stay restorable.
+impl fmt::Debug for OsCostConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("OsCostConfig")
+            .field("fsb_drain_per_store", &self.fsb_drain_per_store)
+            .field("pipeline_flush", &self.pipeline_flush)
+            .field("apply_per_store", &self.apply_per_store)
+            .field("dispatch_overhead", &self.dispatch_overhead)
+            .field("resolve_per_page", &self.resolve_per_page)
+            .field("io_latency", &self.io_latency)
+            .field("retry_attempts", &self.retry_attempts)
+            .field("retry_backoff_base", &self.retry_backoff_base)
+            .field(
+                "hardening",
+                &format_args!(
+                    "RecoveryHardening {{ jittered_backoff: {h}, \
+                     kill_on_retry_exhaustion: {h}, chunk_continuation: {h} }}",
+                    h = self.hardened
+                ),
+            )
+            .finish()
     }
 }
 
@@ -526,22 +503,15 @@ mod tests {
     #[test]
     fn hardening_defaults_on_and_stays_out_of_json() {
         let c = SystemConfig::isca23();
-        assert_eq!(c.os.hardening, RecoveryHardening::hardened());
-        assert!(c.os.hardening.jittered_backoff);
-        assert!(c.os.hardening.kill_on_retry_exhaustion);
-        assert!(c.os.hardening.chunk_continuation);
-        let weak = RecoveryHardening::unhardened();
-        assert!(!weak.jittered_backoff);
-        assert!(!weak.kill_on_retry_exhaustion);
-        assert!(!weak.chunk_continuation);
+        assert!(c.os.hardened);
         // Hardening is a recovery-implementation knob: golden reports
         // must not change when a study flips it.
         let mut unhardened_cfg = c;
-        unhardened_cfg.os = unhardened_cfg.os.with_hardening(weak);
+        unhardened_cfg.os.hardened = false;
         assert_eq!(
             c.to_json().render(),
             unhardened_cfg.to_json().render(),
-            "hardening toggles are invisible in config JSON"
+            "hardening is invisible in config JSON"
         );
     }
 

@@ -31,13 +31,6 @@ pub enum SimError {
         /// Entries currently buffered.
         len: usize,
     },
-    /// The store buffer had no room for a retired store.
-    StoreBufferFull {
-        /// Core whose store buffer overflowed.
-        core: CoreId,
-        /// Buffer capacity in entries.
-        capacity: usize,
-    },
     /// The OS handler exhausted its retry budget for a store that kept
     /// faulting (the recovery path of the chaos subsystem declares the
     /// store irrecoverable; the caller decides to kill the process).
@@ -66,9 +59,6 @@ impl fmt::Display for SimError {
                 f,
                 "core {core:?}: store-buffer index {index} out of range (len {len})"
             ),
-            SimError::StoreBufferFull { core, capacity } => {
-                write!(f, "core {core:?}: store buffer full (capacity {capacity})")
-            }
             SimError::RetryExhausted {
                 core,
                 addr,
@@ -102,16 +92,18 @@ mod tests {
 
     #[test]
     fn errors_compare() {
-        let a = SimError::StoreBufferFull {
+        let a = SimError::StoreBufferIndex {
             core: CoreId(0),
-            capacity: 4,
+            index: 4,
+            len: 2,
         };
         assert_eq!(a, a);
         assert_ne!(
             a,
-            SimError::StoreBufferFull {
+            SimError::StoreBufferIndex {
                 core: CoreId(1),
-                capacity: 4
+                index: 4,
+                len: 2,
             }
         );
     }

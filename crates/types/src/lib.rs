@@ -42,7 +42,7 @@ pub mod trace;
 pub mod trap;
 
 pub use addr::{AccessSize, Addr, ByteMask, CoreId, PageId};
-pub use config::{RecoveryHardening, SystemConfig};
+pub use config::SystemConfig;
 pub use error::SimError;
 pub use exception::{ExceptionClass, ExceptionKind};
 pub use faulting::FaultingStoreEntry;

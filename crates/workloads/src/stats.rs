@@ -1,9 +1,11 @@
 //! Trace analysis: footprint, locality, and mix statistics for generated
 //! workloads.
 //!
-//! The experiment drivers use these to sanity-check that a generated
-//! trace has the shape its spec promises (Table 3 mixes, EInject
-//! footprints for Fig. 6) — and they are handy when writing new
+//! [`touched_pages`] is what the chaos campaign (and its clock
+//! differentials) use: the pages a trace touches, to aim faults at.
+//! [`analyze`] has no caller outside its own tests yet; it is kept to
+//! check a generated trace against the instruction mix its spec
+//! promises (the Table 3 mixes), and it is handy when writing new
 //! workloads against this library.
 
 use ise_telemetry::Registry;
