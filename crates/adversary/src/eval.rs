@@ -1,11 +1,10 @@
 //! Objective evaluation: one fault plan, one full-system run, four
 //! damage scores.
 //!
-//! Every evaluation runs the complete invariant set — the standard
-//! chaos-campaign trio plus the containment layer plus the
-//! applied-visibility audit (see [`ise_sim::invariants`]) — so a "win"
-//! is never an artifact of a run the simulator itself would reject. The
-//! four objectives mirror DESIGN.md §13:
+//! Every evaluation runs the shared post-run audit
+//! ([`ise_sim::invariants`]), so a "win" is never an artifact of a run
+//! the simulator itself would reject. The four objectives mirror
+//! DESIGN.md §13:
 //!
 //! 1. **Corrupt** — architectural state diverges (the visibility audit
 //!    fires) while every invariant stays green and nothing is killed:
@@ -19,12 +18,10 @@
 
 use crate::plan::AdvPlan;
 use crate::target::{pool_page, victim_workload};
-use ise_core::{FaultInjector, FaultPlan, FaultResolver};
 use ise_engine::Cycle;
-use ise_sim::{invariants, System};
+use ise_sim::{fault_cell, invariants};
 use ise_types::config::{OsCostConfig, SystemConfig};
 use ise_types::model::ConsistencyModel;
-use std::rc::Rc;
 
 /// Default cycle budget per evaluation. The victim completes in well
 /// under 100k cycles even on the slowest backoff path; a plan that is
@@ -48,7 +45,7 @@ pub const EXHAUST_MIN_BACKOFF: Cycle = 960;
 pub const KILL_MIN_DISCARDED: u64 = 8;
 
 /// How one evaluation runs: which recovery configuration defends, under
-/// what budget and clock.
+/// what budget.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalConfig {
     /// OS cost model (and its [`OsCostConfig::hardened`]) under attack.
@@ -56,10 +53,6 @@ pub struct EvalConfig {
     /// Cycle budget per run: a run cut short reports
     /// [`EvalOutcome::timed_out`] instead of being audited.
     pub max_cycles: Cycle,
-    /// Drive the reference per-cycle clock instead of cycle skipping.
-    /// Outcomes are byte-identical either way; the `adversary` binary
-    /// sets it from the `ISE_CYCLE_SKIP` pin, and CI runs it under both.
-    pub reference_clock: bool,
 }
 
 impl EvalConfig {
@@ -68,7 +61,6 @@ impl EvalConfig {
         EvalConfig {
             os: OsCostConfig::isca23(),
             max_cycles: EVAL_MAX_CYCLES,
-            reference_clock: false,
         }
     }
 
@@ -94,7 +86,7 @@ pub struct EvalOutcome {
     pub key: String,
     /// The run exhausted its cycle budget (all objectives score zero).
     pub timed_out: bool,
-    /// Standard + containment invariant violations (empty = contained).
+    /// Audit violations other than corruption (empty = contained).
     pub violations: Vec<String>,
     /// Applied-visibility audit findings (non-empty = architectural
     /// corruption).
@@ -194,53 +186,26 @@ impl Objective {
     }
 }
 
-/// Runs `plan` against the victim under `cfg` and measures everything
-/// the objectives need. Pure: the same (plan, cfg) pair produces the
-/// same outcome on any thread, which is what lets the search cache and
-/// parallelize evaluations without perturbing the report.
-pub fn evaluate(plan: &AdvPlan, cfg: &EvalConfig) -> EvalOutcome {
+/// Runs `plan` against the victim under `cfg`, on the clock `skip`
+/// selects, and measures everything the objectives need. Pure: the same
+/// (plan, cfg) pair produces the same outcome on any thread and either
+/// clock, which is what lets the search cache and parallelize
+/// evaluations without perturbing the report.
+pub fn evaluate(plan: &AdvPlan, cfg: &EvalConfig, skip: bool) -> EvalOutcome {
     let mut sys_cfg = SystemConfig::prototype2().with_model(ConsistencyModel::Pc);
     sys_cfg.os = cfg.os;
-    sys_cfg.reference_clock = cfg.reference_clock;
-
-    let workload = victim_workload();
-    let injector: Rc<FaultInjector> = Rc::new(
-        FaultPlan::new(0xAD5E ^ 0xF417)
-            .pages(plan.pages.iter().map(|&i| pool_page(i)), plan.spec())
-            .build(),
-    );
-
-    // Chaos idiom: EInject stays inert, the injector is the only fault
-    // source.
-    let mut quiet = workload.clone();
-    quiet.einject_pages.clear();
-    let mut sys = System::with_fault_sources(
-        sys_cfg,
-        &quiet,
-        vec![injector.clone() as Rc<dyn FaultResolver>],
-    )
-    .with_fsb_capacity(plan.fsb_capacity)
-    .with_contract_monitor();
-
-    let timed_out = !sys.run_to(cfg.max_cycles, !cfg.reference_clock);
-    let stats = sys.finalize();
-
-    // A timed-out run is reported, not audited — mid-flight state
-    // legitimately violates end-of-run conservation.
-    let (violations, corruption) = if timed_out {
-        (Vec::new(), Vec::new())
-    } else {
-        let mut v = invariants::standard_violations(&sys, &workload, &stats);
-        v.extend(invariants::containment_violations(&sys, &stats));
-        (v, invariants::applied_visibility_violations(&sys))
-    };
+    let pages = plan.pages.iter().map(|&i| pool_page(i));
+    let (sys, injector) = fault_cell(sys_cfg, &victim_workload(), 0xAD5E, pages, plan.spec());
+    let mut sys = sys.with_fsb_capacity(plan.fsb_capacity);
+    let run = invariants::run_audited(&mut sys, cfg.max_cycles, skip);
+    let stats = run.stats;
 
     let os = sys.os_kernel();
     EvalOutcome {
         key: plan.key(),
-        timed_out,
-        violations,
-        corruption,
+        timed_out: run.timed_out,
+        violations: run.audit.violations,
+        corruption: run.audit.corruption,
         killed: stats.killed,
         retry_exhausted: os.retry_exhausted(),
         backoff_cycles: os.backoff_cycles(),
@@ -275,7 +240,7 @@ mod tests {
         // recovery path runs but nothing is damaged.
         let p = plan(FaultKind::Transient { clears_after: 1 }, vec![0], 32);
         for cfg in [EvalConfig::hardened(), EvalConfig::unhardened()] {
-            let o = evaluate(&p, &cfg);
+            let o = evaluate(&p, &cfg, true);
             assert!(!o.timed_out);
             assert!(o.violations.is_empty(), "{:?}", o.violations);
             assert!(o.corruption.is_empty(), "{:?}", o.corruption);
@@ -288,7 +253,7 @@ mod tests {
     #[test]
     fn stubborn_transients_silently_corrupt_the_unhardened_kernel_only() {
         let p = plan(FaultKind::Transient { clears_after: 128 }, vec![0, 1], 32);
-        let weak = evaluate(&p, &EvalConfig::unhardened());
+        let weak = evaluate(&p, &EvalConfig::unhardened(), true);
         assert!(!weak.timed_out);
         assert_eq!(weak.killed, 0, "the unhardened kernel never kills");
         assert!(
@@ -297,7 +262,7 @@ mod tests {
             weak.violations,
             weak.corruption
         );
-        let hard = evaluate(&p, &EvalConfig::hardened());
+        let hard = evaluate(&p, &EvalConfig::hardened(), true);
         assert!(
             !Objective::Corrupt.win(&hard),
             "hardened kernels must not corrupt: {:?}",
@@ -309,8 +274,8 @@ mod tests {
     #[test]
     fn permanent_pool_wide_faults_stall_only_the_unhardened_kernel() {
         let p = plan(FaultKind::Permanent, (0..8).collect(), 4);
-        let weak = evaluate(&p, &EvalConfig::unhardened());
-        let hard = evaluate(&p, &EvalConfig::hardened());
+        let weak = evaluate(&p, &EvalConfig::unhardened(), true);
+        let hard = evaluate(&p, &EvalConfig::hardened(), true);
         assert!(!weak.timed_out && !hard.timed_out);
         assert!(
             weak.continuation_invocations >= STALL_MIN_CHUNKS,
@@ -337,10 +302,8 @@ mod tests {
     fn outcomes_are_identical_across_clock_pins() {
         let p = plan(FaultKind::Transient { clears_after: 128 }, vec![0, 2], 8);
         for cfg in [EvalConfig::hardened(), EvalConfig::unhardened()] {
-            let skip = evaluate(&p, &cfg);
-            let mut reference = cfg;
-            reference.reference_clock = true;
-            let r = evaluate(&p, &reference);
+            let skip = evaluate(&p, &cfg, true);
+            let r = evaluate(&p, &cfg, false);
             assert_eq!(skip.cycles, r.cycles);
             assert_eq!(skip.violations, r.violations);
             assert_eq!(skip.corruption, r.corruption);
@@ -357,15 +320,14 @@ mod tests {
         let p = plan(FaultKind::Transient { clears_after: 1 }, vec![0], 32);
         let mut cfg = EvalConfig::hardened();
         cfg.max_cycles = 500;
-        let skip = evaluate(&p, &cfg);
+        let skip = evaluate(&p, &cfg, true);
         assert!(skip.timed_out);
         assert!(skip.cycles <= 500);
         assert!(skip.violations.is_empty() && skip.corruption.is_empty());
         assert!(Objective::ALL.iter().all(|obj| obj.score(&skip) == 0));
-        cfg.reference_clock = true;
         assert_eq!(
             format!("{skip:?}"),
-            format!("{:?}", evaluate(&p, &cfg)),
+            format!("{:?}", evaluate(&p, &cfg, false)),
             "timeout outcomes must be identical across clocks"
         );
     }

@@ -171,10 +171,11 @@ impl ToJson for AdversaryReport {
     }
 }
 
-/// Runs the search on `workers` threads. All mutation draws happen
-/// sequentially on the coordinator; only the (pure, cached) evaluations
-/// fan out — so the report is byte-identical for every `workers` value.
-pub fn run_search(cfg: &SearchConfig, workers: usize) -> AdversaryReport {
+/// Runs the search on `workers` threads and the clock `skip` selects.
+/// All mutation draws happen sequentially on the coordinator; only the
+/// (pure, cached) evaluations fan out — so the report is byte-identical
+/// for every `workers` value and either clock.
+pub fn run_search(cfg: &SearchConfig, workers: usize, skip: bool) -> AdversaryReport {
     let n_obj = Objective::ALL.len();
     let mut rngs: Vec<SimRng> = (0..n_obj)
         .map(|i| SimRng::seed_from(cfg.seed ^ ((i as u64 + 1) << 32)))
@@ -231,7 +232,7 @@ pub fn run_search(cfg: &SearchConfig, workers: usize) -> AdversaryReport {
                 }
             }
         }
-        let outcomes = ise_par::par_map(&fresh, workers, |_, p| evaluate(p, &cfg.eval));
+        let outcomes = ise_par::par_map(&fresh, workers, |_, p| evaluate(p, &cfg.eval, skip));
         for o in outcomes {
             if o.timed_out {
                 timeouts += 1;
@@ -335,13 +336,7 @@ impl SelfCheck {
 /// clock `skip` selects — the CI gate that proves the search has teeth
 /// and the hardening has effect.
 pub fn self_check(seed: u64, workers: usize, skip: bool) -> SelfCheck {
-    let run = |eval: EvalConfig| {
-        let eval = EvalConfig {
-            reference_clock: !skip,
-            ..eval
-        };
-        run_search(&SearchConfig::smoke(seed, eval), workers)
-    };
+    let run = |eval: EvalConfig| run_search(&SearchConfig::smoke(seed, eval), workers, skip);
     SelfCheck {
         unhardened: run(EvalConfig::unhardened()),
         hardened: run(EvalConfig::hardened()),
@@ -358,8 +353,8 @@ mod tests {
             rounds: 2,
             ..SearchConfig::smoke(7, EvalConfig::hardened())
         };
-        let a = run_search(&cfg, 1).to_registry().render();
-        let b = run_search(&cfg, 4).to_registry().render();
+        let a = run_search(&cfg, 1, true).to_registry().render();
+        let b = run_search(&cfg, 4, true).to_registry().render();
         assert_eq!(a, b);
     }
 
@@ -371,7 +366,7 @@ mod tests {
             mutations_per_parent: 1,
             ..SearchConfig::smoke(3, EvalConfig::hardened())
         };
-        let reg = run_search(&cfg, 2).to_registry();
+        let reg = run_search(&cfg, 2, true).to_registry();
         for obj in Objective::ALL {
             assert!(reg.get(&format!("objective.{}.win", obj.name())).is_some());
             assert!(reg

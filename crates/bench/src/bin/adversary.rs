@@ -71,8 +71,7 @@ fn main() {
         return;
     }
 
-    cfg.eval.reference_clock = !skip;
-    let report = ise_adversary::run_search(&cfg, workers);
+    let report = ise_adversary::run_search(&cfg, workers, skip);
     println!("{}", report.to_json().render());
     if let Some(dir) = out_dir.as_deref() {
         write_corruption(&report, cfg.seed, dir);

@@ -95,3 +95,32 @@ fn victim_recovers_through_the_fsb_handler_path() {
     assert_eq!(run.stats.killed, 0);
     assert!(run.stats.fsb_high_water_mark > 0, "the FSB was never used");
 }
+
+#[test]
+fn checked_in_images_pass_the_full_audit() {
+    // The images on disk, not the assembler's output: each replay must
+    // clear every check of the shared post-run audit (completion, store
+    // conservation, FSB drain, contract, containment, applied
+    // visibility) plus the guest's own functional-memory check, under
+    // both clocks.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../guest");
+    let mut applied = 0;
+    for mut prog in programs::all() {
+        let path = dir.join(format!("{}.bin", prog.name));
+        prog.image =
+            std::fs::read(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        for skip in [true, false] {
+            let run = run_guest_program(&prog, skip);
+            assert!(
+                run.violations.is_empty(),
+                "{} (skip {skip}): {:?}",
+                prog.name,
+                run.violations
+            );
+            applied += run.stats.stores_applied;
+        }
+    }
+    // The victim's recovery applies stores through the OS, so
+    // conservation and visibility audit real traffic.
+    assert!(applied > 0, "no guest store reached the OS apply path");
+}

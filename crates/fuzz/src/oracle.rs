@@ -31,10 +31,11 @@
 //! always contains the initial zero.
 
 use crate::gen::FuzzCase;
-use ise_consistency::program::Outcome;
+use ise_consistency::program::{LitmusProgram, Loc, Outcome};
 use ise_consistency::BatchChecker;
 use ise_litmus::machine::{explore, ExplorationResult, MachineConfig, SeededBug};
-use ise_types::model::DrainPolicy;
+use ise_types::config::OsCostConfig;
+use ise_types::model::{ConsistencyModel, DrainPolicy};
 
 /// Which oracle pair disagreed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -107,7 +108,7 @@ pub struct OracleConfig {
     /// keeps the litmus default. The adversary campaign replays its
     /// objective-(1) wins here with the *unhardened* recovery config so
     /// the shrinker reproduces the silent-drop corruption it found.
-    pub os_costs: Option<ise_types::config::OsCostConfig>,
+    pub os_costs: Option<OsCostConfig>,
     /// Denial count before a transient fault-overlay page heals. The
     /// default of 1 heals at the drain denial (the overlay only probes
     /// recovery paths); adversary replays raise it to force the retry
@@ -214,49 +215,32 @@ pub fn check_case(
             seed: case.seed,
             clears_after: oracle.overlay_clears_after,
         });
-        let slow = ise_sim::run_litmus_case(
+        let leg = sim_leg(
             &case.program,
             &case.faulting,
             case.model,
-            false,
             overlay,
             oracle.os_costs,
         );
-        let fast = ise_sim::run_litmus_case(
-            &case.program,
-            &case.faulting,
-            case.model,
-            true,
-            overlay,
-            oracle.os_costs,
-        );
-        if slow.stats_json != fast.stats_json {
+        if let Some(detail) = leg.clock_divergence {
             findings.push(Finding {
                 kind: FindingKind::ClockDivergence,
-                detail: "naive and cycle-skipping clocks disagree on the stats registry"
-                    .to_string(),
+                detail,
                 outcomes: Vec::new(),
             });
         }
-        for run in [&slow, &fast] {
-            if !run.violations.is_empty() || run.any_killed {
-                findings.push(Finding {
-                    kind: FindingKind::SimInvariant,
-                    detail: if run.any_killed {
-                        "a process was killed on a recoverable workload".to_string()
-                    } else {
-                        run.violations.join("; ")
-                    },
-                    outcomes: Vec::new(),
-                });
-                break;
-            }
+        if let Some(detail) = leg.invariant {
+            findings.push(Finding {
+                kind: FindingKind::SimInvariant,
+                detail,
+                outcomes: Vec::new(),
+            });
         }
         // The machine planes only apply when the sim saw the same fault
         // environment the machine modeled (EInject pages, not the
         // transient overlay).
         if !case.overlay {
-            let sim = &fast;
+            let sim = &leg.run;
             let mut plane = Vec::new();
             if case.faulting.is_empty()
                 && (sim.stats.imprecise_exceptions > 0 || sim.stats.precise_exceptions > 0)
@@ -302,6 +286,47 @@ pub fn check_case(
     }
 
     findings
+}
+
+/// What the timing-simulator leg of a campaign oracle found.
+pub(crate) struct SimLeg {
+    /// The cycle-skipping run, whose planes the caller compares.
+    pub run: ise_sim::LitmusRun,
+    /// Set if the two clocks rendered different stats registries.
+    pub clock_divergence: Option<String>,
+    /// The first run's kill or audit findings, joined, if either run
+    /// killed a process or failed the audit.
+    pub invariant: Option<String>,
+}
+
+/// Runs `prog` on the timing simulator under both clocks (naive first)
+/// — the sim leg the fuzz and trisection oracles share; each maps the
+/// result to its own finding kinds.
+pub(crate) fn sim_leg(
+    prog: &LitmusProgram,
+    faulting: &[Loc],
+    model: ConsistencyModel,
+    overlay: Option<ise_sim::FaultOverlay>,
+    os_costs: Option<OsCostConfig>,
+) -> SimLeg {
+    let [slow, fast] = [false, true]
+        .map(|skip| ise_sim::run_litmus_case(prog, faulting, model, skip, overlay, os_costs));
+    let invariant = [&slow, &fast]
+        .into_iter()
+        .find(|run| !run.violations.is_empty() || run.any_killed)
+        .map(|run| {
+            if run.any_killed {
+                "a process was killed on a recoverable workload".to_string()
+            } else {
+                run.violations.join("; ")
+            }
+        });
+    SimLeg {
+        clock_divergence: (slow.stats_json != fast.stats_json)
+            .then(|| "naive and cycle-skipping clocks disagree on the stats registry".to_string()),
+        invariant,
+        run: fast,
+    }
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@
 //! reproducer keeps only the annotations the bug actually needs.
 
 use crate::campaign::case_seed;
-use crate::oracle::Finding;
+use crate::oracle::{sim_leg, Finding};
 use crate::shrink::{put_findings, shrink_findings, CampaignFinding, Case, Rewrite};
 use crate::src_gen::{generate_src, SrcGenConfig, TrisectCase};
 use ise_consistency::program::{Loc, Outcome};
@@ -168,31 +168,20 @@ pub fn check_src_case(
             seed: case.seed,
             clears_after: 1,
         });
-        let slow =
-            ise_sim::run_litmus_case(&lowered, &case.faulting, case.model, false, overlay, None);
-        let fast =
-            ise_sim::run_litmus_case(&lowered, &case.faulting, case.model, true, overlay, None);
-        if slow.stats_json != fast.stats_json {
+        let leg = sim_leg(&lowered, &case.faulting, case.model, overlay, None);
+        if let Some(detail) = leg.clock_divergence {
             findings.push(Finding {
                 kind: TrisectFindingKind::ClockDivergence,
-                detail: "naive and cycle-skipping clocks disagree on the stats registry"
-                    .to_string(),
+                detail,
                 outcomes: Vec::new(),
             });
         }
-        for run in [&slow, &fast] {
-            if !run.violations.is_empty() || run.any_killed {
-                findings.push(Finding {
-                    kind: TrisectFindingKind::SimInvariant,
-                    detail: if run.any_killed {
-                        "a process was killed on a recoverable workload".to_string()
-                    } else {
-                        run.violations.join("; ")
-                    },
-                    outcomes: Vec::new(),
-                });
-                break;
-            }
+        if let Some(detail) = leg.invariant {
+            findings.push(Finding {
+                kind: TrisectFindingKind::SimInvariant,
+                detail,
+                outcomes: Vec::new(),
+            });
         }
     }
 

@@ -3,30 +3,14 @@
 //! A campaign takes the workloads' own faulting pages, replaces EInject
 //! with a [`FaultInjector`] interpreting a richer [`FaultKind`] — see
 //! `ise-core`'s fault layer — and sweeps fault **kind** × injection
-//! **rate** × **workload**. After every run it asserts the three
-//! invariants the recovery paths are supposed to preserve:
-//!
-//! 1. **Store conservation** — no store is lost silently: for every
-//!    surviving core, every store its trace retires is accounted for as
-//!    drained to memory, coalesced in the store buffer, or applied by
-//!    the OS. (Killed processes are excluded: discarding their stores is
-//!    the *documented* outcome of an irrecoverable fault.)
-//! 2. **FSB drained** — every ring ends with head == tail; the handler
-//!    never leaves entries stranded, even across early-drain chunks.
-//! 3. **Ordering contract** — the recorded DETECT/PUT/GET/S_OS/RESOLVE
-//!    stream satisfies the Table 5 axioms for the run's consistency
-//!    model.
-//!
-//! Plus the containment layer shared with the adversary campaign (see
-//! [`crate::invariants`]): GET-is-a-prefix-of-PUT per ring, killed-core
-//! conservation through the discard ledger, telemetry store-count
-//! agreement, and the applied-visibility audit that catches a kernel
-//! recording `S_OS` for a store memory never received.
+//! **rate** × **workload**. Every cell is built by [`fault_cell`] and
+//! run through [`invariants::run_audited`], the post-run audit every
+//! fault campaign shares.
 //!
 //! The campaign is deterministic: the same [`ChaosConfig::seed`] yields
 //! a byte-identical JSON report.
 
-use crate::invariants;
+use crate::invariants::{self, AuditedRun};
 use crate::system::{system_identity, System};
 use ise_core::{FaultInjector, FaultPlan, FaultResolver};
 use ise_engine::{Cycle, SimRng};
@@ -313,21 +297,13 @@ impl ChaosCampaign {
             .into_iter()
             .map(|i| pool[i])
             .collect();
-        let injector: Rc<FaultInjector> = Rc::new(
-            FaultPlan::new(seed ^ 0xF417)
-                .pages(picked.iter().copied(), FaultSpec::bus_error(kind))
-                .build(),
-        );
-
-        // EInject stays inert: the injector is the only fault source.
-        let mut quiet = workload.clone();
-        quiet.einject_pages.clear();
-        let sys = System::with_fault_sources(
+        let (sys, injector) = fault_cell(
             self.cfg,
-            &quiet,
-            vec![injector.clone() as Rc<dyn FaultResolver>],
-        )
-        .with_contract_monitor();
+            workload,
+            seed,
+            picked.iter().copied(),
+            FaultSpec::bus_error(kind),
+        );
         (sys, injector, picked)
     }
 
@@ -348,16 +324,11 @@ impl ChaosCampaign {
                 sys.record_event(0, TraceEventKind::FaultActivated { page: page.index() });
             }
         }
-        let timed_out = !sys.run_to(self.chaos.max_cycles, !self.cfg.reference_clock);
-        let stats = sys.finalize();
-
-        // A timed-out cell is reported, not audited: conservation and
-        // contract checks only make sense over a completed run.
-        let violations = if timed_out {
-            Vec::new()
-        } else {
-            invariants::all_violations(&sys, workload, &stats)
-        };
+        let AuditedRun {
+            stats,
+            timed_out,
+            audit,
+        } = invariants::run_audited(&mut sys, self.chaos.max_cycles, !self.cfg.reference_clock);
 
         let trace = if trace_capacity.is_some() {
             for page in injector.cleared_pages() {
@@ -383,10 +354,36 @@ impl ChaosCampaign {
             fsb_high_water_mark: stats.fsb_high_water_mark,
             killed: stats.killed,
             timed_out,
-            violations,
+            violations: audit.all(),
         };
         (run, trace)
     }
+}
+
+/// Builds an injected fault cell: `workload` on `cfg` with EInject left
+/// inert, a [`FaultInjector`] seeded from `seed` denying `pages` with
+/// `spec` as the only fault source, and the contract monitor on — the
+/// shape every fault campaign (chaos, adversary, litmus overlay) runs.
+/// Returns the system, not yet run, and the injector for its counters.
+///
+/// # Panics
+///
+/// Panics if the workload has no traces or more traces than the
+/// configuration has mesh tiles.
+pub fn fault_cell(
+    cfg: SystemConfig,
+    workload: &Workload,
+    seed: u64,
+    pages: impl IntoIterator<Item = PageId>,
+    spec: FaultSpec,
+) -> (System, Rc<FaultInjector>) {
+    let injector = Rc::new(FaultPlan::new(seed ^ 0xF417).pages(pages, spec).build());
+    let mut quiet = workload.clone();
+    quiet.einject_pages.clear();
+    let sys =
+        System::with_fault_sources(cfg, &quiet, vec![injector.clone() as Rc<dyn FaultResolver>])
+            .with_contract_monitor();
+    (sys, injector)
 }
 
 /// Panics unless `rate` lies in the documented `(0, 1]` (`NaN` fails too).
@@ -467,6 +464,29 @@ mod tests {
         assert!(run.ok(), "violations: {:?}", run.violations);
         assert!(run.denied > 0, "permanent faults must deny something");
         assert!(run.imprecise_exceptions > 0);
+    }
+
+    #[test]
+    fn sc_cells_hold_invariants() {
+        // SC has no store buffer: stores complete through the caches, so
+        // a cell must not be charged for stores the buffer never saw.
+        for kind in [
+            FaultKind::Permanent,
+            FaultKind::Transient { clears_after: 2 },
+        ] {
+            let chaos = ChaosConfig {
+                seed: 3,
+                kinds: vec![kind],
+                rates: vec![0.5],
+                max_cycles: 200_000_000,
+            };
+            let cfg = small_cfg().with_model(ConsistencyModel::Sc);
+            let report = ChaosCampaign::new(cfg, chaos).run_with_workers(&[tiny_workload()], 1);
+            let run = &report.runs[0];
+            assert!(!run.timed_out, "{kind}");
+            assert!(run.denied > 0, "{kind}: the cell must inject something");
+            assert!(run.ok(), "{kind}: {:?}", run.violations);
+        }
     }
 
     #[test]

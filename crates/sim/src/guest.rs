@@ -18,6 +18,7 @@
 //! snapshot/restore cuts — the golden contract the `pinned-binaries` CI
 //! job and the `guest_golden` test pin.
 
+use crate::invariants;
 use crate::system::{System, SystemStats};
 use ise_engine::Cycle;
 use ise_isa::machine::{GuestEventKind, DEFAULT_STEP_BUDGET};
@@ -45,7 +46,9 @@ pub struct GuestRun {
     /// [`GuestRun::registry`], rendered — the byte-compared golden
     /// surface.
     pub registry_json: String,
-    /// Post-run invariant violations (empty on a healthy run).
+    /// Every finding of the shared post-run audit, then any functional
+    /// memory word that disagrees with the frontend's resolved value
+    /// (empty on a healthy run).
     pub violations: Vec<String>,
 }
 
@@ -155,20 +158,7 @@ pub fn run_guest_program_with_cut(prog: &GuestProgram, skip: bool, cut: Option<C
         }
     };
 
-    let mut violations = Vec::new();
-    if stats.retired() != workload.total_instructions() as u64 && stats.killed == 0 {
-        violations.push(format!(
-            "replay did not complete: {} of {} instructions retired",
-            stats.retired(),
-            workload.total_instructions()
-        ));
-    }
-    if !sys.fsbs_empty() {
-        violations.push("an FSB ring ended with head != tail".to_string());
-    }
-    if let Err(v) = sys.check_contract() {
-        violations.push(format!("ordering contract violated: {v:?}"));
-    }
+    let mut violations = invariants::audit(&sys).all();
     // Every OS-applied store must have landed with the value the
     // frontend resolved: functional memory, where written, matches the
     // guest bus RAM byte for byte (the value-resolved lowering

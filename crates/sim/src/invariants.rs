@@ -1,79 +1,164 @@
-//! The shared invariant set for fault campaigns (chaos, fuzz, adversary).
+//! The one post-run audit every fault campaign applies: chaos cells,
+//! adversary evaluations, litmus `--sim` runs and guest replays.
 //!
-//! Three layers, each returning human-readable violation strings in a
-//! deterministic order (empty = all held):
+//! [`run_audited`] runs a built [`System`] to its cycle budget,
+//! finalizes it and, unless the budget cut it short, calls [`audit`]. A
+//! timed-out run is reported, not audited: mid-flight state legitimately
+//! violates end-of-run conservation. Callers that drive the clock
+//! themselves (the guest's snapshot cut) finalize and call [`audit`]
+//! directly.
 //!
-//! * [`standard_violations`] — the original chaos-campaign trio: store
-//!   conservation on surviving cores, every FSB ring drained, and the
-//!   Table 5 ordering contract.
-//! * [`containment_violations`] — the recovery-path containment checks
-//!   the adversary campaign added: the GET stream of every core's FSB is
-//!   a prefix of its PUT stream (no cross-process value leak through a
-//!   shared ring), kill paths leave no store unaccounted (killed-core
-//!   conservation closes through the discard ledger), and post-recovery
-//!   telemetry conserves store counts across its three independent
-//!   tallies.
-//! * [`applied_visibility_violations`] — the architectural-corruption
-//!   audit: for every address, the *last* `S_OS` the kernel recorded
-//!   must actually be visible (mask-aware) in final functional memory.
-//!   Tautological for an honest kernel, which writes memory before
-//!   recording the event; it fires exactly when a kernel *lies* — e.g.
-//!   the unhardened recovery config that silently drops a store on retry
-//!   exhaustion while still reporting it applied.
+//! The audit reads the consistency model and the workload from the
+//! system and checks, in this order:
 //!
-//! The functions take the post-run [`System`] (plus the workload/stats
-//! where needed) rather than doing their own bookkeeping, so every
-//! campaign audits the same state the run actually produced.
+//! 1. **Completion** — every instruction retired, unless a process was
+//!    killed.
+//! 2. **Store conservation** — for every surviving core, each store its
+//!    trace retires is drained to memory, coalesced in the store buffer
+//!    or applied by the OS. (Discarding a killed process's stores is the
+//!    documented outcome of an irrecoverable fault.)
+//! 3. **FSB drained** — every ring ends with head == tail.
+//! 4. **Ordering contract** — the recorded DETECT/PUT/GET/S_OS/RESOLVE
+//!    stream satisfies the Table 5 axioms for the run's model.
+//! 5. **Containment** — each core's FSB GET stream is a prefix of its
+//!    PUT stream (no cross-process value leak through a shared ring),
+//!    killed-core conservation closes through the discard ledger, and
+//!    the stats, per-core and kernel store tallies agree.
+//! 6. **Applied visibility** — for every address, the *last* `S_OS` the
+//!    kernel recorded is visible (mask-aware) in final functional
+//!    memory. Tautological for an honest kernel, which writes memory
+//!    before recording the event; it fires exactly when a kernel *lies*,
+//!    e.g. the unhardened recovery config that silently drops a store on
+//!    retry exhaustion while still reporting it applied. Its findings
+//!    are [`Audit::corruption`], kept apart from the rest because the
+//!    adversary's Corrupt objective scores them.
+//!
+//! Conservation and containment count store-buffer traffic, so both are
+//! skipped under a model without a store buffer (SC), where stores
+//! complete through the caches and those terms are structurally zero.
 
 use crate::system::{System, SystemStats};
 use ise_core::OrderEvent;
+use ise_engine::Cycle;
 use ise_types::addr::{Addr, ByteMask};
 use ise_types::CoreId;
-use ise_workloads::Workload;
 use std::collections::{BTreeMap, HashMap};
 
-/// The original chaos-campaign invariants: store conservation on
-/// surviving cores, FSB rings drained, ordering contract.
+/// What the audit of one completed run found (both lists empty = every
+/// invariant held).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Audit {
+    /// Completion, conservation, FSB, contract and containment
+    /// violations, in check order.
+    pub violations: Vec<String>,
+    /// Applied-visibility findings, one per corrupted address in address
+    /// order (non-empty = architectural corruption).
+    pub corruption: Vec<String>,
+}
+
+impl Audit {
+    /// Every finding, violations first.
+    pub fn all(mut self) -> Vec<String> {
+        self.violations.append(&mut self.corruption);
+        self.violations
+    }
+}
+
+/// One run to its budget, finalized and (unless cut short) audited.
+#[derive(Debug, Clone)]
+pub struct AuditedRun {
+    /// The finalized statistics.
+    pub stats: SystemStats,
+    /// The run exhausted its cycle budget; its [`Audit`] is then empty.
+    pub timed_out: bool,
+    /// The post-run audit.
+    pub audit: Audit,
+}
+
+/// Runs `sys` until it completes or reaches `max_cycles` on the clock
+/// `skip` selects, finalizes it and audits it unless it timed out.
 ///
 /// # Panics
 ///
-/// Panics if the system was built without a contract monitor.
-pub fn standard_violations(sys: &System, workload: &Workload, stats: &SystemStats) -> Vec<String> {
+/// Panics if the system was built without a contract monitor and the
+/// run completed.
+pub fn run_audited(sys: &mut System, max_cycles: Cycle, skip: bool) -> AuditedRun {
+    let timed_out = !sys.run_to(max_cycles, skip);
+    let stats = sys.finalize();
+    let audit = if timed_out {
+        Audit::default()
+    } else {
+        audit(sys)
+    };
+    AuditedRun {
+        stats,
+        timed_out,
+        audit,
+    }
+}
+
+/// Audits a finalized run (see the module docs for the checks).
+///
+/// # Panics
+///
+/// Panics if the system has not been finalized or was built without a
+/// contract monitor.
+pub fn audit(sys: &System) -> Audit {
+    let stats = sys.stats();
+    let workload = sys.workload();
+    let buffered = sys.model().has_store_buffer();
     let mut violations = Vec::new();
-    // 1. Store conservation on surviving cores.
-    for (i, trace) in workload.traces.iter().enumerate() {
+    if stats.retired() != workload.total_instructions() as u64 && stats.killed == 0 {
+        violations.push(format!(
+            "run did not complete: {} of {} instructions retired in {} cycles",
+            stats.retired(),
+            workload.total_instructions(),
+            stats.cycles,
+        ));
+    }
+    if buffered {
+        conservation(sys, stats, &mut violations);
+    }
+    if !sys.fsbs_empty() {
+        violations.push("an FSB ring ended with head != tail".to_string());
+    }
+    if let Err(v) = sys.check_contract() {
+        violations.push(format!("ordering contract violated: {v:?}"));
+    }
+    if buffered {
+        containment(sys, stats, &mut violations);
+    }
+    Audit {
+        violations,
+        corruption: applied_visibility(sys),
+    }
+}
+
+/// Store conservation on surviving cores.
+fn conservation(sys: &System, stats: &SystemStats, violations: &mut Vec<String>) {
+    for (i, trace) in sys.workload().traces.iter().enumerate() {
         if sys.process_killed(i) {
             continue;
         }
         let retired_stores = trace.stores() as u64;
-        let accounted =
-            sys.cores()[i].sb_drained() + sys.cores()[i].sb_coalesced() + stats.applied_per_core[i];
+        let core = &sys.cores()[i];
+        let accounted = core.sb_drained() + core.sb_coalesced() + stats.applied_per_core[i];
         if retired_stores != accounted {
             violations.push(format!(
                 "core {i}: {retired_stores} stores retired but {accounted} accounted \
                  (drained {} + coalesced {} + os-applied {})",
-                sys.cores()[i].sb_drained(),
-                sys.cores()[i].sb_coalesced(),
+                core.sb_drained(),
+                core.sb_coalesced(),
                 stats.applied_per_core[i],
             ));
         }
     }
-    // 2. Every FSB drained to head == tail.
-    if !sys.fsbs_empty() {
-        violations.push("an FSB ring ended with head != tail".to_string());
-    }
-    // 3. The ordering contract for the run's consistency model.
-    if let Err(v) = sys.check_contract() {
-        violations.push(format!("ordering contract violated: {v:?}"));
-    }
-    violations
 }
 
-/// The recovery-path containment invariants (see module docs). All three
-/// hold on every legal run, hardened or not — a violation means a
-/// recovery path mishandled state, not merely that a fault occurred.
-pub fn containment_violations(sys: &System, stats: &SystemStats) -> Vec<String> {
-    let mut violations = Vec::new();
+/// The recovery-path containment checks. All three hold on every legal
+/// run, hardened or not: a violation means a recovery path mishandled
+/// state, not merely that a fault occurred.
+fn containment(sys: &System, stats: &SystemStats, violations: &mut Vec<String>) {
     // 1. No cross-process value leak through a shared FSB: each core's
     //    GET stream is a prefix of its PUT stream. (Kill paths pop the
     //    drained remainder without recording GETs, so a strict prefix is
@@ -153,14 +238,12 @@ pub fn containment_violations(sys: &System, stats: &SystemStats) -> Vec<String> 
             sys.os_kernel().processes_killed()
         ));
     }
-    violations
 }
 
 /// The applied-visibility audit: every address's *last* recorded `S_OS`
 /// must be visible, mask-aware, in final functional memory. Returns one
-/// violation per corrupted address, in address order. Empty when the
-/// system has no contract monitor (nothing to audit against).
-pub fn applied_visibility_violations(sys: &System) -> Vec<String> {
+/// finding per corrupted address, in address order.
+fn applied_visibility(sys: &System) -> Vec<String> {
     let Some(log) = sys.contract_log() else {
         return Vec::new();
     };
@@ -184,11 +267,11 @@ pub fn applied_visibility_violations(sys: &System) -> Vec<String> {
             _ => {}
         }
     }
-    let mut violations = Vec::new();
+    let mut corruption = Vec::new();
     for (addr, (data, mask)) in &last_claim {
         let got = sys.memory().read(*addr);
         if mask.merge(0, got) != mask.merge(0, *data) {
-            violations.push(format!(
+            corruption.push(format!(
                 "applied store not visible: S_OS recorded at {:#x} claiming {:#x} \
                  (mask {:#04x}) but memory holds {got:#x}",
                 addr.raw(),
@@ -197,14 +280,5 @@ pub fn applied_visibility_violations(sys: &System) -> Vec<String> {
             ));
         }
     }
-    violations
-}
-
-/// All three layers concatenated, in severity-stable order — the full
-/// invariant set every adversary objective evaluation runs.
-pub fn all_violations(sys: &System, workload: &Workload, stats: &SystemStats) -> Vec<String> {
-    let mut v = standard_violations(sys, workload, stats);
-    v.extend(containment_violations(sys, stats));
-    v.extend(applied_visibility_violations(sys));
-    v
+    corruption
 }

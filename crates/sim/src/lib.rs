@@ -16,8 +16,10 @@
 //!
 //! [`chaos`] adds the fault-injection campaign runner: sweeps of fault
 //! kind × rate × workload through `ise-core`'s [`chaos
-//! layer`](ise_core::faults), with store-conservation, FSB-drain and
-//! ordering-contract invariants checked after every run.
+//! layer`](ise_core::faults). Its [`fault_cell`] builds the injected
+//! system every fault campaign runs, and [`invariants`] holds the one
+//! post-run audit that chaos, adversary, litmus `--sim` and guest runs
+//! share.
 
 //!
 //! [`litmus`] lowers the symbolic litmus programs of `ise-consistency`
@@ -39,9 +41,7 @@ pub mod litmus;
 pub mod report;
 pub mod system;
 
-pub use chaos::{ChaosCampaign, ChaosConfig, ChaosReport, ChaosRun};
+pub use chaos::{fault_cell, ChaosCampaign, ChaosConfig, ChaosReport, ChaosRun};
 pub use guest::{run_guest_program, run_guest_program_with_cut, GuestRun};
-pub use litmus::{
-    litmus_workload, loc_addr, run_litmus_case, run_litmus_on_sim, FaultOverlay, LitmusRun,
-};
+pub use litmus::{litmus_workload, loc_addr, run_litmus_case, FaultOverlay, LitmusRun};
 pub use system::{System, SystemStats};

@@ -10,6 +10,7 @@ use ise_telemetry::{Registry, Telemetry, TraceEventKind};
 use ise_types::addr::Addr;
 use ise_types::config::SystemConfig;
 use ise_types::json::{Json, ToJson};
+use ise_types::model::ConsistencyModel;
 use ise_types::stats::CoreStats;
 use ise_types::CoreId;
 use ise_workloads::layout::{EINJECT_BASE, EINJECT_SIZE};
@@ -469,6 +470,18 @@ impl System {
     /// The deepest FSB occupancy core `i`'s controller ever saw.
     pub fn fsb_high_water(&self, i: usize) -> usize {
         self.fsbcs[i].high_water_mark()
+    }
+
+    /// The workload this system was built from (the audit reads its
+    /// traces).
+    pub(crate) fn workload(&self) -> &Workload {
+        &self.workload
+    }
+
+    /// The consistency model the cores run (the audit gates its
+    /// store-buffer checks on it).
+    pub(crate) fn model(&self) -> ConsistencyModel {
+        self.cfg.core.model
     }
 
     /// The functional memory image (stores applied by the OS land here).
@@ -1185,15 +1198,9 @@ mod tests {
         assert!(sys.fsbs_empty(), "kill leaves no orphaned FSB entries");
         let discarded = sys.discarded_per_core()[0];
         assert!(discarded > 0, "the kill path must discard something");
-        // Killed-core conservation closes through the discard ledger.
-        assert_eq!(
-            invariants::containment_violations(&sys, &stats),
-            Vec::<String>::new()
-        );
-        assert!(
-            invariants::applied_visibility_violations(&sys).is_empty(),
-            "everything the kernel recorded as applied is visible"
-        );
+        // Killed-core conservation closes through the discard ledger, and
+        // everything the kernel recorded as applied is visible.
+        assert_eq!(invariants::audit(&sys), invariants::Audit::default());
         // The telemetry plane merged the kill-path counters cleanly.
         let reg = &sys.telemetry().registry;
         assert_eq!(reg.counter("core0.kill_discarded"), discarded);

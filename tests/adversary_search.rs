@@ -48,19 +48,16 @@ fn seeded_weakness_self_check_separates_the_two_kernels() {
 #[test]
 fn scorecard_is_byte_identical_across_worker_counts() {
     let cfg = tiny(5, EvalConfig::unhardened());
-    let one = run_search(&cfg, 1).to_registry().render();
-    let four = run_search(&cfg, 4).to_registry().render();
+    let one = run_search(&cfg, 1, true).to_registry().render();
+    let four = run_search(&cfg, 4, true).to_registry().render();
     assert_eq!(one, four);
 }
 
 #[test]
 fn scorecard_is_byte_identical_across_clock_pins() {
-    let skip = run_search(&tiny(5, EvalConfig::hardened()), 2)
-        .to_registry()
-        .render();
-    let mut reference = EvalConfig::hardened();
-    reference.reference_clock = true;
-    let r = run_search(&tiny(5, reference), 2).to_registry().render();
+    let cfg = tiny(5, EvalConfig::hardened());
+    let skip = run_search(&cfg, 2, true).to_registry().render();
+    let r = run_search(&cfg, 2, false).to_registry().render();
     assert_eq!(skip, r);
 }
 
@@ -74,7 +71,7 @@ fn a_corruption_win_becomes_a_replayable_regression() {
         exception: ExceptionKind::BusError,
         fsb_capacity: 32,
     };
-    let outcome = evaluate(&plan, &EvalConfig::unhardened());
+    let outcome = evaluate(&plan, &EvalConfig::unhardened(), true);
     assert!(
         Objective::Corrupt.win(&outcome),
         "violations {:?} corruption {:?}",
