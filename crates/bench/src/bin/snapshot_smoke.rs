@@ -8,25 +8,28 @@
 //!   byte-identical to the uninterrupted run, on the clock the
 //!   `ISE_CYCLE_SKIP` pin selects (CI runs it under both).
 //! * `--write-golden` — regenerates the checked-in golden snapshot
-//!   (`crates/bench/tests/golden/snapshot_v1.ises`) and its expected
+//!   (`crates/bench/tests/golden/snapshot_v2.ises`) and its expected
 //!   end-of-run registry render. Run this (and commit the result) only
 //!   when the format version is intentionally bumped.
 //! * `--replay-golden` — restores the checked-in golden snapshot,
 //!   asserts that re-saving it reproduces the image byte for byte, runs
 //!   it to completion, and asserts the registry render matches the
 //!   checked-in expectation: yesterday's images must stay readable.
-//! * `--corrupt-golden` — flips one header byte and one body byte of the
-//!   golden image and asserts both restores FAIL: the format must
-//!   reject, not misparse, damaged images.
+//! * `--corrupt-golden` — restores three variants of the golden image
+//!   (one header byte flipped, one body byte flipped, the version word
+//!   set to 1 with the hash re-stamped) and asserts each fails with its
+//!   typed error (`BadMagic`, `HashMismatch`, `UnsupportedVersion(1)`):
+//!   the format must reject, not misparse, damaged or outdated images.
 
 use ise_bench::cli::Args;
 use ise_sim::System;
+use ise_types::persist::{fnv1a, PersistError};
 use ise_types::{SystemConfig, ToJson};
 use ise_workloads::microbench::{microbench, MicrobenchConfig};
 use ise_workloads::Workload;
 
-const GOLDEN_SNAPSHOT: &str = "crates/bench/tests/golden/snapshot_v1.ises";
-const GOLDEN_REGISTRY: &str = "crates/bench/tests/golden/snapshot_v1_registry.json";
+const GOLDEN_SNAPSHOT: &str = "crates/bench/tests/golden/snapshot_v2.ises";
+const GOLDEN_REGISTRY: &str = "crates/bench/tests/golden/snapshot_v2_registry.json";
 const MAX_CYCLES: u64 = 2_000_000_000;
 
 /// The fixed cell every mode runs: a single-core microbench iteration
@@ -138,22 +141,28 @@ fn replay_golden() {
 
 fn corrupt_golden() {
     let snap = std::fs::read(GOLDEN_SNAPSHOT).expect("read golden snapshot");
-    // Header corruption: the magic/version bytes must be rejected.
+    let restore = |bad: &[u8]| {
+        build()
+            .restore_from(bad)
+            .expect_err("a damaged image restored")
+    };
+    // Header corruption: the magic must be rejected.
     let mut bad = snap.clone();
     bad[0] ^= 0x5a;
-    assert!(
-        build().restore_from(&bad).is_err(),
-        "a corrupted header must fail to restore"
-    );
+    assert_eq!(restore(&bad), PersistError::BadMagic);
     // Body corruption: the trailing content hash must catch it.
     let mut bad = snap.clone();
     let mid = bad.len() / 2;
     bad[mid] ^= 0x5a;
-    assert!(
-        build().restore_from(&bad).is_err(),
-        "a corrupted body must fail the content hash"
-    );
-    println!("corruption rejected ok (header + body legs)");
+    assert_eq!(restore(&bad), PersistError::HashMismatch);
+    // An intact format-version-1 image: there is no v1 reader.
+    let mut bad = snap.clone();
+    bad[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let end = bad.len() - 8;
+    let hash = fnv1a(&bad[..end]);
+    bad[end..].copy_from_slice(&hash.to_le_bytes());
+    assert_eq!(restore(&bad), PersistError::UnsupportedVersion(1));
+    println!("corruption rejected ok (header, body and version legs)");
 }
 
 fn main() {

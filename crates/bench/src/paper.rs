@@ -642,7 +642,7 @@ fn fig5(quick: bool, workers: usize, skip: bool) -> Report {
 
     // Extension: demand paging — batched page-in IO vs the serial
     // precise-fault regime (§5.3's second batching argument).
-    let io_rows = experiments::fig5_demand_paging(io_pages, 20_000, workers, skip);
+    let io_rows = experiments::fig5_demand_paging(io_pages, workers, skip);
     let mut out = cells(
         "faulting pages | exceptions | page-ins | batched IO cycles | \
          serial IO cycles | IO speedup",
@@ -659,8 +659,11 @@ fn fig5(quick: bool, workers: usize, skip: bool) -> Report {
     }
     table(
         &mut text,
-        "Extension: demand-paging IO, batched within imprecise-exception invocations \
-         (io_latency = 20k cycles)",
+        &format!(
+            "Extension: demand-paging IO, batched within imprecise-exception invocations \
+             (io_latency = {}k cycles)",
+            SystemConfig::isca23().os.io_latency / 1000
+        ),
         &out,
     );
     Report {

@@ -22,8 +22,8 @@
 
 /// The `ISE_CYCLE_SKIP` environment pin. `Some(false)` selects the
 /// reference per-cycle clock, `Some(true)` cycle skipping, `None`
-/// (unset) leaves the choice to the binary (the skip clock, or
-/// `SystemConfig::reference_clock` where a campaign is handed one).
+/// (unset) leaves the choice to the binary (every binary defaults to
+/// the skip clock).
 ///
 /// # Panics
 ///

@@ -12,7 +12,7 @@
 //! [`paging`] models the batching win for demand paging: one handler
 //! invocation can schedule many overlapping IOs instead of serializing
 //! page faults. [`process`] models process termination on irrecoverable
-//! exceptions and the Interrupt-Enable-bit serialization of §5.3.
+//! exceptions.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -25,4 +25,4 @@ pub mod process;
 pub use handler::{HandlerOutcome, OsKernel, OverheadBreakdown};
 pub use kernel::{ContainedKernelCopy, KernelCopyOutcome};
 pub use paging::IoScheduler;
-pub use process::{InterruptControl, Process, ProcessState};
+pub use process::{Process, ProcessState};

@@ -1,34 +1,21 @@
-//! Process lifecycle and interrupt/exception serialization.
+//! Process lifecycle: one process per core, killed by an irrecoverable
+//! exception.
 //!
-//! Paper §5.3: interrupts and imprecise store exceptions are serialized
-//! through the Interrupt Enable (IE) bit — set automatically when a
-//! handler is entered and by the OS around critical sections, and
-//! **hard-wired to zero in user mode**, so pending imprecise store
-//! exceptions can never be masked from user code.
+//! Paper §5.3 serializes interrupts against imprecise store exceptions
+//! through the Interrupt Enable (IE) bit, set while a handler runs. The
+//! simulator models that window once, as `ise-sim`'s per-core
+//! `handler_busy_until`: a timer interrupt arriving inside it is
+//! deferred.
 
 use ise_types::CoreId;
-use std::fmt;
 
 /// Lifecycle state of a simulated process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcessState {
     /// Scheduled and executing.
     Running,
-    /// Blocked in an exception handler.
-    Blocked,
     /// Terminated by an irrecoverable exception.
     Killed,
-}
-
-impl fmt::Display for ProcessState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ProcessState::Running => "running",
-            ProcessState::Blocked => "blocked",
-            ProcessState::Killed => "killed",
-        };
-        write!(f, "{s}")
-    }
 }
 
 /// One simulated process, pinned to one core (the evaluation runs one
@@ -53,104 +40,11 @@ impl Process {
         }
     }
 
-    /// Blocks the process for exception handling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the process is not running.
-    pub fn block(&mut self) {
-        assert_eq!(
-            self.state,
-            ProcessState::Running,
-            "only running processes block"
-        );
-        self.state = ProcessState::Blocked;
-    }
-
-    /// Resumes a blocked process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the process is not blocked.
-    pub fn resume(&mut self) {
-        assert_eq!(
-            self.state,
-            ProcessState::Blocked,
-            "only blocked processes resume"
-        );
-        self.state = ProcessState::Running;
-    }
-
-    /// Terminates the process (irrecoverable exception). Idempotent:
-    /// returns `true` only on the transition into `Killed`, so a second
-    /// kill — e.g. an early-drain continuation racing a chunk that
-    /// already terminated the episode — neither panics nor double-counts
-    /// in any per-process statistic keyed on the return value.
-    pub fn kill(&mut self) -> bool {
-        let newly = self.state != ProcessState::Killed;
+    /// Terminates the process (irrecoverable exception). Idempotent, so
+    /// an early-drain continuation racing a chunk that already
+    /// terminated the episode does not panic.
+    pub fn kill(&mut self) {
         self.state = ProcessState::Killed;
-        newly
-    }
-}
-
-/// The per-core IE-bit state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct InterruptControl {
-    ie_masked: bool,
-    in_handler: bool,
-}
-
-impl InterruptControl {
-    /// Fresh state: exceptions deliverable.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether an imprecise store exception (or interrupt) may be
-    /// delivered now. `user_mode` reflects the privilege level: the IE
-    /// bit is hard-wired to zero in user mode, so masking is ineffective
-    /// there (paper §5.3).
-    pub fn can_deliver(&self, user_mode: bool) -> bool {
-        user_mode || !self.ie_masked
-    }
-
-    /// Hardware sets the IE bit on handler entry, serializing further
-    /// exceptions.
-    ///
-    /// # Panics
-    ///
-    /// Panics on re-entry: recursive imprecise exception handling is
-    /// unsupported by design (paper §5.4).
-    pub fn enter_handler(&mut self) {
-        assert!(
-            !self.in_handler,
-            "recursive imprecise exception handlers are not supported"
-        );
-        self.in_handler = true;
-        self.ie_masked = true;
-    }
-
-    /// OS clears the IE bit when leaving the handler.
-    pub fn exit_handler(&mut self) {
-        self.in_handler = false;
-        self.ie_masked = false;
-    }
-
-    /// OS enters a non-interruptible critical section.
-    pub fn enter_critical(&mut self) {
-        self.ie_masked = true;
-    }
-
-    /// OS leaves the critical section.
-    pub fn exit_critical(&mut self) {
-        if !self.in_handler {
-            self.ie_masked = false;
-        }
-    }
-
-    /// Whether a handler is currently executing.
-    pub fn in_handler(&self) -> bool {
-        self.in_handler
     }
 }
 
@@ -162,15 +56,13 @@ mod persist_impls {
         fn save(&self, w: &mut Writer) {
             w.u8(match self {
                 ProcessState::Running => 0,
-                ProcessState::Blocked => 1,
-                ProcessState::Killed => 2,
+                ProcessState::Killed => 1,
             });
         }
         fn restore(r: &mut Reader) -> Result<Self, PersistError> {
             Ok(match r.u8()? {
                 0 => ProcessState::Running,
-                1 => ProcessState::Blocked,
-                2 => ProcessState::Killed,
+                1 => ProcessState::Killed,
                 _ => return Err(PersistError::Corrupt("ProcessState discriminant")),
             })
         }
@@ -190,24 +82,6 @@ mod persist_impls {
             })
         }
     }
-
-    impl Persist for InterruptControl {
-        fn save(&self, w: &mut Writer) {
-            w.bool(self.ie_masked);
-            w.bool(self.in_handler);
-        }
-        fn restore(r: &mut Reader) -> Result<Self, PersistError> {
-            let ie_masked = r.bool()?;
-            let in_handler = r.bool()?;
-            if in_handler && !ie_masked {
-                return Err(PersistError::Corrupt("handler entry without IE mask"));
-            }
-            Ok(InterruptControl {
-                ie_masked,
-                in_handler,
-            })
-        }
-    }
 }
 
 #[cfg(test)]
@@ -215,121 +89,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn process_lifecycle() {
-        let mut p = Process::spawn(1, CoreId(0));
-        assert_eq!(p.state, ProcessState::Running);
-        p.block();
-        assert_eq!(p.state, ProcessState::Blocked);
-        p.resume();
-        assert_eq!(p.state, ProcessState::Running);
-        assert!(p.kill(), "first kill is the real transition");
-        assert_eq!(p.state, ProcessState::Killed);
-    }
-
-    #[test]
     fn kill_is_idempotent() {
         let mut p = Process::spawn(1, CoreId(0));
-        assert!(p.kill());
-        assert!(!p.kill(), "second kill reports already-dead");
+        assert_eq!(p.state, ProcessState::Running);
+        p.kill();
+        p.kill();
         assert_eq!(p.state, ProcessState::Killed);
-        // Killing from Blocked works too (mid-handler termination).
-        let mut q = Process::spawn(2, CoreId(1));
-        q.block();
-        assert!(q.kill());
-        assert!(!q.kill());
-    }
-
-    #[test]
-    #[should_panic(expected = "only running processes block")]
-    fn double_block_panics() {
-        let mut p = Process::spawn(1, CoreId(0));
-        p.block();
-        p.block();
-    }
-
-    #[test]
-    fn ie_bit_serializes_handlers() {
-        let mut ic = InterruptControl::new();
-        assert!(ic.can_deliver(false));
-        ic.enter_handler();
-        assert!(
-            !ic.can_deliver(false),
-            "kernel exceptions masked in handler"
-        );
-        ic.exit_handler();
-        assert!(ic.can_deliver(false));
-    }
-
-    #[test]
-    fn ie_bit_ineffective_in_user_mode() {
-        let mut ic = InterruptControl::new();
-        ic.enter_critical();
-        // Masked for the kernel, but user mode cannot mask.
-        assert!(!ic.can_deliver(false));
-        assert!(ic.can_deliver(true));
-    }
-
-    #[test]
-    #[should_panic(expected = "recursive")]
-    fn recursive_handler_rejected() {
-        let mut ic = InterruptControl::new();
-        ic.enter_handler();
-        ic.enter_handler();
     }
 
     #[test]
     fn persist_round_trips_every_state() {
         use ise_types::persist::{restore_container, save_container};
-        for mutate in [
-            (|_: &mut Process| {}) as fn(&mut Process),
-            |p| p.block(),
-            |p| {
+        let mut p = Process::spawn(7, CoreId(3));
+        for kill in [false, true] {
+            if kill {
                 p.kill();
-            },
-        ] {
-            let mut p = Process::spawn(7, CoreId(3));
-            mutate(&mut p);
-            let bytes = save_container(&p);
-            let back: Process = restore_container(&bytes).unwrap();
+            }
+            let back: Process = restore_container(&save_container(&p)).unwrap();
             assert_eq!(back, p);
         }
-        let mut ic = InterruptControl::new();
-        ic.enter_handler();
-        let bytes = save_container(&ic);
-        let back: InterruptControl = restore_container(&bytes).unwrap();
-        assert_eq!(back, ic);
-        assert!(back.in_handler());
-        assert!(!back.can_deliver(false));
-    }
-
-    #[test]
-    fn persist_rejects_inconsistent_interrupt_state() {
-        use ise_types::persist::{restore_container, save_container, PersistError};
-        let ic = InterruptControl::new();
-        let bytes = save_container(&ic);
-        // Flip `in_handler` on while leaving `ie_masked` off: a state no
-        // legal transition sequence reaches. Field bytes live right after
-        // the container header; re-stamp the trailing hash.
-        let mut bad = bytes.clone();
-        bad[8] = 0; // ie_masked = false
-        bad[9] = 1; // in_handler = true
-        let off = bad.len() - 8;
-        let h = ise_types::persist::fnv1a(&bad[..off]);
-        bad[off..].copy_from_slice(&h.to_le_bytes());
-        assert!(matches!(
-            restore_container::<InterruptControl>(&bad),
-            Err(PersistError::Corrupt("handler entry without IE mask"))
-        ));
-    }
-
-    #[test]
-    fn critical_section_inside_handler_keeps_mask() {
-        let mut ic = InterruptControl::new();
-        ic.enter_handler();
-        ic.enter_critical();
-        ic.exit_critical();
-        assert!(!ic.can_deliver(false), "still in handler: stays masked");
-        ic.exit_handler();
-        assert!(ic.can_deliver(false));
     }
 }

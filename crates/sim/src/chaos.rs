@@ -178,22 +178,33 @@ impl ChaosCampaign {
         )
     }
 
-    /// Keys one cell by its content: the workload's `system_identity`
-    /// (configuration, traces, declared faulting pages), the fault kind
-    /// with its parameters, the rate's bits and the cell seed.
+    /// Keys one cell by its content: the `system_identity` of the quiet
+    /// workload the cell's [`System`] is built on (see [`fault_cell`]),
+    /// the workload's [`fault_pool`], the fault kind with its
+    /// parameters, the rate's bits and the cell seed.
     /// [`ChaosCampaign::build_cell`] is a pure function of these inputs,
     /// so equal keys mean equal boot states and equal trajectories.
-    fn content_key(identity: u64, kind: FaultKind, rate: f64, seed: u64) -> u64 {
-        let key = format!(
-            "{identity:016x}\u{1f}{kind:?}\u{1f}{}\u{1f}{seed}",
-            rate.to_bits()
-        );
-        ise_types::persist::fnv1a(key.as_bytes())
+    fn content_key(identity: u64, pool: &[PageId], kind: FaultKind, rate: f64, seed: u64) -> u64 {
+        use ise_types::persist::{fnv1a, Persist, Writer};
+        let mut w = Writer::new();
+        w.u64(identity);
+        pool.to_vec().save(&mut w);
+        format!("{kind:?}").save(&mut w);
+        w.u64(rate.to_bits());
+        w.u64(seed);
+        fnv1a(&w.into_bytes())
+    }
+
+    /// [`ChaosCampaign::run_clocked`] on the cycle-skipping clock.
+    pub fn run_with_workers(&self, workloads: &[Workload], workers: usize) -> ChaosReport {
+        self.run_clocked(workloads, workers, true)
     }
 
     /// Runs the full sweep over `workloads`, one kind × rate × workload
     /// cell per worker, on `workers` threads. Each cell runs on the
-    /// clock the campaign's [`SystemConfig::reference_clock`] selects.
+    /// clock `skip` selects: the cycle-skipping clock when `true`, the
+    /// per-cycle reference loop when `false`; the two report
+    /// byte-identically.
     ///
     /// Each workload must declare `einject_pages` (the pool faults are
     /// sampled from); the campaign clears that list so EInject stays
@@ -215,12 +226,12 @@ impl ChaosCampaign {
     ///
     /// Panics if a rate is not in `(0, 1]` (`NaN` included), or if a
     /// workload declares no faulting pages or never touches them.
-    pub fn run_with_workers(&self, workloads: &[Workload], workers: usize) -> ChaosReport {
+    pub fn run_clocked(&self, workloads: &[Workload], workers: usize, skip: bool) -> ChaosReport {
         self.chaos.rates.iter().for_each(|&rate| check_rate(rate));
         let pools: Vec<Vec<PageId>> = workloads.iter().map(fault_pool).collect();
         let identities: Vec<u64> = workloads
             .iter()
-            .map(|w| system_identity(&self.cfg, w))
+            .map(|w| system_identity(&self.cfg, &quiet(w)))
             .collect();
         let mut cells =
             Vec::with_capacity(workloads.len() * self.chaos.kinds.len() * self.chaos.rates.len());
@@ -234,11 +245,13 @@ impl ChaosCampaign {
         let (runs, unique_cells) = ise_par::par_map_dedup(
             &cells,
             workers,
-            |&(wi, kind, rate, seed)| Self::content_key(identities[wi], kind, rate, seed),
+            |&(wi, kind, rate, seed)| {
+                Self::content_key(identities[wi], &pools[wi], kind, rate, seed)
+            },
             |_, &(wi, kind, rate, seed)| {
                 let (w, pool) = (&workloads[wi], &pools[wi]);
                 let cell = self.build_cell(w, pool, kind, rate, seed);
-                self.run_cell(cell, w, kind, rate, None).0
+                self.run_cell(cell, w, kind, rate, skip, None).0
             },
         );
         ChaosReport {
@@ -254,9 +267,9 @@ impl ChaosCampaign {
     /// event per injected page and closes with `fault_cleared` for every
     /// cause that healed or was resolved — the campaign-level events the
     /// per-run counters lose. Cell seeding matches what
-    /// [`ChaosCampaign::run_with_workers`] would use for the matching
-    /// sweep cell of `workload`, so the traced run reproduces a sweep
-    /// cell exactly.
+    /// [`ChaosCampaign::run_clocked`] would use for the matching sweep
+    /// cell of `workload`, so the traced run on the same clock `skip`
+    /// reproduces a sweep cell exactly.
     ///
     /// # Panics
     ///
@@ -268,11 +281,12 @@ impl ChaosCampaign {
         kind: FaultKind,
         rate: f64,
         capacity: usize,
+        skip: bool,
     ) -> (ChaosRun, Json) {
         check_rate(rate);
         let seed = self.cell_seed(workload, kind, rate);
         let cell = self.build_cell(workload, &fault_pool(workload), kind, rate, seed);
-        let (run, trace) = self.run_cell(cell, workload, kind, rate, Some(capacity));
+        let (run, trace) = self.run_cell(cell, workload, kind, rate, skip, Some(capacity));
         (run, trace.expect("tracing was requested"))
     }
 
@@ -307,14 +321,16 @@ impl ChaosCampaign {
         (sys, injector, picked)
     }
 
-    /// Runs a built cell under [`ChaosConfig::max_cycles`] and audits it,
-    /// with the event trace on when `trace_capacity` is set.
+    /// Runs a built cell under [`ChaosConfig::max_cycles`] on the clock
+    /// `skip` selects and audits it, with the event trace on when
+    /// `trace_capacity` is set.
     fn run_cell(
         &self,
         (mut sys, injector, picked): (System, Rc<FaultInjector>, Vec<PageId>),
         workload: &Workload,
         kind: FaultKind,
         rate: f64,
+        skip: bool,
         trace_capacity: Option<usize>,
     ) -> (ChaosRun, Option<Json>) {
         let k = picked.len();
@@ -328,7 +344,7 @@ impl ChaosCampaign {
             stats,
             timed_out,
             audit,
-        } = invariants::run_audited(&mut sys, self.chaos.max_cycles, !self.cfg.reference_clock);
+        } = invariants::run_audited(&mut sys, self.chaos.max_cycles, skip);
 
         let trace = if trace_capacity.is_some() {
             for page in injector.cleared_pages() {
@@ -378,12 +394,22 @@ pub fn fault_cell(
     spec: FaultSpec,
 ) -> (System, Rc<FaultInjector>) {
     let injector = Rc::new(FaultPlan::new(seed ^ 0xF417).pages(pages, spec).build());
-    let mut quiet = workload.clone();
-    quiet.einject_pages.clear();
-    let sys =
-        System::with_fault_sources(cfg, &quiet, vec![injector.clone() as Rc<dyn FaultResolver>])
-            .with_contract_monitor();
+    let sys = System::with_fault_sources(
+        cfg,
+        &quiet(workload),
+        vec![injector.clone() as Rc<dyn FaultResolver>],
+    )
+    .with_contract_monitor();
     (sys, injector)
+}
+
+/// `workload` with its declared faulting pages cleared, so EInject stays
+/// inert in a fault cell.
+fn quiet(workload: &Workload) -> Workload {
+    Workload {
+        einject_pages: Vec::new(),
+        ..workload.clone()
+    }
 }
 
 /// Panics unless `rate` lies in the documented `(0, 1]` (`NaN` fails too).
@@ -517,19 +543,17 @@ mod tests {
             rates: vec![0.5],
             max_cycles: 500,
         };
-        let mk = |reference: bool| {
-            let mut cfg = small_cfg();
-            cfg.reference_clock = reference;
-            ChaosCampaign::new(cfg, chaos.clone()).run_with_workers(&[tiny_workload()], 2)
+        let mk = |skip: bool| {
+            ChaosCampaign::new(small_cfg(), chaos.clone()).run_clocked(&[tiny_workload()], 2, skip)
         };
-        let skip = mk(false);
-        let run = &skip.runs[0];
+        let skipped = mk(true);
+        let run = &skipped.runs[0];
         assert!(run.timed_out);
         assert!(run.ok(), "timed-out cells skip invariant audits");
         assert!(run.cycles <= 500);
         assert_eq!(
-            skip.to_json().render(),
-            mk(true).to_json().render(),
+            skipped.to_json().render(),
+            mk(false).to_json().render(),
             "timeout outcomes must be byte-identical across clocks"
         );
     }
@@ -547,7 +571,7 @@ mod tests {
         };
         let campaign = ChaosCampaign::new(small_cfg(), chaos);
         let w = tiny_workload();
-        let (run, trace) = campaign.trace_cell(&w, kind, 0.5, 8192);
+        let (run, trace) = campaign.trace_cell(&w, kind, 0.5, 8192, true);
         assert!(run.ok(), "violations: {:?}", run.violations);
         let rendered = trace.render();
         assert!(rendered.contains("\"fault_activated\""));
@@ -588,7 +612,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "is not in (0, 1]")]
     fn nan_rate_is_rejected() {
-        rate_sweep(vec![0.5]).trace_cell(&tiny_workload(), FaultKind::Permanent, f64::NAN, 64);
+        rate_sweep(vec![0.5]).trace_cell(
+            &tiny_workload(),
+            FaultKind::Permanent,
+            f64::NAN,
+            64,
+            true,
+        );
     }
 
     #[test]
@@ -603,11 +633,14 @@ mod tests {
         let kind = FaultKind::Permanent;
         let mut cells = Vec::new();
         for (wi, w) in workloads.iter().enumerate() {
-            let (identity, pool) = (system_identity(&campaign.cfg, w), fault_pool(w));
+            let (identity, pool) = (system_identity(&campaign.cfg, &quiet(w)), fault_pool(w));
             for &rate in &campaign.chaos.rates {
                 let seed = campaign.cell_seed(w, kind, rate);
                 let (sys, _, _) = campaign.build_cell(w, &pool, kind, rate, seed);
-                let key = ChaosCampaign::content_key(identity, kind, rate, seed);
+                // The identity hashed from the campaign's configuration
+                // (core count unadjusted) is the built system's own.
+                assert_eq!(identity, sys.identity());
+                let key = ChaosCampaign::content_key(identity, &pool, kind, rate, seed);
                 cells.push((wi, key, sys.snapshot()));
             }
         }

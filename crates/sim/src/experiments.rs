@@ -267,15 +267,12 @@ impl ToJson for Fig5IoRow {
 /// covers many faulting pages, so their IOs are submitted together and
 /// overlap; the traditional precise regime would pay them serially.
 ///
-/// Same cells, clock choice and merge guarantee as [`fig5`].
-pub fn fig5_demand_paging(
-    page_counts: &[usize],
-    io_latency: u64,
-    workers: usize,
-    skip: bool,
-) -> Vec<Fig5IoRow> {
+/// Each page-in takes the configuration's `os.io_latency` cycles. Same
+/// cells, clock choice and merge guarantee as [`fig5`].
+pub fn fig5_demand_paging(page_counts: &[usize], workers: usize, skip: bool) -> Vec<Fig5IoRow> {
     ise_par::par_map(page_counts, workers, |_, &pages| {
         let (cfg, workload) = fig5_cell(pages);
+        let io_latency = cfg.os.io_latency;
         let mut sys = System::new(cfg, &workload).with_demand_paging_io(io_latency);
         let stats = sys.run_clocked(MAX_CYCLES, skip);
         Fig5IoRow {
@@ -643,7 +640,7 @@ mod tests {
 
     #[test]
     fn demand_paging_batching_beats_serial() {
-        let rows = fig5_demand_paging(&[64], 20_000, 1, true);
+        let rows = fig5_demand_paging(&[64], 1, true);
         let r = &rows[0];
         assert!(r.exceptions > 0);
         assert!(r.pages_resolved >= 32, "most marked pages get touched");

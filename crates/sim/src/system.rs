@@ -5,7 +5,7 @@ use ise_cpu::{Core, StepOutcome};
 use ise_engine::Cycle;
 use ise_mem::{FlatMemory, MemoryHierarchy};
 use ise_os::handler::OverheadBreakdown;
-use ise_os::{InterruptControl, OsKernel, Process, ProcessState};
+use ise_os::{OsKernel, Process, ProcessState};
 use ise_telemetry::{Registry, Telemetry, TraceEventKind};
 use ise_types::addr::Addr;
 use ise_types::config::SystemConfig;
@@ -22,16 +22,19 @@ use std::rc::Rc;
 const FSB_REGION_BASE: u64 = 0x2000_0000;
 
 /// Identity fingerprint of a (configuration, workload) pair: the FNV-1a
-/// hash of the configuration's rendered form plus the full instruction
-/// streams and EInject page set. A snapshot carries this fingerprint and
-/// [`System::restore_from`] refuses to load state into a system built
-/// from different inputs — the trace contents and config are *not* in
-/// the snapshot, so they must match exactly for resume to be sound. The
-/// chaos campaign's content key reuses it as the workload's identity.
+/// hash of a container holding the configuration's steering fields
+/// ([`SystemConfig::save_identity`]) plus the workload's name, full
+/// instruction streams and EInject page set. The container header tags
+/// it with the snapshot format version. A snapshot carries this
+/// fingerprint and [`System::restore_from`] refuses to load state into a
+/// system built from different inputs — the trace contents and config
+/// are *not* in the snapshot, so they must match exactly for resume to
+/// be sound. The chaos campaign's content key reuses it as the
+/// workload's identity.
 pub(crate) fn system_identity(cfg: &SystemConfig, workload: &Workload) -> u64 {
     use ise_types::persist::{fnv1a, Persist, Writer};
     let mut w = Writer::container();
-    format!("{cfg:?}").save(&mut w);
+    cfg.save_identity(&mut w);
     workload.name.save(&mut w);
     workload.traces.save(&mut w);
     workload.einject_pages.save(&mut w);
@@ -153,26 +156,23 @@ pub struct System {
     os: OsKernel,
     mem: FlatMemory,
     processes: Vec<Process>,
-    ictl: Vec<InterruptControl>,
     monitor: Option<ContractMonitor>,
     breakdown: OverheadBreakdown,
     /// Per-core cycle until which an exception handler is executing (the
     /// IE bit is set in this window; interrupts are deferred).
     handler_busy_until: Vec<Cycle>,
     interrupt_interval: Option<Cycle>,
-    interrupt_cost: Cycle,
     interrupts_delivered: u64,
     interrupts_deferred: u64,
     io_cycles: Cycle,
-    early_drain_interrupts: u64,
     applied_per_core: Vec<u64>,
     /// FSB entries lost to each core's kill paths: the triggering entry,
     /// the drained remainder, and any chunks never delivered because the
     /// process died mid-episode. The residual term that closes store
     /// conservation on killed cores.
     discarded_per_core: Vec<u64>,
-    /// Early-drain interrupts taken per core — the fairness/high-water
-    /// accounting the adversary's stall objective reads.
+    /// Early-drain interrupts taken per core; their sum is
+    /// [`SystemStats::early_drain_interrupts`].
     early_drain_per_core: Vec<u64>,
     now: Cycle,
     /// Iterations of the [`System::run_to`] loop since this system was
@@ -297,16 +297,13 @@ impl System {
             processes: (0..cfg.cores)
                 .map(|i| Process::spawn(i as u32, CoreId(i)))
                 .collect(),
-            ictl: vec![InterruptControl::new(); cfg.cores],
             monitor: None,
             breakdown: OverheadBreakdown::default(),
             handler_busy_until: vec![0; cfg.cores],
             interrupt_interval: None,
-            interrupt_cost: cfg.os.dispatch_overhead / 4,
             interrupts_delivered: 0,
             interrupts_deferred: 0,
             io_cycles: 0,
-            early_drain_interrupts: 0,
             applied_per_core: vec![0; cfg.cores],
             discarded_per_core: vec![0; cfg.cores],
             early_drain_per_core: vec![0; cfg.cores],
@@ -462,16 +459,6 @@ impl System {
         &self.discarded_per_core
     }
 
-    /// Early-drain interrupts taken per core.
-    pub fn early_drain_per_core(&self) -> &[u64] {
-        &self.early_drain_per_core
-    }
-
-    /// The deepest FSB occupancy core `i`'s controller ever saw.
-    pub fn fsb_high_water(&self, i: usize) -> usize {
-        self.fsbcs[i].high_water_mark()
-    }
-
     /// The workload this system was built from (the audit reads its
     /// traces).
     pub(crate) fn workload(&self) -> &Workload {
@@ -533,7 +520,6 @@ impl System {
                 );
             }
         }
-        self.ictl[i].enter_handler();
         // An episode larger than the FSB ring is delivered in chunks: the
         // FSBC fills the ring to its rim, raises the exception early, and
         // the OS drains head-to-tail before the next chunk lands. Each
@@ -587,10 +573,8 @@ impl System {
                 // killed-core conservation still closes.
                 self.discarded_per_core[i] +=
                     outcome.discarded as u64 + (entries.len() - offset) as u64;
-                self.early_drain_interrupts += chunks - 1;
                 self.early_drain_per_core[i] += chunks - 1;
                 self.processes[i].kill();
-                self.ictl[i].exit_handler();
                 self.end_drain_episode(i, episode_begin, resume, applied_before);
                 return;
             }
@@ -598,11 +582,9 @@ impl System {
                 break;
             }
         }
-        self.early_drain_interrupts += chunks - 1;
         self.early_drain_per_core[i] += chunks - 1;
         self.end_drain_episode(i, episode_begin, resume, applied_before);
         self.cores[i].resume_at(resume);
-        self.ictl[i].exit_handler();
         if let Some(m) = self.monitor.as_mut() {
             m.record(OrderEvent::Resume { core: core_id });
         }
@@ -632,7 +614,6 @@ impl System {
                 code: kind.error_code().0,
             },
         );
-        self.ictl[i].enter_handler();
         let resolver = self.resolver.clone();
         let outcome = self
             .os
@@ -645,12 +626,11 @@ impl System {
         } else {
             self.cores[i].resume_at(outcome.resume_at);
         }
-        self.ictl[i].exit_handler();
     }
 
     /// The identity fingerprint of this system's (configuration,
     /// workload) pair, hashed on first call.
-    fn identity(&self) -> u64 {
+    pub(crate) fn identity(&self) -> u64 {
         *self
             .identity
             .get_or_init(|| system_identity(&self.cfg, &self.workload))
@@ -674,7 +654,6 @@ impl System {
             w.u64(self.identity());
             w.u64(self.now);
             self.interrupt_interval.save(w);
-            w.u64(self.interrupt_cost);
             self.hier.save_state(w);
             w.usize(self.cores.len());
             for c in &self.cores {
@@ -688,14 +667,12 @@ impl System {
             self.os.save_state(w);
             self.mem.save(w);
             self.processes.save(w);
-            self.ictl.save(w);
             self.monitor.save(w);
             self.breakdown.save(w);
             self.handler_busy_until.save(w);
             w.u64(self.interrupts_delivered);
             w.u64(self.interrupts_deferred);
             w.u64(self.io_cycles);
-            w.u64(self.early_drain_interrupts);
             self.applied_per_core.save(w);
             self.discarded_per_core.save(w);
             self.early_drain_per_core.save(w);
@@ -732,7 +709,6 @@ impl System {
                     "timer-interrupt configuration mismatch",
                 ));
             }
-            self.interrupt_cost = r.u64()?;
             self.hier.restore_state(r)?;
             let n = r.usize()?;
             if n != self.cores.len() {
@@ -752,8 +728,7 @@ impl System {
             self.os.restore_state(r)?;
             self.mem = Persist::restore(r)?;
             self.processes = Persist::restore(r)?;
-            self.ictl = Persist::restore(r)?;
-            if self.processes.len() != n || self.ictl.len() != n {
+            if self.processes.len() != n {
                 return Err(PersistError::Corrupt("per-core vector length mismatch"));
             }
             self.monitor = Persist::restore(r)?;
@@ -762,7 +737,6 @@ impl System {
             self.interrupts_delivered = r.u64()?;
             self.interrupts_deferred = r.u64()?;
             self.io_cycles = r.u64()?;
-            self.early_drain_interrupts = r.u64()?;
             self.applied_per_core = Persist::restore(r)?;
             self.discarded_per_core = Persist::restore(r)?;
             self.early_drain_per_core = Persist::restore(r)?;
@@ -832,7 +806,8 @@ impl System {
                             continue;
                         }
                         if self.now >= self.handler_busy_until[i] {
-                            self.cores[i].stall_until(self.now + self.interrupt_cost);
+                            let cost = self.cfg.os.dispatch_overhead / 4;
+                            self.cores[i].stall_until(self.now + cost);
                             self.interrupts_delivered += 1;
                             self.tel
                                 .event(self.now, i as u32, TraceEventKind::InterruptDelivered);
@@ -971,7 +946,7 @@ impl System {
             pages_resolved: self.os.pages_resolved(),
             transient_retries: self.os.transient_retries(),
             transient_recovered: self.os.transient_recovered(),
-            early_drain_interrupts: self.early_drain_interrupts,
+            early_drain_interrupts: self.early_drain_per_core.iter().sum(),
             fsb_high_water_mark: self
                 .fsbcs
                 .iter()
@@ -1641,13 +1616,22 @@ mod tests {
         let mut donor = System::new(small_cfg(), &w);
         assert!(!donor.run_to(200, true));
         let snap = donor.snapshot();
-        // A system built from a different workload has a different
-        // identity fingerprint.
-        let mut other = System::new(small_cfg(), &store_workload(false));
-        assert!(matches!(
-            other.restore_from(&snap),
-            Err(PersistError::Corrupt("system identity mismatch"))
-        ));
+        // A different workload, or a configuration that differs only in
+        // a field the JSON rendering omits, has a different identity.
+        let mut split = small_cfg();
+        split.core.drain_policy = ise_types::DrainPolicy::SplitStream;
+        let mut unhardened = small_cfg();
+        unhardened.os.hardened = false;
+        for mut other in [
+            System::new(small_cfg(), &store_workload(false)),
+            System::new(split, &w),
+            System::new(unhardened, &w),
+        ] {
+            assert!(matches!(
+                other.restore_from(&snap),
+                Err(PersistError::Corrupt("system identity mismatch"))
+            ));
+        }
         // Same inputs, different builder state (timer interrupts).
         let mut timered = System::new(small_cfg(), &w).with_timer_interrupts(200);
         assert!(matches!(

@@ -8,7 +8,7 @@
 
 use crate::json::{Json, ToJson};
 use crate::model::{ConsistencyModel, DrainPolicy};
-use std::fmt;
+use crate::persist::{Persist, Writer};
 
 /// Out-of-order core parameters (Table 2, "Core" row).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,7 +172,7 @@ impl MemoryConfig {
 /// The paper's minimal Linux handler spends ≈600 cycles per faulting store
 /// unbatched, of which the microarchitectural part is "only a tiny
 /// fraction"; the defaults below reproduce that split.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OsCostConfig {
     /// Cycles to drain one store-buffer entry into the FSB (FSBC write).
     pub fsb_drain_per_store: u64,
@@ -214,9 +214,10 @@ pub struct OsCostConfig {
     ///
     /// `false` is the adversary self-check's seeded-weakness target: the
     /// search must find a damaging plan against it and none against the
-    /// hardened kernel. Like [`SystemConfig::reference_clock`], this is
-    /// a recovery-implementation knob, not a Table 2 parameter, so it is
-    /// absent from the configuration's JSON rendering.
+    /// hardened kernel. This is a recovery-implementation knob, not a
+    /// Table 2 parameter, so it is absent from the configuration's JSON
+    /// rendering; it steers simulation, so
+    /// [`SystemConfig::save_identity`] covers it.
     pub hardened: bool,
 }
 
@@ -241,33 +242,6 @@ impl OsCostConfig {
     }
 }
 
-/// A system's identity hash (`ise-sim`'s `system_identity`) covers the
-/// configuration's `Debug` rendering, and every snapshot header carries
-/// that hash. `hardened` therefore renders as the three-flag struct it
-/// once was, so format-version-1 images stay restorable.
-impl fmt::Debug for OsCostConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("OsCostConfig")
-            .field("fsb_drain_per_store", &self.fsb_drain_per_store)
-            .field("pipeline_flush", &self.pipeline_flush)
-            .field("apply_per_store", &self.apply_per_store)
-            .field("dispatch_overhead", &self.dispatch_overhead)
-            .field("resolve_per_page", &self.resolve_per_page)
-            .field("io_latency", &self.io_latency)
-            .field("retry_attempts", &self.retry_attempts)
-            .field("retry_backoff_base", &self.retry_backoff_base)
-            .field(
-                "hardening",
-                &format_args!(
-                    "RecoveryHardening {{ jittered_backoff: {h}, \
-                     kill_on_retry_exhaustion: {h}, chunk_continuation: {h} }}",
-                    h = self.hardened
-                ),
-            )
-            .finish()
-    }
-}
-
 /// The full simulated system (Table 2 plus OS costs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
@@ -287,16 +261,6 @@ pub struct SystemConfig {
     pub memory: MemoryConfig,
     /// OS handler costs.
     pub os: OsCostConfig,
-    /// When true, campaigns handed this configuration (the chaos sweep)
-    /// drive their cells with the reference per-cycle loop (`now += 1`)
-    /// instead of the event-driven cycle-skipping loop. The two produce
-    /// byte-identical statistics — the reference clock exists as the
-    /// differential-testing oracle. Entry points that take an explicit
-    /// `skip` ignore this field.
-    ///
-    /// This is a simulator-implementation knob, not an architectural
-    /// parameter, so it is deliberately absent from the JSON rendering.
-    pub reference_clock: bool,
 }
 
 impl SystemConfig {
@@ -311,7 +275,6 @@ impl SystemConfig {
             noc: NocConfig::isca23(),
             memory: MemoryConfig::isca23(),
             os: OsCostConfig::isca23(),
-            reference_clock: false,
         }
     }
 
@@ -344,11 +307,96 @@ impl SystemConfig {
         self
     }
 
-    /// Same system driven by the reference per-cycle clock (`true`) or
-    /// the cycle-skipping clock (`false`, the default).
-    pub fn with_reference_clock(mut self, reference: bool) -> Self {
-        self.reference_clock = reference;
-        self
+    /// Writes the fields that steer simulation into `w`: the part of a
+    /// system's identity (`ise-sim`'s `system_identity`) that a snapshot
+    /// header carries and a restore checks. Every struct is destructured
+    /// in full, so a new field does not compile until it is either
+    /// written here or bound to `_` with its reason below. Left out:
+    ///
+    /// * `cores`: a system takes its core count from the workload's
+    ///   traces, which the identity hashes anyway;
+    /// * `os.io_latency`: nothing in a system reads it; demand-paging IO
+    ///   is a builder call that takes its latency as an argument.
+    pub fn save_identity(&self, w: &mut Writer) {
+        let SystemConfig {
+            cores: _,
+            core,
+            l1d,
+            l2,
+            tlb,
+            noc,
+            memory,
+            os,
+        } = self;
+        let CoreConfig {
+            width,
+            rob_entries,
+            sb_entries,
+            model,
+            drain_policy,
+        } = core;
+        w.u32(*width);
+        w.usize(*rob_entries);
+        w.usize(*sb_entries);
+        model.save(w);
+        drain_policy.save(w);
+        for cache in [l1d, l2] {
+            let CacheConfig {
+                capacity_bytes,
+                ways,
+                latency,
+                mshrs,
+            } = cache;
+            w.usize(*capacity_bytes);
+            w.usize(*ways);
+            w.u64(*latency);
+            w.usize(*mshrs);
+        }
+        let TlbConfig {
+            l1_entries,
+            l2_entries,
+            l2_latency,
+            walk_latency,
+        } = tlb;
+        w.usize(*l1_entries);
+        w.usize(*l2_entries);
+        w.u64(*l2_latency);
+        w.u64(*walk_latency);
+        let NocConfig {
+            mesh_x,
+            mesh_y,
+            link_bytes,
+            hop_latency,
+        } = noc;
+        w.usize(*mesh_x);
+        w.usize(*mesh_y);
+        w.usize(*link_bytes);
+        w.u64(*hop_latency);
+        let MemoryConfig {
+            access_latency,
+            store_latency_skew,
+        } = memory;
+        w.u64(*access_latency);
+        w.u64(*store_latency_skew);
+        let OsCostConfig {
+            fsb_drain_per_store,
+            pipeline_flush,
+            apply_per_store,
+            dispatch_overhead,
+            resolve_per_page,
+            io_latency: _,
+            retry_attempts,
+            retry_backoff_base,
+            hardened,
+        } = os;
+        w.u64(*fsb_drain_per_store);
+        w.u64(*pipeline_flush);
+        w.u64(*apply_per_store);
+        w.u64(*dispatch_overhead);
+        w.u64(*resolve_per_page);
+        w.u32(*retry_attempts);
+        w.u64(*retry_backoff_base);
+        w.bool(*hardened);
     }
 }
 
@@ -513,18 +561,5 @@ mod tests {
             unhardened_cfg.to_json().render(),
             "hardening is invisible in config JSON"
         );
-    }
-
-    #[test]
-    fn reference_clock_builder_and_default() {
-        let base = SystemConfig::isca23();
-        assert!(!base.reference_clock, "cycle skipping is the default");
-        assert!(base.with_reference_clock(true).reference_clock);
-        // The clock choice is a simulator-implementation detail: it must
-        // not leak into the architectural JSON (golden reports are shared
-        // between the two clocks).
-        let a = base.to_json().render();
-        let b = base.with_reference_clock(true).to_json().render();
-        assert_eq!(a, b, "clock toggle is invisible in config JSON");
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! "ISES"            4-byte magic
-//! format version    u32 (currently 1)
+//! format version    u32 (currently 2)
 //! payload           tagged sections, nested freely
 //! content hash      u64 FNV-1a over everything before it
 //! ```
@@ -35,7 +35,7 @@ pub const MAGIC: [u8; 4] = *b"ISES";
 
 /// Current snapshot format version. Bump on any non-additive change to
 /// a component's serialized form.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

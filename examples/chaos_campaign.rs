@@ -28,9 +28,7 @@ fn main() {
     cfg.noc.mesh_x = 2;
     cfg.noc.mesh_y = 1;
     cfg.cores = 2;
-    let cfg = cfg
-        .with_model(ConsistencyModel::Pc)
-        .with_reference_clock(!skip);
+    let cfg = cfg.with_model(ConsistencyModel::Pc);
 
     let mut kv = KvConfig::small(2);
     kv.preload = 400;
@@ -54,7 +52,7 @@ fn main() {
     };
 
     let campaign = ChaosCampaign::new(cfg, chaos);
-    let report = campaign.run_with_workers(std::slice::from_ref(&workload), workers);
+    let report = campaign.run_clocked(std::slice::from_ref(&workload), workers, skip);
     eprintln!(
         "{} runs, all invariants {}",
         report.runs.len(),
@@ -66,7 +64,7 @@ fn main() {
     // ISE_TRACE: replay one sweep cell with the event trace on and
     // dump the ring — the telemetry quickstart in README.md.
     if trace {
-        let (run, trace) = campaign.trace_cell(&workload, FaultKind::Permanent, 1.0, 1 << 20);
+        let (run, trace) = campaign.trace_cell(&workload, FaultKind::Permanent, 1.0, 1 << 20, skip);
         eprintln!(
             "traced cell: {} imprecise exception(s), {} store(s) applied",
             run.imprecise_exceptions, run.stores_applied

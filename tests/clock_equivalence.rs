@@ -364,7 +364,7 @@ fn experiment_sweeps_identical_across_worker_counts() {
     // insertion-order merge (the fan-out must be invisible) and the
     // clock equivalence of whole sweeps.
     let fig5_ref = render_rows(&fig5(&[2, 64], 1, false));
-    let io_ref = render_rows(&fig5_demand_paging(&[2, 16], 500, 1, false));
+    let io_ref = render_rows(&fig5_demand_paging(&[2, 16], 1, false));
     let scale = Table3Scale {
         instrs_per_core: 1_500,
         cores: 2,
@@ -378,7 +378,7 @@ fn experiment_sweeps_identical_across_worker_counts() {
             "fig5 workers={workers}"
         );
         assert_eq!(
-            render_rows(&fig5_demand_paging(&[2, 16], 500, workers, true)),
+            render_rows(&fig5_demand_paging(&[2, 16], workers, true)),
             io_ref,
             "fig5-io workers={workers}"
         );

@@ -144,7 +144,7 @@ fn trace_cell_exposes_fault_lifecycle_events() {
     // guaranteed to hit faults (a sub-1.0 rate can sample load-only
     // pages and never drain), and size the ring for the whole run
     // rather than a recent window.
-    let (run, trace) = campaign.trace_cell(&workloads[0], FaultKind::Permanent, 1.0, 1 << 20);
+    let (run, trace) = campaign.trace_cell(&workloads[0], FaultKind::Permanent, 1.0, 1 << 20, true);
     assert!(run.ok(), "violations: {:?}", run.violations);
     let rendered = trace.render();
     for needle in [
