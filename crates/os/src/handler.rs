@@ -310,9 +310,9 @@ impl OsKernel {
 
     /// Saves the kernel's dynamic state under an `OSKN` section: every
     /// handler counter plus the demand-paging device's issue counter.
-    /// The cost configuration and the IO device's latency are rebuilt by
-    /// the embedder; the saved IO-presence flag is validated against that
-    /// reconstruction on restore.
+    /// The cost configuration and the IO device are rebuilt by the
+    /// embedder; the saved IO-presence flag and IO latency are validated
+    /// against that reconstruction on restore.
     pub fn save_state(&self, w: &mut ise_types::persist::Writer) {
         w.section(*b"OSKN", |w| {
             w.bool(self.demand_io.is_some());
@@ -337,7 +337,8 @@ impl OsKernel {
 
     /// Restores the kernel's counters in place. The kernel must have been
     /// built with the same cost configuration (and the same
-    /// [`OsKernel::with_demand_paging_io`] choice) as the snapshot.
+    /// [`OsKernel::with_demand_paging_io`] choice and latency) as the
+    /// snapshot.
     pub fn restore_state(
         &mut self,
         r: &mut ise_types::persist::Reader,

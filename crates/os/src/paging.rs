@@ -59,17 +59,24 @@ impl IoScheduler {
         now + n as Cycle * self.io_latency
     }
 
-    /// Saves the device's dynamic state (the issue counter; `io_latency`
-    /// is configuration the embedder rebuilds).
+    /// Saves the device: its latency (checked on restore) and its issue
+    /// counter.
     pub fn save_state(&self, w: &mut ise_types::persist::Writer) {
+        w.u64(self.io_latency);
         w.u64(self.ios_issued);
     }
 
-    /// Restores the issue counter in place.
+    /// Restores the issue counter in place. The device must have been
+    /// built with the snapshot's latency.
     pub fn restore_state(
         &mut self,
         r: &mut ise_types::persist::Reader,
     ) -> Result<(), ise_types::persist::PersistError> {
+        if r.u64()? != self.io_latency {
+            return Err(ise_types::persist::PersistError::Corrupt(
+                "demand-IO latency mismatch",
+            ));
+        }
         self.ios_issued = r.u64()?;
         Ok(())
     }
@@ -123,6 +130,15 @@ mod tests {
         back.restore_state(&mut r).unwrap();
         assert_eq!(back.ios_issued(), s.ios_issued());
         assert_eq!(back.batched(3, 100), s.batched(3, 100));
+        // A device with another latency refuses the snapshot.
+        let mut slow = IoScheduler::new(500);
+        let mut r = Reader::container(&bytes).unwrap();
+        assert!(matches!(
+            slow.restore_state(&mut r),
+            Err(ise_types::persist::PersistError::Corrupt(
+                "demand-IO latency mismatch"
+            ))
+        ));
     }
 
     #[test]

@@ -8,14 +8,28 @@
 //! deferred.
 
 use ise_types::CoreId;
+use std::fmt;
 
 /// Lifecycle state of a simulated process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcessState {
     /// Scheduled and executing.
     Running,
+    /// Blocked in an exception handler.
+    Blocked,
     /// Terminated by an irrecoverable exception.
     Killed,
+}
+
+impl fmt::Display for ProcessState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = match self {
+            ProcessState::Running => "running",
+            ProcessState::Blocked => "blocked",
+            ProcessState::Killed => "killed",
+        };
+        write!(f, "{s}")
+    }
 }
 
 /// One simulated process, pinned to one core (the evaluation runs one
@@ -40,11 +54,43 @@ impl Process {
         }
     }
 
-    /// Terminates the process (irrecoverable exception). Idempotent, so
-    /// an early-drain continuation racing a chunk that already
-    /// terminated the episode does not panic.
-    pub fn kill(&mut self) {
+    /// Blocks the process for exception handling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the process is not running.
+    pub fn block(&mut self) {
+        assert_eq!(
+            self.state,
+            ProcessState::Running,
+            "only running processes block"
+        );
+        self.state = ProcessState::Blocked;
+    }
+
+    /// Resumes a blocked process.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the process is not blocked.
+    pub fn resume(&mut self) {
+        assert_eq!(
+            self.state,
+            ProcessState::Blocked,
+            "only blocked processes resume"
+        );
+        self.state = ProcessState::Running;
+    }
+
+    /// Terminates the process (irrecoverable exception). Idempotent:
+    /// returns `true` only on the transition into `Killed`, so a second
+    /// kill — e.g. an early-drain continuation racing a chunk that
+    /// already terminated the episode — neither panics nor double-counts
+    /// in any per-process statistic keyed on the return value.
+    pub fn kill(&mut self) -> bool {
+        let newly = self.state != ProcessState::Killed;
         self.state = ProcessState::Killed;
+        newly
     }
 }
 
@@ -56,13 +102,15 @@ mod persist_impls {
         fn save(&self, w: &mut Writer) {
             w.u8(match self {
                 ProcessState::Running => 0,
-                ProcessState::Killed => 1,
+                ProcessState::Blocked => 1,
+                ProcessState::Killed => 2,
             });
         }
         fn restore(r: &mut Reader) -> Result<Self, PersistError> {
             Ok(match r.u8()? {
                 0 => ProcessState::Running,
-                1 => ProcessState::Killed,
+                1 => ProcessState::Blocked,
+                2 => ProcessState::Killed,
                 _ => return Err(PersistError::Corrupt("ProcessState discriminant")),
             })
         }
@@ -89,23 +137,52 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kill_is_idempotent() {
+    fn process_lifecycle() {
         let mut p = Process::spawn(1, CoreId(0));
         assert_eq!(p.state, ProcessState::Running);
-        p.kill();
-        p.kill();
+        p.block();
+        assert_eq!(p.state, ProcessState::Blocked);
+        p.resume();
+        assert_eq!(p.state, ProcessState::Running);
+        assert!(p.kill(), "first kill is the real transition");
         assert_eq!(p.state, ProcessState::Killed);
+    }
+
+    #[test]
+    fn kill_is_idempotent() {
+        let mut p = Process::spawn(1, CoreId(0));
+        assert!(p.kill());
+        assert!(!p.kill(), "second kill reports already-dead");
+        assert_eq!(p.state, ProcessState::Killed);
+        // Killing from Blocked works too (mid-handler termination).
+        let mut q = Process::spawn(2, CoreId(1));
+        q.block();
+        assert!(q.kill());
+        assert!(!q.kill());
+    }
+
+    #[test]
+    #[should_panic(expected = "only running processes block")]
+    fn double_block_panics() {
+        let mut p = Process::spawn(1, CoreId(0));
+        p.block();
+        p.block();
     }
 
     #[test]
     fn persist_round_trips_every_state() {
         use ise_types::persist::{restore_container, save_container};
-        let mut p = Process::spawn(7, CoreId(3));
-        for kill in [false, true] {
-            if kill {
+        for mutate in [
+            (|_: &mut Process| {}) as fn(&mut Process),
+            |p| p.block(),
+            |p| {
                 p.kill();
-            }
-            let back: Process = restore_container(&save_container(&p)).unwrap();
+            },
+        ] {
+            let mut p = Process::spawn(7, CoreId(3));
+            mutate(&mut p);
+            let bytes = save_container(&p);
+            let back: Process = restore_container(&bytes).unwrap();
             assert_eq!(back, p);
         }
     }

@@ -178,21 +178,17 @@ impl ChaosCampaign {
         )
     }
 
-    /// Keys one cell by its content: the `system_identity` of the quiet
-    /// workload the cell's [`System`] is built on (see [`fault_cell`]),
-    /// the workload's [`fault_pool`], the fault kind with its
-    /// parameters, the rate's bits and the cell seed.
+    /// Keys one cell by its content: the workload's `system_identity`
+    /// (configuration, traces, declared faulting pages), the fault kind
+    /// with its parameters, the rate's bits and the cell seed.
     /// [`ChaosCampaign::build_cell`] is a pure function of these inputs,
     /// so equal keys mean equal boot states and equal trajectories.
-    fn content_key(identity: u64, pool: &[PageId], kind: FaultKind, rate: f64, seed: u64) -> u64 {
-        use ise_types::persist::{fnv1a, Persist, Writer};
-        let mut w = Writer::new();
-        w.u64(identity);
-        pool.to_vec().save(&mut w);
-        format!("{kind:?}").save(&mut w);
-        w.u64(rate.to_bits());
-        w.u64(seed);
-        fnv1a(&w.into_bytes())
+    fn content_key(identity: u64, kind: FaultKind, rate: f64, seed: u64) -> u64 {
+        let key = format!(
+            "{identity:016x}\u{1f}{kind:?}\u{1f}{}\u{1f}{seed}",
+            rate.to_bits()
+        );
+        ise_types::persist::fnv1a(key.as_bytes())
     }
 
     /// [`ChaosCampaign::run_clocked`] on the cycle-skipping clock.
@@ -231,7 +227,7 @@ impl ChaosCampaign {
         let pools: Vec<Vec<PageId>> = workloads.iter().map(fault_pool).collect();
         let identities: Vec<u64> = workloads
             .iter()
-            .map(|w| system_identity(&self.cfg, &quiet(w)))
+            .map(|w| system_identity(&self.cfg, w))
             .collect();
         let mut cells =
             Vec::with_capacity(workloads.len() * self.chaos.kinds.len() * self.chaos.rates.len());
@@ -245,9 +241,7 @@ impl ChaosCampaign {
         let (runs, unique_cells) = ise_par::par_map_dedup(
             &cells,
             workers,
-            |&(wi, kind, rate, seed)| {
-                Self::content_key(identities[wi], &pools[wi], kind, rate, seed)
-            },
+            |&(wi, kind, rate, seed)| Self::content_key(identities[wi], kind, rate, seed),
             |_, &(wi, kind, rate, seed)| {
                 let (w, pool) = (&workloads[wi], &pools[wi]);
                 let cell = self.build_cell(w, pool, kind, rate, seed);
@@ -633,14 +627,14 @@ mod tests {
         let kind = FaultKind::Permanent;
         let mut cells = Vec::new();
         for (wi, w) in workloads.iter().enumerate() {
-            let (identity, pool) = (system_identity(&campaign.cfg, &quiet(w)), fault_pool(w));
+            let (identity, pool) = (system_identity(&campaign.cfg, w), fault_pool(w));
             for &rate in &campaign.chaos.rates {
                 let seed = campaign.cell_seed(w, kind, rate);
                 let (sys, _, _) = campaign.build_cell(w, &pool, kind, rate, seed);
                 // The identity hashed from the campaign's configuration
                 // (core count unadjusted) is the built system's own.
-                assert_eq!(identity, sys.identity());
-                let key = ChaosCampaign::content_key(identity, &pool, kind, rate, seed);
+                assert_eq!(system_identity(&campaign.cfg, &quiet(w)), sys.identity());
+                let key = ChaosCampaign::content_key(identity, kind, rate, seed);
                 cells.push((wi, key, sys.snapshot()));
             }
         }

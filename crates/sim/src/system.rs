@@ -1640,6 +1640,14 @@ mod tests {
                 "timer-interrupt configuration mismatch"
             ))
         ));
+        // Same inputs, a demand-paging device with another IO latency.
+        let mut paged = System::new(small_cfg(), &w).with_demand_paging_io(500);
+        assert!(!paged.run_to(200, true));
+        let mut slow = System::new(small_cfg(), &w).with_demand_paging_io(20_000);
+        assert!(matches!(
+            slow.restore_from(&paged.snapshot()),
+            Err(PersistError::Corrupt("demand-IO latency mismatch"))
+        ));
         // A flipped header byte, a flipped body byte (content hash), and
         // a truncated container all fail before any state is touched.
         let mut bad = snap.clone();

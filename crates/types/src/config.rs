@@ -315,8 +315,10 @@ impl SystemConfig {
     ///
     /// * `cores`: a system takes its core count from the workload's
     ///   traces, which the identity hashes anyway;
-    /// * `os.io_latency`: nothing in a system reads it; demand-paging IO
-    ///   is a builder call that takes its latency as an argument.
+    /// * `os.io_latency`: a system reads no latency from its config; its
+    ///   demand-paging device is a builder call that takes the latency as
+    ///   an argument, and the device saves that latency and checks it on
+    ///   restore.
     pub fn save_identity(&self, w: &mut Writer) {
         let SystemConfig {
             cores: _,

@@ -24,6 +24,7 @@ use imprecise_store_exceptions::types::{
 };
 use imprecise_store_exceptions::workloads::kvstore::{kv_workload, KvConfig, KvEngine};
 use imprecise_store_exceptions::workloads::layout::EINJECT_BASE;
+use imprecise_store_exceptions::workloads::microbench::{microbench, MicrobenchConfig};
 use imprecise_store_exceptions::workloads::stats::touched_pages;
 use imprecise_store_exceptions::workloads::Workload;
 use std::rc::Rc;
@@ -289,6 +290,28 @@ fn clocks_agree_with_demand_paging_io() {
             System::new(cfg2(), &store_mix(true)).with_demand_paging_io(io_latency)
         });
     }
+    // The Fig. 5 microbenchmark cell with a short device, so page-ins
+    // finish while the program is still running (the paper's 20 000
+    // cycles outlast it).
+    let mb = microbench(&MicrobenchConfig {
+        stores_per_iter: 10_000,
+        iterations: 1,
+        array_bytes: 4 << 20,
+        faulting_pages_per_iter: 16,
+        seed: 99,
+    });
+    let workload = Workload {
+        name: "mbench-16".into(),
+        traces: vec![mb.iterations[0].trace.clone()],
+        einject_pages: mb.iterations[0].faulting_pages.clone(),
+    };
+    let mut cfg = SystemConfig::isca23();
+    cfg.noc.mesh_x = 2;
+    cfg.noc.mesh_y = 1;
+    cfg.cores = 1;
+    assert_clocks_agree("Fig. 5 cell, 500-cycle IO", || {
+        System::new(cfg, &workload).with_demand_paging_io(500)
+    });
 }
 
 #[test]
